@@ -30,7 +30,6 @@ END_TO_END = (
     ("rpcs_per_commit", "ratio", "lower", 0.2),
     ("rpc_ms_p50", "ms", "lower", 0.25),
     ("rpc_ms_p90", "ms", "lower", 0.25),
-    ("verify_s", "s", "lower", 0.25),
     ("peak_rss_mb", "MB", "lower", 0.25),
     ("setup_s", "s", "lower", 0.25),
 )

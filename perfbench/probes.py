@@ -79,23 +79,20 @@ class Tracer:
 
 
 class ProbeBackend(AdmissionBackend):
-    """Forwards to a real backend and times every ``conflict_manager``
-    and ``check_many`` call.  With :attr:`tracer` set it also records
-    the executor-window span (a manager's open to its close) and one
-    span per manager call."""
+    """Forwards to a real backend and times every ``check_many`` call.
+    With :attr:`tracer` set it also records the executor-window span (a
+    manager's open to its close) and one span per manager call."""
 
     def __init__(self, inner: AdmissionBackend) -> None:
         self.inner = inner
         self.kind = inner.kind
         self.supports_threads = inner.supports_threads
         self.tracer: Tracer | None = None
-        self._open_s: list[float] = []
         self._check_s: list[float] = []
 
-    def take(self) -> tuple[list[float], list[float]]:
-        """The open and check durations since the last call."""
-        taken = self._open_s, self._check_s
-        self._open_s, self._check_s = [], []
+    def take(self) -> list[float]:
+        """The check durations since the last call."""
+        taken, self._check_s = self._check_s, []
         return taken
 
     def conflict_manager(self, ds_name: str, **kwargs):
@@ -103,11 +100,9 @@ class ProbeBackend(AdmissionBackend):
         if tracer is not None:
             tracer.open(WINDOW)
             tracer.open("gatekeeper.open")
-        start = perf_counter()
         try:
             manager = self.inner.conflict_manager(ds_name, **kwargs)
         finally:
-            self._open_s.append(perf_counter() - start)
             if tracer is not None:
                 tracer.close()
         return _ProbedManager(manager, self._check_s, tracer)

@@ -2,13 +2,15 @@
 
 A run is closed loop — the executor waits for every admission reply —
 and proceeds in rounds: one executor batch per structure, each batch a
-fresh seeded set of transaction programs, until ``--seconds`` have
-passed.  A round's programs are generated before any of its batches
-runs, so generation stays outside every timed ``run()`` call.  Every
-batch uses ``policy="commutativity"``, ``workers=1``, the fixed
-:data:`MAX_ROUNDS` liveness budget and the executor's default conflict
-response, so a change of that default shows up here.  ``README.md``
-gives each shape's rationale.
+fresh seeded set of transaction programs.  A round's programs are
+generated before any of its batches runs, so generation stays outside
+every timed ``run()`` call.  The untraced run makes :data:`PASSES`
+passes over its rounds: the first runs fresh rounds for its share of
+``--seconds``, the others run the same programs again, and each batch
+keeps its fastest pass.  Every batch uses ``policy="commutativity"``,
+``workers=1``, the fixed :data:`MAX_ROUNDS` liveness budget and the
+executor's default conflict response, so a change of that default shows
+up here.  ``README.md`` gives each shape's rationale.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import statistics
 import sys
 import time
 import traceback
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -35,9 +38,20 @@ from .probes import ProbeBackend, Tracer, instrument, layer_times
 
 #: Scheduling rounds a batch may take before its stragglers are quenched.
 MAX_ROUNDS = 200_000
+#: Timed passes over an untraced run's rounds.  A batch's time is its
+#: fastest pass and an admission call's its fastest repeat: a shared
+#: host runs the same code up to 1.7x slower for a second or more at a
+#: time, and repeats a few seconds apart rarely all land in such a spell.
+PASSES = 3
 #: The command-line seed of the set-up warm-up rounds: every run warms
 #: up on the same programs, so ``setup_s`` measures the same work.
 WARMUP_SEED = 0
+#: Timed set-ups per untraced run; ``setup_s`` is their median.  The
+#: first sets up the measured context, the rest are spread over the
+#: measurement window (which is extended by the time they take), so the
+#: median averages the host's speed over the run instead of catching one
+#: moment.  With four, served medians of five runs each differed by 15 %.
+SETUP_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -50,12 +64,6 @@ class Shape:
     spec: dict
     shards: int
     served: bool = False
-    #: Timed set-ups per untraced run: ``setup_s`` is their median and
-    #: ``verify_s`` their mean.  The first sets up the measured context,
-    #: the rest are spread over the measurement window (which is
-    #: extended by the time they take), so both average the host's speed
-    #: over the run instead of catching one moment.
-    setup_samples: int = 8
 
 
 SHAPES = {
@@ -72,16 +80,22 @@ SHAPES = {
         profile="write-heavy", distribution="hot-key", transactions=12,
         ops_per_transaction=4, key_space=24, value_space=3, preload=20),
         shards=1),
+    # Preload 1,000 of 2,000 keys rather than 2,000 of 4,000: a round
+    # costs about two thirds as much (HashTable 176 ms against 254 ms)
+    # at the same waste, so a run holds more rounds and its counts
+    # depend less on its seed.  Abstract state stays the largest layer
+    # (share 0.63).  Larger transactions thrash: 16 x 8 runs 4 to 36
+    # executed ops per committed op.
     "large-state": Shape(("HashSet", "HashTable", "ArrayList"), dict(
         profile="read-heavy", distribution="uniform", transactions=8,
-        ops_per_transaction=8, key_space=4000, preload=2000), shards=4),
+        ops_per_transaction=8, key_space=2000, preload=1000), shards=4),
     # 8 x 4 rather than 12 x 6: a 12 x 6 batch makes about 650 RPCs, so
     # a 15 s run held about 20 batches and five seeds spread 44 % on
     # committed ops/s and 21 % on executed per committed op.
     "served": Shape(("HashSet", "HashTable"), dict(
         profile="write-heavy", distribution="hot-key", transactions=8,
         ops_per_transaction=4, key_space=200, preload=200),
-        shards=4, served=True, setup_samples=4),
+        shards=4, served=True),
 }
 
 #: Per-layer decision-path metric -> ExecutionReport counter.
@@ -127,11 +141,11 @@ def executor_for(registry, shape: Shape, batch, backend=None):
         **supported(SpeculativeExecutor, compiled=True))
 
 
-def arm(registry, structures, cache, jobs: int = 1) -> dict:
+def arm(registry, structures, cache) -> dict:
     """Register drift-stable conditions from the engine cache at
     ``cache``: prover-compiled for the builtins, abduced for the
     RegisterCell demo.  Returns the stability reports."""
-    session = Session(registry=registry, jobs=jobs, cache=str(cache))
+    session = Session(registry=registry, jobs=1, cache=str(cache))
     builtins = [name for name in structures if name != DEMO_FAMILY]
     reports = dict(session.compile_stable(builtins, prover=True)) \
         if builtins else {}
@@ -160,8 +174,8 @@ def fill_cache(paths) -> None:
     if stamp.is_file() and stamp.read_text() == sources:
         return
     registry = make_demo_registry()
-    arm(registry, STRUCTURES, paths.cache, paths.jobs)
-    Session(registry=registry, jobs=paths.jobs, cache=str(paths.cache)) \
+    arm(registry, STRUCTURES, paths.cache)
+    Session(registry=registry, jobs=1, cache=str(paths.cache)) \
         .compile_stable(list(SHAPES["served"].structures))
     stamp.write_text(sources)
 
@@ -188,12 +202,15 @@ class Batch:
     transactions: int
     gen_s: float = 0.0
     traced: bool = False
+    #: ``run()`` seconds of the fastest pass.
     run_s: float = 0.0
     error: str | None = None
-    #: Seconds spent opening the batch's admission manager.
-    open_s: float = 0.0
     #: ``check_many`` calls (one admission RPC each when served).
     calls: int = 0
+    #: Each admission call's seconds, in call order, fastest over the
+    #: passes: the report's RPC latencies when served, else the probe's
+    #: ``check_many`` timings.
+    latencies: array | None = None
     operations: int = 0
     committed: int = 0
     commits: int = 0
@@ -204,16 +221,33 @@ class Batch:
     #: The decision digest the batch must reproduce: a served batch's
     #: local bounded-tier reference, a traced batch's untraced twin's.
     expected_digest: str | None = None
+    #: Set when a repeat pass decided differently from the first.
+    repeat_differs: bool = False
 
-    def observe(self, report, digest: bool) -> None:
+    def observe(self, report, checks: list[float]) -> None:
         self.operations = report.operations
         self.committed = report.committed_operations
         self.commits = len(report.commit_order)
         self.serializable = report.serializable
-        self.digest = report.decision_digest() if digest else None
+        self.digest = report.decision_digest()
+        self.latencies = array("d", getattr(report, "admission_latencies",
+                                            None) or checks)
         if self.traced:
             self.counters = {name: getattr(report, name, 0)
                              for name in REPORT_COUNTERS}
+
+    def fold(self, again: "Batch") -> None:
+        """Fold a repeat pass over the same programs into this record.
+        The repeat must decide exactly as the first pass did."""
+        if self.error is not None or again.error is not None:
+            self.error = self.error or again.error
+            return
+        if again.digest != self.digest or not again.serializable:
+            self.repeat_differs = True
+        self.run_s = min(self.run_s, again.run_s)
+        if len(again.latencies) == len(self.latencies):
+            self.latencies = array("d", map(min, self.latencies,
+                                            again.latencies))
 
     def twin(self) -> "Batch":
         """The same programs, to run again under the tracer."""
@@ -241,14 +275,10 @@ class Context:
     admission backend — in-process, or a fresh ``python -m repro
     serve`` child for the served workload."""
 
-    def __init__(self, shape: Shape, paths, digests: bool) -> None:
+    def __init__(self, shape: Shape, paths) -> None:
         self.shape = shape
-        #: Whether batches keep their decision digest (served and traced
-        #: runs compare digests).
-        self.digests = digests
         self.server = None
         self.reports: dict = {}
-        self.load_s = 0.0
         if shape.served:
             from repro.service.client import ServiceBackend
             from .serve import HOST, ServerProcess
@@ -257,20 +287,15 @@ class Context:
             inner = ServiceBackend(HOST, self.server.port,
                                    registry=self.registry)
         else:
-            start = time.perf_counter()
             self.registry = make_demo_registry()
             self.reports = arm(self.registry, shape.structures, paths.cache)
-            self.load_s = time.perf_counter() - start
             inner = LocalAdmissionBackend(self.registry)
         self.backend = ProbeBackend(inner)
         self.classes = {self.registry.implementation(name)
                         for name in shape.structures}
 
-    def execute(self, batch: Batch, tracer: Tracer | None = None,
-                latencies: dict | None = None) -> Batch:
-        """Run one batch.  ``latencies`` collects its admission round
-        trips per structure: the report's RPC latencies when served,
-        else the probe's ``check_many`` timings."""
+    def execute(self, batch: Batch, tracer: Tracer | None = None) -> Batch:
+        """Run one batch."""
         executor = executor_for(self.registry, self.shape, batch,
                                 self.backend)
         report = None
@@ -289,13 +314,10 @@ class Context:
                 tracer.unwind()
         finally:
             self.backend.tracer = None
-            opens, checks = self.backend.take()
-        batch.open_s, batch.calls = sum(opens), len(checks)
+            checks = self.backend.take()
+        batch.calls = len(checks)
         if report is not None:
-            batch.observe(report, self.digests)
-            if latencies is not None:
-                latencies.setdefault(batch.structure, BatchWeighted()).add(
-                    getattr(report, "admission_latencies", None) or checks)
+            batch.observe(report, checks)
         return batch
 
     def close(self) -> None:
@@ -311,27 +333,21 @@ class SetUps:
     batch per structure (served: the server spawn and first opens
     too).  Every run warms up on the same programs."""
 
-    def __init__(self, shape: Shape, paths, digests: bool) -> None:
+    def __init__(self, shape: Shape, paths) -> None:
         self.shape = shape
         self.paths = paths
-        self.digests = digests
         self.setup_s: list[float] = []
-        self.verify_s: list[float] = []
         self.warmups: list[Batch] = []
 
     def new(self) -> Context:
         clear_compiled_cache()
         gc.collect()
         start = time.perf_counter()
-        context = Context(self.shape, self.paths, self.digests)
+        context = Context(self.shape, self.paths)
         warm = [context.execute(batch) for batch in generate(
             WorkloadGenerator(context.registry), self.shape, WARMUP_SEED,
             -1 - len(self.setup_s))]
         self.setup_s.append(time.perf_counter() - start)
-        # Arming: loading the compiled conditions plus each structure's
-        # first open (a served open compiles server-side).
-        self.verify_s.append(context.load_s
-                             + sum(batch.open_s for batch in warm))
         self.warmups += warm
         return context
 
@@ -342,52 +358,73 @@ class SetUps:
 
 
 def measure(context: Context, shape: Shape, seed: int, seconds: float,
-            tracer: Tracer | None, setups: SetUps, samples: int,
-            latencies: dict) -> list[Batch]:
-    """Whole rounds until ``seconds`` of measuring have passed, taking
-    set-up samples until there are ``samples`` at evenly spaced points.
-    Traced runs execute every batch twice — untraced, then traced — so
-    the difference is the tracing overhead."""
+            tracer: Tracer | None, setups: SetUps,
+            samples: int) -> list[Batch]:
+    """Run ``passes`` passes over whole rounds for about ``seconds`` of
+    measuring, taking set-up samples until there are ``samples`` at
+    evenly spaced points.  The first pass runs fresh rounds until its
+    share of ``seconds`` has passed; each later pass regenerates the
+    same rounds and folds its batches into the first pass's records.
+    Traced runs make one pass that executes every batch twice —
+    untraced, then traced — so the difference is the tracing overhead."""
     generator = WorkloadGenerator(context.registry)
+    passes = 1 if tracer is not None else PASSES
     batches: list[Batch] = []
     start = time.perf_counter()
     paused = 0.0
-    index = 0
-    while True:
-        for batch in generate(generator, shape, seed, index):
-            batches.append(context.execute(batch, latencies=latencies))
-            if tracer is not None:
-                tracer.batch = len(batches)
-                batches.append(context.execute(batch.twin(), tracer))
-            if not shape.served:
-                # Only served batches are replayed afterwards.
-                batch.programs = batch.setup = None
-        index += 1
-        measured = time.perf_counter() - start - paused
+
+    def measured() -> float:
+        """Seconds measured so far, after taking a set-up sample if one
+        is due."""
+        nonlocal paused
         taken = len(setups.setup_s)
-        if taken < samples and measured >= taken * seconds / samples:
+        if taken < samples and (time.perf_counter() - start - paused
+                                >= taken * seconds / samples):
             pause = time.perf_counter()
             setups.sample()
             paused += time.perf_counter() - pause
-        elif measured >= seconds:
-            while len(setups.setup_s) < samples:
-                setups.sample()
-            return batches
+        return time.perf_counter() - start - paused
+
+    rounds = 0
+    while rounds == 0 or measured() < seconds / passes:
+        for batch in generate(generator, shape, seed, rounds):
+            batches.append(context.execute(batch))
+            if tracer is not None:
+                tracer.batch = len(batches)
+                batches.append(context.execute(batch.twin(), tracer))
+            batch.programs = batch.setup = None
+        rounds += 1
+    width = len(shape.structures)
+    for _ in range(1, passes):
+        for index in range(rounds):
+            firsts = batches[index * width:(index + 1) * width]
+            for first, again in zip(firsts,
+                                    generate(generator, shape, seed, index)):
+                first.fold(context.execute(again))
+            measured()
+    while len(setups.setup_s) < samples:
+        setups.sample()
+    return batches
 
 
-def attach_references(batches: list[Batch], shape: Shape, paths) -> None:
+def attach_references(batches: list[Batch], shape: Shape, seed: int,
+                      paths) -> None:
     """Give every untraced served batch the decision digest of a local
-    run armed at the bounded tier a standalone server compiles for
-    itself (a prover-armed reference diverges on ArrayList by design).
-    Runs after the timed loop."""
+    run of its programs, regenerated, armed at the bounded tier a
+    standalone server compiles for itself (a prover-armed reference
+    diverges on ArrayList by design).  Runs after the timed loop."""
     registry = Registry.with_builtins()
-    Session(registry=registry, cache=str(paths.cache)) \
+    Session(registry=registry, jobs=1, cache=str(paths.cache)) \
         .compile_stable(list(shape.structures))
-    for batch in batches:
-        if not batch.traced:
-            local = executor_for(registry, shape, batch)
+    generator = WorkloadGenerator(registry)
+    plain = [batch for batch in batches if not batch.traced]
+    width = len(shape.structures)
+    for index in range(len(plain) // width):
+        for batch, fresh in zip(plain[index * width:(index + 1) * width],
+                                generate(generator, shape, seed, index)):
+            local = executor_for(registry, shape, fresh)
             batch.expected_digest = local.run(
-                batch.programs, setup=batch.setup).decision_digest()
+                fresh.programs, setup=fresh.setup).decision_digest()
 
 
 def batch_problem(batch: Batch) -> str | None:
@@ -395,6 +432,8 @@ def batch_problem(batch: Batch) -> str | None:
         return "raised"
     if not batch.serializable:
         return "final state differs from the serial replay"
+    if batch.repeat_differs:
+        return "a repeat pass decided differently from the first"
     if batch.expected_digest is not None \
             and batch.digest != batch.expected_digest:
         return "decision digest differs from its reference"
@@ -420,28 +459,37 @@ def gate(batches: list[Batch]) -> tuple[bool, int, int]:
     return correct, attempted, failed
 
 
-def end_to_end(batches: list[Batch], latencies: dict,
-               setup_s: list[float], verify_s: list[float]) -> dict:
+def end_to_end(batches: list[Batch], setup_s: list[float]) -> dict:
     measured = [batch for batch in batches if batch.committed]
     groups: dict[str, list[Batch]] = {}
+    latencies: dict[str, BatchWeighted] = {}
     for batch in measured:
         groups.setdefault(batch.structure, []).append(batch)
+        latencies.setdefault(batch.structure, BatchWeighted()).add(
+            batch.latencies)
 
-    def typical(per_batch) -> float:
-        """Geometric mean over structures of each one's median batch:
-        robust to the rare thrashing batch, and every structure moves it."""
-        return geomean(statistics.median(per_batch(batch) for batch in group)
+    def typical(per_batch, mean) -> float:
+        """Geometric mean over structures of each one's ``mean`` batch,
+        so every structure moves it.  Throughput takes the arithmetic
+        and the per-commit ratios the harmonic mean: either way a
+        thrashing batch adds a term near zero rather than a huge one,
+        and a mean over every batch varies less with the seed than the
+        median batch (resampling the batches of one run: 0.02-0.08 IQR
+        over median, against 0.03-0.12)."""
+        return geomean(mean([per_batch(batch) for batch in group])
                        for group in groups.values())
 
     return {
-        "committed_ops_per_s": typical(lambda b: b.committed / b.run_s),
-        "exec_per_commit": typical(lambda b: b.operations / b.committed),
-        "rpcs_per_commit": typical(lambda b: b.calls / b.committed),
+        "committed_ops_per_s": typical(lambda b: b.committed / b.run_s,
+                                       statistics.fmean),
+        "exec_per_commit": typical(lambda b: b.operations / b.committed,
+                                   statistics.harmonic_mean),
+        "rpcs_per_commit": typical(lambda b: b.calls / b.committed,
+                                   statistics.harmonic_mean),
         "rpc_ms_p50": 1e3 * geomean(pooled.percentile(50)
                                     for pooled in latencies.values()),
         "rpc_ms_p90": 1e3 * geomean(pooled.percentile(90)
                                     for pooled in latencies.values()),
-        "verify_s": statistics.fmean(verify_s),
         "setup_s": statistics.median(setup_s),
         "peak_rss_mb": peak_rss_mb(),
     }
@@ -537,30 +585,28 @@ def run(workload: str, seed: int, seconds: float, trace: bool, paths,
         inject: str | None = None) -> Result:
     shape = SHAPES[workload]
     fill_cache(paths)
-    setups = SetUps(shape, paths, digests=trace or shape.served)
+    setups = SetUps(shape, paths)
     tracer = Tracer() if trace else None
-    latencies: dict[str, BatchWeighted] = {}
     scrape = None
     context = setups.new()
     try:
         gc.collect()
         batches = measure(context, shape, seed, seconds, tracer, setups,
-                          1 if trace else shape.setup_samples, latencies)
+                          1 if trace else SETUP_SAMPLES)
         if tracer is not None and context.server is not None:
             scrape = context.server.metrics()
         reports = context.reports
     finally:
         context.close()
     if shape.served:
-        attach_references(batches, shape, paths)
+        attach_references(batches, shape, seed, paths)
     if inject == "digest-mismatch":
         batches[0].expected_digest = "injected-mismatch"
     elif inject == "non-serializable":
         batches[0].serializable = False
     correct, attempted, failed = gate(setups.warmups + batches)
     if tracer is None:
-        values = end_to_end(batches, latencies, setups.setup_s,
-                            setups.verify_s)
+        values = end_to_end(batches, setups.setup_s)
     else:
         values = per_layer(batches, shape, tracer, reports, scrape)
         tracer.write(paths.work / f"trace-{workload}.jsonl")
