@@ -105,6 +105,32 @@ class Record(Mapping[str, Any]):
         return Record(**data)
 
 
+def encode_value(value: Any) -> Any:
+    """The canonical JSON-representable form of a value.
+
+    Scalars (str/int/float/bool/None) pass through as themselves; the
+    four structured shapes become tagged dicts, so decoding is
+    unambiguous.  Set elements are sorted, so the form never depends on
+    hash order (``PYTHONHASHSEED``), as ``repr`` of a ``frozenset``
+    does: equal values encode equally in every process.  The admission
+    service's wire codec and the executor's decision digest both use
+    it.  Anything else raises :class:`TypeError`.
+    """
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return value
+    if isinstance(value, Record):
+        return {"#": "rec", "v": {k: encode_value(value[k]) for k in value}}
+    if isinstance(value, FMap):
+        return {"#": "map", "v": {k: encode_value(value[k]) for k in value}}
+    if isinstance(value, frozenset):
+        return {"#": "set",
+                "v": sorted((encode_value(item) for item in value),
+                            key=repr)}
+    if isinstance(value, tuple):
+        return {"#": "seq", "v": [encode_value(item) for item in value]}
+    raise TypeError(f"unencodable value type {type(value).__name__}")
+
+
 def seq_index_of(seq: tuple[Obj, ...], value: Obj) -> int:
     """Index of the first occurrence of ``value`` in ``seq``, or -1."""
     for i, item in enumerate(seq):

@@ -34,6 +34,10 @@ by replaying the committed transactions serially in commit order.
 ``adaptive=`` wraps the conflict *response* with a contention
 controller (:mod:`~repro.runtime.adaptive`): exponential backoff,
 wait-die ordering, or the per-shard hybrid fallback to blocking.
+
+Every scheduler drives the structure through one
+:class:`StructureHandle`, which materializes the abstract state at
+most once per mutation: reads reuse the last snapshot.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..eval.values import Record
+from ..eval.values import Record, encode_value
 from ..impls import invoke, invoke_concrete
 from .adaptive import AdaptiveController, make_controller
 from .backend import AdmissionBackend, resolve_backend
@@ -210,6 +214,9 @@ class ExecutionReport:
         the invariants demand: compiled == interpreted and
         flat == sharded must produce byte-identical digests for the
         same (structure, workload, policy, seed) at ``workers=1``.
+        States are hashed in their canonical encoding
+        (:func:`~repro.eval.values.encode_value`), not their ``repr``,
+        so the digest does not depend on the process's hash seed.
         """
         from ..engine.fingerprint import stable_hash
         return stable_hash({
@@ -225,9 +232,54 @@ class ExecutionReport:
             "txn_statuses": sorted(
                 (txn_id, status.name)
                 for txn_id, status in self.txn_statuses.items()),
-            "final_state": repr(self.final_state),
-            "serial_state": repr(self.serial_state),
+            "final_state": encode_value(self.final_state),
+            "serial_state": encode_value(self.serial_state),
         })
+
+
+class StructureHandle:
+    """The shared concrete structure as the schedulers drive it.
+
+    The executor makes every mutation of the structure through
+    :meth:`apply` and :meth:`undo`, so the handle knows when the
+    abstract state can have changed.  It keeps the last materialized
+    state and drops it only on a ``mutator=True`` operation or a
+    rollback with a non-empty undo log: a ``mutator=False`` operation
+    leaves the abstract state unchanged (the spec contract rollback and
+    :meth:`Transaction.record` already rely on), so a read logs
+    ``after`` as the very object it logged as ``before``.  Not
+    thread-safe: the threaded schedulers use it under the lock that
+    guards the structure.
+    """
+
+    __slots__ = ("impl", "family", "registry", "_state")
+
+    def __init__(self, impl: Any, family: str, registry) -> None:
+        self.impl = impl
+        self.family = family
+        self.registry = registry
+        self._state: Record | None = None
+
+    def state(self) -> Record:
+        """The current abstract state, materialized at most once per
+        mutation."""
+        state = self._state
+        if state is None:
+            state = self._state = self.impl.abstract_state()
+        return state
+
+    def apply(self, op: Any, args: tuple[Any, ...]) -> tuple[Any, Any]:
+        """Execute ``op(args)``; returns :func:`invoke_concrete`'s
+        ``(raw, visible)`` results."""
+        if op.mutator:
+            self._state = None
+        return invoke_concrete(self.impl, op, args)
+
+    def undo(self, undo_log: list) -> None:
+        """Roll ``undo_log`` back through the verified inverses."""
+        if undo_log:
+            self._state = None
+        rollback(self.impl, self.family, undo_log, registry=self.registry)
 
 
 class SpeculativeExecutor:
@@ -299,6 +351,7 @@ class SpeculativeExecutor:
         impl = self.registry.new_instance(self.ds_name)
         for op_name, args in (setup or ()):
             invoke(impl, self.spec.operations[op_name], args)
+        structure = StructureHandle(impl, self.ds_name, self.registry)
         start = time.perf_counter()
         manager = self.backend.conflict_manager(self.ds_name,
                                                 policy=self.policy,
@@ -317,14 +370,16 @@ class SpeculativeExecutor:
         try:
             try:
                 if self.workers == 1 or len(transactions) <= 1:
-                    self._run_serial(transactions, impl, manager, report)
+                    self._run_serial(transactions, structure, manager,
+                                     report)
                 elif self.shards > 1:
-                    self._run_threaded_sharded(transactions, impl,
+                    self._run_threaded_sharded(transactions, structure,
                                                manager, report)
                 else:
-                    self._run_threaded(transactions, impl, manager, report)
+                    self._run_threaded(transactions, structure, manager,
+                                       report)
             except RoundsExhausted:
-                self._quench(transactions, impl, manager, report)
+                self._quench(transactions, structure, manager, report)
             # Throughput covers execution only; the serial-replay
             # serializability validation below is diagnostics, not work.
             report.wall_seconds = time.perf_counter() - start
@@ -350,7 +405,7 @@ class SpeculativeExecutor:
         report.txn_statuses = {t.txn_id: t.status for t in transactions}
         report.committed_operations = sum(
             len(programs[txn_id]) for txn_id in report.commit_order)
-        report.final_state = impl.abstract_state()
+        report.final_state = structure.state()
         report.serial_state = self._serial_replay(programs,
                                                   report.commit_order,
                                                   setup)
@@ -358,7 +413,8 @@ class SpeculativeExecutor:
 
     # -- deterministic serial scheduler --------------------------------------
 
-    def _run_serial(self, transactions: list[Transaction], impl: Any,
+    def _run_serial(self, transactions: list[Transaction],
+                    structure: StructureHandle,
                     manager: ConflictManager,
                     report: ExecutionReport) -> None:
         rng = random.Random(self.seed)
@@ -382,15 +438,16 @@ class SpeculativeExecutor:
             else:
                 runnable = candidates
             if not runnable:
-                self._break_deadlock(transactions, blocked, impl,
+                self._break_deadlock(transactions, blocked, structure,
                                      manager, report)
                 continue
-            self._step(rng.choice(runnable), impl, manager, report,
+            self._step(rng.choice(runnable), structure, manager, report,
                        blocked, controller=controller, now=rounds)
 
     # -- batched multi-worker scheduler ---------------------------------------
 
-    def _run_threaded(self, transactions: list[Transaction], impl: Any,
+    def _run_threaded(self, transactions: list[Transaction],
+                      structure: StructureHandle,
                       manager: ConflictManager,
                       report: ExecutionReport) -> None:
         """Thread workers over the lock-protected shared state.
@@ -411,7 +468,7 @@ class SpeculativeExecutor:
             # Runs with ``cond`` held: the whole batch is one lock hold.
             progressed = False
             for _ in range(self.batch):
-                if not self._step(txn, impl, manager, report, blocked,
+                if not self._step(txn, structure, manager, report, blocked,
                                   controller=controller,
                                   now=time.monotonic()):
                     break
@@ -421,14 +478,15 @@ class SpeculativeExecutor:
             if progressed:
                 cond.notify_all()
 
-        self._run_workers(transactions, impl, manager, report, cond,
+        self._run_workers(transactions, structure, manager, report, cond,
                           blocked, errors, controller, attempt,
                           step_inside_cond=True)
 
     # -- fine-grained sharded scheduler ----------------------------------------
 
     def _run_threaded_sharded(self, transactions: list[Transaction],
-                              impl: Any, manager: ConflictManager,
+                              structure: StructureHandle,
+                              manager: ConflictManager,
                               report: ExecutionReport) -> None:
         """Per-shard lock acquisition in deterministic (ascending) shard
         order; the global condition variable only coordinates blocked
@@ -453,14 +511,15 @@ class SpeculativeExecutor:
             # Runs outside ``cond``: admission and application only
             # hold the shards the operation (and its transaction's
             # history) can interact with.
-            self._step_sharded(txn, impl, manager, report, blocked,
+            self._step_sharded(txn, structure, manager, report, blocked,
                                cond, state_lock, controller)
 
-        self._run_workers(transactions, impl, manager, report, cond,
+        self._run_workers(transactions, structure, manager, report, cond,
                           blocked, errors, controller, attempt,
                           step_inside_cond=False)
 
-    def _run_workers(self, transactions: list[Transaction], impl: Any,
+    def _run_workers(self, transactions: list[Transaction],
+                     structure: StructureHandle,
                      manager: ConflictManager, report: ExecutionReport,
                      cond: threading.Condition, blocked: set[int],
                      errors: list[BaseException],
@@ -499,7 +558,8 @@ class SpeculativeExecutor:
                                for t in globally_active):
                             self._spend_budget(budget)
                             self._break_deadlock(transactions, blocked,
-                                                 impl, manager, report)
+                                                 structure, manager,
+                                                 report)
                             cond.notify_all()
                         else:
                             # Another worker's transaction can still run;
@@ -544,7 +604,7 @@ class SpeculativeExecutor:
 
     # -- one scheduling step ---------------------------------------------------
 
-    def _step(self, txn: Transaction, impl: Any,
+    def _step(self, txn: Transaction, structure: StructureHandle,
               manager: ConflictManager, report: ExecutionReport,
               blocked: set[int],
               controller: AdaptiveController | None = None,
@@ -568,7 +628,7 @@ class SpeculativeExecutor:
             return True
         op_name, args = txn.current_op()
         op = self.spec.operations[op_name]
-        before = impl.abstract_state()
+        before = structure.state()
         shard_ids = manager.shards_for(op_name, args)
         admitted, holder = manager.check_many(txn.txn_id, op_name, args,
                                               before,
@@ -583,7 +643,7 @@ class SpeculativeExecutor:
             if action == "block":
                 blocked.add(txn.txn_id)
             else:
-                self._abort(txn, impl, manager, report)
+                self._abort(txn, structure, manager, report)
                 if controller is not None:
                     controller.on_abort(txn, now)
                     # The abort released this transaction's outstanding
@@ -601,8 +661,8 @@ class SpeculativeExecutor:
         # return value for the undo log even when the client discards it
         # (the paper: "any system that applies such inverse operations
         # must therefore store the return value").
-        raw_result, visible = invoke_concrete(impl, op, args)
-        after = impl.abstract_state()
+        raw_result, visible = structure.apply(op, args)
+        after = structure.state()
         manager.record(LoggedOperation(
             txn_id=txn.txn_id, op_name=op_name, args=args,
             result=visible, before=before, after=after))
@@ -610,7 +670,7 @@ class SpeculativeExecutor:
         report.operations += 1
         return True
 
-    def _step_sharded(self, txn: Transaction, impl: Any,
+    def _step_sharded(self, txn: Transaction, structure: StructureHandle,
                       manager: ConflictManager, report: ExecutionReport,
                       blocked: set[int], cond: threading.Condition,
                       state_lock: threading.Lock,
@@ -645,15 +705,15 @@ class SpeculativeExecutor:
         holder: int | None = None
         with manager.locked(lockset):
             with state_lock:
-                before = impl.abstract_state()
+                before = structure.state()
             admitted, holder = manager.check_many(
                 txn.txn_id, op_name, args, before, shard_ids=op_shards)
             if controller is not None:
                 controller.on_outcome(op_shards, not admitted)
             if admitted:
                 with state_lock:
-                    raw_result, visible = invoke_concrete(impl, op, args)
-                    after = impl.abstract_state()
+                    raw_result, visible = structure.apply(op, args)
+                    after = structure.state()
                     report.operations += 1
                 manager.record(LoggedOperation(
                     txn_id=txn.txn_id, op_name=op_name, args=args,
@@ -670,8 +730,7 @@ class SpeculativeExecutor:
                     # logged into, so the rollback and release happen
                     # atomically w.r.t. any interacting admission.
                     with state_lock:
-                        rollback(impl, self.ds_name, txn.undo_log,
-                                 registry=self.registry)
+                        structure.undo(txn.undo_log)
                     manager.release(txn.txn_id, reason="abort")
                     txn.mark_aborted()
                     outcome = "abort"
@@ -690,8 +749,8 @@ class SpeculativeExecutor:
                 blocked.add(txn.txn_id)
         return outcome == "admitted"
 
-    def _quench(self, transactions: list[Transaction], impl: Any,
-                manager: ConflictManager,
+    def _quench(self, transactions: list[Transaction],
+                structure: StructureHandle, manager: ConflictManager,
                 report: ExecutionReport) -> None:
         """Resolve a :class:`RoundsExhausted` episode into a report:
         roll back every transaction that still has speculative effects,
@@ -699,11 +758,11 @@ class SpeculativeExecutor:
         which the serial replay then validates as usual."""
         for txn in transactions:
             if txn.status is TxnStatus.RUNNING:
-                self._abort(txn, impl, manager, report)
+                self._abort(txn, structure, manager, report)
         report.rounds_exhausted = 1
 
     def _break_deadlock(self, transactions: list[Transaction],
-                        blocked: set[int], impl: Any,
+                        blocked: set[int], structure: StructureHandle,
                         manager: ConflictManager,
                         report: ExecutionReport) -> Transaction:
         """Every active transaction is blocked: break the deadlock by
@@ -716,17 +775,17 @@ class SpeculativeExecutor:
         survivor = max(active, key=lambda t: (t.next_op, -t.txn_id))
         for txn in active:
             if txn is not survivor and txn.next_op > 0:
-                self._abort(txn, impl, manager, report)
+                self._abort(txn, structure, manager, report)
         blocked.clear()
         blocked.update(t.txn_id for t in active if t is not survivor)
         return survivor
 
-    def _abort(self, txn: Transaction, impl: Any,
+    def _abort(self, txn: Transaction, structure: StructureHandle,
                manager: ConflictManager,
                report: ExecutionReport) -> None:
         """Roll back a transaction's speculative effects; it retries from
         scratch the next time the scheduler picks it."""
-        rollback(impl, self.ds_name, txn.undo_log, registry=self.registry)
+        structure.undo(txn.undo_log)
         manager.release(txn.txn_id, reason="abort")
         txn.mark_aborted()
         report.aborts += 1

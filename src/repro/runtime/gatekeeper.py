@@ -404,7 +404,7 @@ class ConflictManager:
         if self.policy == "read-write":
             return not (op1.mutator or op2.mutator)
         cond = self._condition(logged.op_name, op_name)
-        if current != logged.after and cond.drift_fragile:
+        if cond.drift_fragile and current != logged.after:
             # Drift guard.  The between conditions are verified in the
             # environment where ``s2`` is the state *immediately after*
             # the logged operation ran; once other operations have

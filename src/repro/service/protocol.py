@@ -49,6 +49,7 @@ import struct
 from typing import Any
 
 from ..eval.values import FMap, Record
+from ..eval.values import encode_value as canonical_form
 from ..runtime.gatekeeper import LoggedOperation
 
 #: Bumped on any frame-shape change; ``hello`` carries it and the
@@ -73,25 +74,17 @@ class ProtocolError(RuntimeError):
 
 # -- tagged value codec ------------------------------------------------------
 #
-# Scalars (str/int/float/bool/None) pass through as themselves; the
-# four structured spec-value shapes are tagged dicts so decoding is
-# unambiguous.  Anything else is a bug worth failing loudly on.
+# The encoding is the canonical form of repro.eval.values (the same one
+# the decision digest hashes); anything it cannot encode is a bug worth
+# failing loudly on.
 
 def encode_value(value: Any) -> Any:
-    """JSON-representable form of a spec-logic value."""
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    if isinstance(value, Record):
-        return {"#": "rec", "v": {k: encode_value(value[k]) for k in value}}
-    if isinstance(value, FMap):
-        return {"#": "map", "v": {k: encode_value(value[k]) for k in value}}
-    if isinstance(value, frozenset):
-        return {"#": "set",
-                "v": sorted((encode_value(item) for item in value),
-                            key=repr)}
-    if isinstance(value, tuple):
-        return {"#": "seq", "v": [encode_value(item) for item in value]}
-    raise ProtocolError(f"unencodable value type {type(value).__name__}")
+    """JSON-representable form of a spec-logic value
+    (:func:`repro.eval.values.encode_value`)."""
+    try:
+        return canonical_form(value)
+    except TypeError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def decode_value(payload: Any) -> Any:

@@ -9,6 +9,7 @@ from repro.eval import Record
 from repro.impls import invoke, invoke_concrete
 from repro.runtime import (ExecutionReport, Gatekeeper,
                            SpeculativeExecutor, Transaction, TxnStatus)
+from repro.runtime.executor import StructureHandle
 from repro.specs.interface import (DataStructureSpec, Operation, Param,
                                    parse_pre)
 from repro.logic.sorts import Sort
@@ -19,12 +20,14 @@ def _executor(**kwargs):
 
 
 def _fresh_state(executor):
-    impl = executor.registry.new_instance(executor.ds_name)
+    structure = StructureHandle(
+        executor.registry.new_instance(executor.ds_name),
+        executor.ds_name, executor.registry)
     gatekeeper = Gatekeeper(executor.ds_name, executor.policy,
                             registry=executor.registry)
     report = ExecutionReport(ds_name=executor.ds_name,
                              policy=executor.policy)
-    return impl, gatekeeper, report
+    return structure, gatekeeper, report
 
 
 # -- deadlock breaker ----------------------------------------------------------
@@ -34,10 +37,10 @@ def test_break_deadlock_all_transactions_at_op_zero():
     be rolled back, the lowest-id transaction survives, and no aborts
     are counted."""
     executor = _executor(conflict_mode="block")
-    impl, gatekeeper, report = _fresh_state(executor)
+    structure, gatekeeper, report = _fresh_state(executor)
     transactions = [Transaction(i, [("add", ("a",))]) for i in range(3)]
     blocked = {0, 1, 2}
-    survivor = executor._break_deadlock(transactions, blocked, impl,
+    survivor = executor._break_deadlock(transactions, blocked, structure,
                                         gatekeeper, report)
     assert survivor.txn_id == 0          # tie on next_op=0 -> lowest id
     assert report.aborts == 0            # nothing to roll back
@@ -49,14 +52,14 @@ def test_break_deadlock_survivor_tie_breaking():
     """Ties on next_op go to the lowest transaction id; more-advanced
     transactions always win over less-advanced ones."""
     executor = _executor(conflict_mode="block")
-    impl, gatekeeper, report = _fresh_state(executor)
+    structure, gatekeeper, report = _fresh_state(executor)
     ops = [("add", ("a",))] * 4
     transactions = [Transaction(i, list(ops)) for i in range(4)]
     transactions[1].next_op = 2
     transactions[3].next_op = 2
     transactions[2].next_op = 1
     blocked = {0, 1, 2, 3}
-    survivor = executor._break_deadlock(transactions, blocked, impl,
+    survivor = executor._break_deadlock(transactions, blocked, structure,
                                         gatekeeper, report)
     assert survivor.txn_id == 1          # max next_op, then lowest id
     assert blocked == {0, 2, 3}
@@ -66,26 +69,26 @@ def test_break_deadlock_aborts_only_transactions_with_progress():
     """Victims that executed operations are rolled back and counted;
     victims still at op 0 are merely blocked."""
     executor = _executor(conflict_mode="block")
-    impl, gatekeeper, report = _fresh_state(executor)
+    structure, gatekeeper, report = _fresh_state(executor)
     transactions = [Transaction(i, [("add", (f"x{i}",)), ("size", ())])
                     for i in range(3)]
     # Execute txn 2's first op for real so its rollback has work to do.
-    executor._step(transactions[2], impl, gatekeeper, report, set())
-    assert impl.abstract_state()["size"] == 1
+    executor._step(transactions[2], structure, gatekeeper, report, set())
+    assert structure.state()["size"] == 1
     blocked = {0, 1, 2}
     # txn 2 is most advanced: it survives, nobody has progress to abort.
-    assert executor._break_deadlock(transactions, blocked, impl,
+    assert executor._break_deadlock(transactions, blocked, structure,
                                     gatekeeper, report).txn_id == 2
     assert report.aborts == 0
     # Now block txn 2 again with txn 0 advanced further via next_op.
     transactions[0].next_op = 2
     blocked = {0, 1, 2}
-    survivor = executor._break_deadlock(transactions, blocked, impl,
+    survivor = executor._break_deadlock(transactions, blocked, structure,
                                         gatekeeper, report)
     assert survivor.txn_id == 0
     assert report.aborts == 1            # txn 2's progress rolled back
     assert transactions[2].status is TxnStatus.ABORTED
-    assert impl.abstract_state()["size"] == 0
+    assert structure.state()["size"] == 0
 
 
 def test_block_mode_deadlock_storm_converges():
