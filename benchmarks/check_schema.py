@@ -1,21 +1,21 @@
 #!/usr/bin/env python
 """Sanity-check a bench JSON artifact before CI uploads it.
 
-The bench legs gate on sections of the payload (the ``compiled_gate``
+The bench legs gate on sections of the payload (the ``abduction_gate``
 keys of ``BENCH_runtime.json``, the identity/latency sections of
 ``BENCH_service.json``), and a refactor of the bench driver could
 silently drop or rename one — the upload would still succeed and the
 regression gate would be vacuous.  This checker fails the leg
 instead::
 
-    python benchmarks/check_schema.py BENCH_runtime.json --require-compiled-gate
+    python benchmarks/check_schema.py BENCH_runtime.json --require-abduction-gate
     python benchmarks/check_schema.py BENCH_service.json
 
 The payload's ``suite`` field dispatches the validation
-(``runtime``/``service``).  ``--require-compiled-gate`` asserts the
-runtime suite's compiled-vs-interpreted section is present with every
-per-structure gate key; without the flag the section is validated only
-when present (legs that run without ``--compiled``).
+(``runtime``/``service``).  ``--require-abduction-gate`` asserts the
+runtime suite's abduction section is present with every gate key;
+without the flag the section is validated only when present (legs that
+run without ``--abduce``).
 """
 
 from __future__ import annotations
@@ -24,17 +24,6 @@ import argparse
 import json
 import numbers
 import sys
-
-#: Per-structure keys of ``compiled_gate.structures`` entries — the
-#: exact fields the CI gate and the diagnosing engineer read.
-GATE_ENTRY_KEYS = {
-    "interpreted_committed_ops_per_second": numbers.Real,
-    "compiled_committed_ops_per_second": numbers.Real,
-    "speedup": numbers.Real,
-    "compiled_hits": int,
-    "eval_errors": int,
-    "decisions_identical": bool,
-}
 
 TOP_LEVEL_KEYS = {
     "schema": int,
@@ -307,8 +296,7 @@ def _check_abduction_gate(gate, problems: list[str]) -> None:
                         "ABDUCTION tasks instead of serving the cache")
 
 
-def check_payload(payload, require_compiled_gate: bool = False,
-                  require_soak: bool = False,
+def check_payload(payload, require_soak: bool = False,
                   require_abduction_gate: bool = False) -> list[str]:
     """Every problem found, as human-readable strings (empty = valid)."""
     problems: list[str] = []
@@ -330,42 +318,12 @@ def check_payload(payload, require_compiled_gate: bool = False,
                             "missing (leg ran without --abduce?)")
     else:
         _check_abduction_gate(abduction, problems)
-    gate = payload.get("compiled_gate")
-    if gate is None:
-        if require_compiled_gate:
-            problems.append("payload: compiled_gate section is missing "
-                            "(leg ran without --compiled?)")
-        return problems
-    if not isinstance(gate, dict):
-        return problems + [
-            f"compiled_gate is {type(gate).__name__}, expected object"]
-    _check_keys(gate, {"workload": str, "policy": str, "workers": int,
-                       "shards": int, "repeats": int,
-                       "structures": dict}, "compiled_gate", problems)
-    structures = gate.get("structures")
-    if not structures:
-        problems.append("compiled_gate: structures is empty — the gate "
-                        "compared nothing")
-        return problems
-    sharded = isinstance(gate.get("shards"), int) and gate["shards"] > 1
-    for name, entry in sorted(structures.items()):
-        where = f"compiled_gate.structures[{name!r}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        _check_keys(entry, GATE_ENTRY_KEYS, where, problems)
-        if sharded:
-            _check_keys(entry, {"flat_sharded_identical": bool}, where,
-                        problems)
     return problems
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("report", help="path to BENCH_runtime.json")
-    parser.add_argument("--require-compiled-gate", action="store_true",
-                        help="fail when the compiled_gate section is "
-                             "absent (legs that ran --compiled)")
     parser.add_argument("--require-soak", action="store_true",
                         help="fail when the service suite's soak "
                              "section is absent (legs that ran --soak)")
@@ -382,8 +340,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     problems = check_payload(
-        payload, require_compiled_gate=args.require_compiled_gate,
-        require_soak=args.require_soak,
+        payload, require_soak=args.require_soak,
         require_abduction_gate=args.require_abduction_gate)
     if problems:
         print(f"check_schema: {args.report} failed validation:",

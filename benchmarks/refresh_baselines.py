@@ -44,7 +44,7 @@ SUITES = {
     "runtime": (
         BENCH_DIR / "BENCH_runtime_baseline.json",
         ["bench", "--suite", "runtime", "--shards", "1", "--stable",
-         "--prover", "--compiled"],
+         "--prover"],
     ),
 }
 

@@ -7,22 +7,22 @@ Commands:
   structure (or all registered) through the sharded engine;
 - ``inverses`` — verify the registered inverse operations (Table 5.10);
 - ``run --name NAME [--policy P] [--profile P] [--distribution D]
-  [--workers N] [--stable] [--compiled]`` — generate a seeded
-  workload and execute it speculatively (all three policies and a
-  comparison table when ``--policy`` is omitted); ``--stable``
-  compiles drift-stable conditions first and arms the gatekeeper's
-  drift guard with them; ``--compiled`` lowers the admission
-  vocabulary into closures at arm time (:mod:`repro.compiled`);
+  [--workers N] [--stable]`` — generate a seeded workload and execute
+  it speculatively (all three policies and a comparison table when
+  ``--policy`` is omitted); ``--stable`` compiles drift-stable
+  conditions first and arms the gatekeeper's drift guard with them.
+  Admission always runs through closures lowered at arm time
+  (:mod:`repro.compiled`), with the interpreter as the per-check
+  fallback;
 - ``stability [--name NAME]`` — compile every between condition into a
   drift-stability verdict (stable / weakened / fragile) plus, where
   possible, a drift-stable weakening, through the cached engine;
-- ``bench [--suite verify|runtime|nogil] [--stable] [--compiled]
-  [--seeds N]`` — ``verify``: time a cold verification sweep per
-  structure into ``BENCH_verify.json``; ``runtime``: sweep the
-  throughput harness over every structure and policy into
-  ``BENCH_runtime.json`` (``--stable`` adds the drift-admission gate
-  on preloaded hot-key workloads, ``--compiled`` the compiled-vs-
-  interpreted admission gate, ``--seeds N`` the p50/p95 seed matrix);
+- ``bench [--suite verify|runtime|nogil] [--stable] [--seeds N]`` —
+  ``verify``: time a cold verification sweep per structure into
+  ``BENCH_verify.json``; ``runtime``: sweep the throughput harness
+  over every structure and policy into ``BENCH_runtime.json``
+  (``--stable`` adds the drift-admission gate on preloaded hot-key
+  workloads, ``--seeds N`` the p50/p95 seed matrix);
   ``nogil``: the informational free-threaded scaling sweep into
   ``BENCH_nogil.json``; ``service``: the client/server admission bench
   into ``BENCH_service.json`` (four-leg decision identity across
@@ -216,8 +216,7 @@ def _cmd_run(args: argparse.Namespace, registry: Registry) -> int:
                         abduce=args.abduce)
     harness = ThroughputHarness(registry=registry, workers=args.workers,
                                 batch=args.batch, shards=args.shards,
-                                adaptive=args.adaptive,
-                                stable=stable, compiled=args.compiled)
+                                adaptive=args.adaptive, stable=stable)
     policies = (args.policy,) if args.policy else POLICIES
     runs = [harness.run_one(args.name, workload, policy=policy,
                             conflict_mode=args.conflict_mode)
@@ -238,10 +237,6 @@ def _cmd_run(args: argparse.Namespace, registry: Registry) -> int:
             print(f"\n{run.policy}: per-transaction aborts "
                   f"{run.report.txn_aborts} "
                   f"(ever aborted: {aborted or 'none'})")
-    if args.compiled:
-        for run in runs:
-            print(f"run: {run.policy}: compiled_hits={run.compiled_hits} "
-                  f"eval_errors={run.eval_errors}")
     not_serializable = [run for run in runs if not run.serializable]
     for run in not_serializable:
         print(f"run: NOT SERIALIZABLE: {run.summary()}", file=sys.stderr)
@@ -503,9 +498,6 @@ def _cmd_bench_runtime(args: argparse.Namespace, registry: Registry) -> int:
     stability_failed = (args.stable
                         and _bench_stability_section(payload, registry,
                                                      args))
-    compiled_failed = (args.compiled
-                       and _bench_compiled_section(payload, registry,
-                                                   args))
     seeds_failed = (args.seeds > 1
                     and _bench_seed_matrix_section(payload, registry,
                                                    args))
@@ -520,7 +512,7 @@ def _cmd_bench_runtime(args: argparse.Namespace, registry: Registry) -> int:
           f"workers={args.workers}, wall {wall:.2f}s -> {output}")
     print(policy_comparison_table(runs))
     failed = (adaptive_failed or scaling_failed or stability_failed
-              or compiled_failed or seeds_failed or abduce_failed)
+              or seeds_failed or abduce_failed)
     not_serializable = [r for r in runs if not r.serializable]
     if not_serializable:
         print("bench: NOT SERIALIZABLE: "
@@ -954,122 +946,6 @@ def _bench_abduction_section(payload: dict, registry: Registry,
     return False
 
 
-#: Repetitions per compiled-gate cell; the best run is kept (wall-clock
-#: throughput on small workloads is scheduler-noise-bound, decisions
-#: are not — every repetition produces the same digest at one worker).
-COMPILED_GATE_REPEATS = 4
-
-
-#: The compiled-admission gate's pinned workload shape: write-heavy
-#: hot-key traffic over a *preloaded* structure, deep enough that the
-#: outstanding log keeps admission checks hot — the traffic the
-#: closure-compiled fast path exists to accelerate.  Serial and
-#: seeded, so decision digests are deterministic.
-def _compiled_gate_workload():
-    from .workloads import WorkloadSpec
-    return WorkloadSpec(name="compiled-hotkey", profile="write-heavy",
-                        distribution="hot-key", transactions=16,
-                        ops_per_transaction=8, key_space=24,
-                        value_space=3, preload=24, seed=11)
-
-
-def _bench_compiled_section(payload: dict, registry: Registry,
-                            args: argparse.Namespace) -> bool:
-    """Compiled-vs-interpreted admission comparison on the pinned
-    write-heavy hot-key workload (serial, hence deterministic).
-    Returns True on gate failure: for every runnable structure the
-    compiled hot path must strictly beat the interpreted one on
-    committed-operation throughput (best of
-    :data:`COMPILED_GATE_REPEATS`), produce a byte-identical decision
-    digest, actually exercise compiled checks, and stay serializable —
-    with flat and sharded compiled decisions identical when the bench
-    shards its log."""
-    from .reporting.tables import compiled_admission_table
-    from .workloads import ThroughputHarness
-    workload = _compiled_gate_workload()
-    harness = ThroughputHarness(registry=registry, max_rounds=500_000)
-    section: dict = {"workload": workload.label,
-                     "policy": "commutativity", "workers": 1,
-                     "shards": args.shards, "repeats":
-                     COMPILED_GATE_REPEATS, "structures": {}}
-    regressions = []
-    pairs = []
-    for name in harness.runnable_structures():
-        best: dict[str, float] = {"interpreted": 0.0, "compiled": 0.0}
-        kept: dict[str, object] = {}
-        broken = False
-        # Repeats are interleaved (interpreted, compiled, interpreted,
-        # ...) so a slow phase of the benchmarking process — allocator
-        # pressure, frequency scaling — penalizes both modes equally
-        # instead of biasing whichever ran second.
-        for _ in range(COMPILED_GATE_REPEATS):
-            for mode, compiled in (("interpreted", False),
-                                   ("compiled", True)):
-                run = harness.run_one(name, workload,
-                                      policy="commutativity",
-                                      workers=1, shards=args.shards,
-                                      compiled=compiled)
-                if mode not in kept:
-                    kept[mode] = run
-                if not run.serializable:
-                    if not broken:
-                        regressions.append(f"{name}: not serializable "
-                                           f"({mode})")
-                        broken = True
-                    continue
-                best[mode] = max(best[mode],
-                                 run.committed_ops_per_second)
-        interpreted, compiled_run = kept["interpreted"], kept["compiled"]
-        pairs.append((interpreted, compiled_run))
-        identical = (interpreted.report.decision_digest()
-                     == compiled_run.report.decision_digest())
-        entry = {
-            "interpreted_committed_ops_per_second":
-                round(best["interpreted"], 1),
-            "compiled_committed_ops_per_second":
-                round(best["compiled"], 1),
-            "speedup": round(best["compiled"] / best["interpreted"], 3)
-            if best["interpreted"] > 0 else 0.0,
-            "compiled_hits": compiled_run.compiled_hits,
-            "eval_errors": compiled_run.eval_errors,
-            "decisions_identical": identical,
-        }
-        if not identical:
-            regressions.append(f"{name}: compiled and interpreted "
-                               f"decisions diverged")
-        if compiled_run.compiled_hits == 0:
-            regressions.append(f"{name}: the compiled path was never "
-                               f"exercised (0 compiled hits)")
-        if best["compiled"] <= best["interpreted"]:
-            regressions.append(
-                f"{name}: compiled {best['compiled']:.0f} committed "
-                f"ops/s <= interpreted {best['interpreted']:.0f}")
-        if args.shards > 1:
-            flat = harness.run_one(name, workload,
-                                   policy="commutativity", workers=1,
-                                   shards=1, compiled=True)
-            flat_identical = (flat.report.decision_digest()
-                              == compiled_run.report.decision_digest())
-            entry["flat_sharded_identical"] = flat_identical
-            if not flat_identical:
-                regressions.append(f"{name}: flat and sharded compiled "
-                                   f"decisions diverged")
-        section["structures"][name] = entry
-    payload["compiled_gate"] = section
-    print(compiled_admission_table(pairs))
-    for name, entry in section["structures"].items():
-        print(f"bench: compiled {name}: "
-              f"{entry['interpreted_committed_ops_per_second']:.0f} -> "
-              f"{entry['compiled_committed_ops_per_second']:.0f} "
-              f"committed ops/s ({entry['speedup']:.2f}x, "
-              f"{entry['compiled_hits']} compiled hits)")
-    if regressions:
-        print("bench: compiled admission gate failed:\n  "
-              + "\n  ".join(regressions), file=sys.stderr)
-        return True
-    return False
-
-
 #: Repetitions per nogil scaling cell (informational; best run kept).
 NOGIL_REPEATS = 2
 
@@ -1084,18 +960,17 @@ NOGIL_STRUCTURES = ("HashSet", "ArrayList")
 def _cmd_bench_nogil(args: argparse.Namespace, registry: Registry) -> int:
     """Free-threaded scaling sweep -> ``BENCH_nogil.json``.
 
-    Runs the compiled admission path under blocking conflict
-    resolution across worker-thread and shard axes and records
-    committed-operation throughput plus whether the interpreter
-    actually ran free-threaded (``sys._is_gil_enabled()``, absent
-    before 3.13).  Informational: the only failure is a
+    Runs admission (compiled closures, as everywhere) under blocking
+    conflict resolution across worker-thread and shard axes and
+    records committed-operation throughput plus whether the
+    interpreter actually ran free-threaded (``sys._is_gil_enabled()``,
+    absent before 3.13).  Informational: the only failure is a
     non-serializable execution — thread-scaling numbers are
     host-dependent and never gated."""
     from .workloads import SCALING_WORKLOADS, ThroughputHarness
     output = args.output or "BENCH_nogil.json"
     gil_probe = getattr(sys, "_is_gil_enabled", None)
-    harness = ThroughputHarness(registry=registry, max_rounds=500_000,
-                                compiled=True)
+    harness = ThroughputHarness(registry=registry, max_rounds=500_000)
     structures = [name for name in NOGIL_STRUCTURES
                   if name in harness.runnable_structures()]
     workloads = SCALING_WORKLOADS[:2]
@@ -1108,7 +983,6 @@ def _cmd_bench_nogil(args: argparse.Namespace, registry: Registry) -> int:
         "shards_axis": list(NOGIL_SHARDS),
         "policy": "commutativity",
         "conflict_mode": "block",
-        "compiled": True,
         "workloads": {w.label: w.describe() for w in workloads},
         "structures": {},
     }
@@ -1521,9 +1395,6 @@ def build_parser(registry: Registry | None = None) -> argparse.ArgumentParser:
                      help="compile with the CEGIS abduction loop "
                           "(implies --stable and the prover): "
                           "synthesized conditions are armed too")
-    run.add_argument("--compiled", action="store_true",
-                     help="lower admission conditions into closures at "
-                          "arm time (same decisions, faster checks)")
     run.add_argument("--txn-stats", action="store_true",
                      help="print per-transaction abort counts")
     run.add_argument("--shard-stats", action="store_true",
@@ -1584,11 +1455,6 @@ def build_parser(registry: Registry | None = None) -> argparse.ArgumentParser:
                             "semantic admissions and fallbacks, with "
                             "flat==sharded and local==served decision "
                             "digests, warm-cache served reruns)")
-    bench.add_argument("--compiled", action="store_true",
-                       help="--suite runtime: add the compiled-vs-"
-                            "interpreted admission section and its "
-                            "gate (compiled must strictly beat "
-                            "interpreted with identical decisions)")
     bench.add_argument("--seeds", type=int, default=1,
                        help="--suite runtime: rerun the sweep over this "
                             "many seeds and report p50/p95 percentiles")

@@ -183,7 +183,6 @@ class Session:
                      shards: int | None = None,
                      adaptive: str | None = None,
                      stable: bool = False,
-                     compiled: bool = False,
                      backend=None,
                      max_rounds: int = 200_000, **spec_fields):
         """Generate a deterministic workload for ``name`` and execute it
@@ -202,9 +201,9 @@ class Session:
         contention controller (``"backoff"``, ``"wait-die"``,
         ``"hybrid"``, or ``None``); ``stable=True`` arms the drift
         guard with the conditions a prior :meth:`compile_stable`
-        registered; ``compiled=True`` lowers the admission vocabulary
-        into closures at arm time (:mod:`repro.compiled`) — same
-        decisions, faster checks.
+        registered.  Every admission condition is lowered into a
+        closure at arm time (:mod:`repro.compiled`), with the
+        interpreter as the per-check fallback.
 
         ``backend`` selects where admission decisions come from:
         ``None`` is the in-process path; a
@@ -226,8 +225,7 @@ class Session:
             workers=workers if workers is not None else workload.workers,
             batch=batch,
             shards=shards if shards is not None else workload.shards,
-            adaptive=adaptive, stable=stable, compiled=compiled,
-            backend=backend)
+            adaptive=adaptive, stable=stable, backend=backend)
         return executor.run(programs, setup=setup)
 
     def throughput_sweep(self, structures: Sequence[str] | None = None,

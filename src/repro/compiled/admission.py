@@ -1,15 +1,17 @@
 """Arm-time admission compilation for one conflict manager.
 
-When a manager is constructed with ``compiled=True`` it builds a
-:class:`CompiledAdmission`: every between condition in the structure's
+Every commutativity-policy manager builds a :class:`CompiledAdmission`
+when it is constructed: every between condition in the structure's
 catalog and every registered drift-stable condition is lowered (through
 the process-global content-addressed cache) into a slot-specialized
 closure *before the first transaction runs*.  The hot loop then asks
 :meth:`between_checker` / :meth:`stable_checker` — plain dict lookups —
-and falls back to the interpreter only for pairs the lowerer refused
-(:class:`~repro.compiled.lowering.CompileError`, cached as ``None``)
-or calls whose arity does not fit the compiled slot layout
-(:class:`~repro.compiled.lowering.SlotMismatch`).
+and falls back to the interpreter, one check at a time, only for pairs
+the lowerer refused (:class:`~repro.compiled.lowering.CompileError`,
+cached as ``None``) or calls whose arity does not fit the compiled slot
+layout (:class:`~repro.compiled.lowering.SlotMismatch`).  The
+interpreter stays the reference: closures decide exactly as it does,
+and the tests compare the two.
 
 Shard-router predicates need no lowering: they are already plain
 Python closures (:mod:`repro.runtime.sharding`), memoized per

@@ -353,37 +353,6 @@ def drift_admission_table(runs) -> str:
     return _format_table(headers, rows)
 
 
-def compiled_admission_table(pairs) -> str:
-    """Compiled-vs-interpreted admission columns: one row per
-    (interpreted run, compiled run) pair executing the same workload.
-    The decision column asserts the tentpole contract — lowering the
-    admission vocabulary into closures must change throughput, never
-    decisions — by comparing the two runs' decision digests."""
-    rows = []
-    for interpreted, compiled in pairs:
-        report = compiled.report
-        same = (interpreted.report.decision_digest()
-                == report.decision_digest())
-        interp_ops = interpreted.committed_ops_per_second
-        speedup = (report.committed_ops_per_second / interp_ops
-                   if interp_ops > 0 else 0.0)
-        rows.append([
-            compiled.structure, compiled.workload.label,
-            str(compiled.shards),
-            f"{interp_ops:,.0f}",
-            f"{report.committed_ops_per_second:,.0f}",
-            f"{speedup:.2f}x",
-            str(report.compiled_hits), str(report.conflict_checks),
-            str(report.eval_errors),
-            "identical" if same else "DIVERGED"])
-    if not rows:
-        return "(no compiled-vs-interpreted pairs to compare)"
-    headers = ["structure", "workload", "shards",
-               "interp ops/s", "compiled ops/s", "speedup",
-               "compiled hits", "checks", "eval errors", "decisions"]
-    return _format_table(headers, rows)
-
-
 def stability_table(reports) -> str:
     """Per-pair drift-stability verdicts of one or more
     :class:`~repro.stability.StabilityReport` values (``python -m

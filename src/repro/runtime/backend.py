@@ -36,8 +36,7 @@ class AdmissionBackend:
 
     def conflict_manager(self, ds_name: str, *,
                          policy: str = "commutativity", shards: int = 1,
-                         stable: bool = False,
-                         compiled: bool = False) -> ConflictManager:
+                         stable: bool = False) -> ConflictManager:
         """A fresh admission manager for one execution."""
         raise NotImplementedError
 
@@ -57,11 +56,9 @@ class LocalAdmissionBackend(AdmissionBackend):
 
     def conflict_manager(self, ds_name: str, *,
                          policy: str = "commutativity", shards: int = 1,
-                         stable: bool = False,
-                         compiled: bool = False) -> ConflictManager:
+                         stable: bool = False) -> ConflictManager:
         return conflict_manager(ds_name, policy, shards=shards,
-                                registry=self.registry, stable=stable,
-                                compiled=compiled)
+                                registry=self.registry, stable=stable)
 
 
 def resolve_backend(backend: AdmissionBackend | None,

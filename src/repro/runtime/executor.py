@@ -83,9 +83,6 @@ class ExecutionReport:
     shards: int = 1
     adaptive: str | None = None
     stable: bool = False
-    #: Whether admission ran through arm-time-compiled closures
-    #: (:mod:`repro.compiled`); never decision-changing.
-    compiled: bool = False
     commits: int = 0
     aborts: int = 0
     operations: int = 0
@@ -108,8 +105,8 @@ class ExecutionReport:
     #: Would-be admissions refused because the incoming operation does
     #: not commute with a logged operation's pending undo.
     undo_refusals: int = 0
-    #: Pair checks decided by a compiled closure (0 when
-    #: ``compiled=False``); purely observational, like the tier split.
+    #: Pair checks decided by a compiled closure rather than by the
+    #: interpreter fallback; purely observational, like the tier split.
     compiled_hits: int = 0
     #: Condition evaluations that raised EvalError and resolved
     #: conservatively, with a bounded diagnostic sample of
@@ -211,9 +208,10 @@ class ExecutionReport:
         Deliberately excludes how the decisions were reached — check
         counts (flat and sharded managers scan different volumes),
         ``compiled_hits``, wall time — so the digest is the equality
-        the invariants demand: compiled == interpreted and
-        flat == sharded must produce byte-identical digests for the
-        same (structure, workload, policy, seed) at ``workers=1``.
+        the invariants demand: flat == sharded, local == served, and
+        closure == interpreter fallback must produce byte-identical
+        digests for the same (structure, workload, policy, seed) at
+        ``workers=1``.
         States are hashed in their canonical encoding
         (:func:`~repro.eval.values.encode_value`), not their ``repr``,
         so the digest does not depend on the process's hash seed.
@@ -290,7 +288,7 @@ class SpeculativeExecutor:
                  conflict_mode: str = "abort", registry=None,
                  workers: int = 1, batch: int = 1, shards: int = 1,
                  adaptive: str | None = None,
-                 stable: bool = False, compiled: bool = False,
+                 stable: bool = False,
                  backend: AdmissionBackend | None = None) -> None:
         if conflict_mode not in ("abort", "block"):
             raise ValueError(f"unknown conflict mode {conflict_mode!r}")
@@ -334,9 +332,6 @@ class SpeculativeExecutor:
         #: Arm the drift guard with compiled drift-stable conditions
         #: (requires a prior Session.compile_stable / CLI `stability`).
         self.stable = stable
-        #: Lower every armed condition into slot-specialized closures
-        #: at arm time (:mod:`repro.compiled`); decisions identical.
-        self.compiled = compiled
 
     def run(self, programs: list[list[tuple[str, tuple[Any, ...]]]],
             setup: list[tuple[str, tuple[Any, ...]]] | None = None) \
@@ -356,8 +351,7 @@ class SpeculativeExecutor:
         manager = self.backend.conflict_manager(self.ds_name,
                                                 policy=self.policy,
                                                 shards=self.shards,
-                                                stable=self.stable,
-                                                compiled=self.compiled)
+                                                stable=self.stable)
         transactions = [Transaction(i, list(ops))
                         for i, ops in enumerate(programs)]
         report = ExecutionReport(ds_name=self.ds_name, policy=self.policy,
@@ -365,7 +359,6 @@ class SpeculativeExecutor:
                                  workers=self.workers, shards=self.shards,
                                  adaptive=self.adaptive,
                                  stable=self.stable,
-                                 compiled=self.compiled,
                                  backend=self.backend.kind)
         try:
             try:

@@ -145,7 +145,7 @@ class ConflictManager:
 
     def __init__(self, ds_name: str, policy: str = "commutativity",
                  registry=None, shards: int = 1,
-                 stable: bool = False, compiled: bool = False) -> None:
+                 stable: bool = False) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
         if shards < 1 or shards > VIRTUAL_REGIONS \
@@ -189,8 +189,7 @@ class ConflictManager:
         self._ctx = EvalContext(observe=self.spec.observe)
         #: (m1, m2) -> catalog between condition.  Memoizes the
         #: registry's linear catalog scan off the hot path (the
-        #: catalog is immutable for the lifetime of a manager); both
-        #: the compiled and the interpreted mode go through it.
+        #: catalog is immutable for the lifetime of a manager).
         self._conds: dict[tuple[str, str], Any] = {}
         #: Arm-time admission compilation (:mod:`repro.compiled`):
         #: every catalog between condition and registered stable
@@ -198,25 +197,22 @@ class ConflictManager:
         #: the first check, through the process-global compiled-pair
         #: cache.  Only the commutativity policy evaluates conditions,
         #: so only it compiles.
-        self.compiled = compiled
         self._admission = None
-        #: Compiled mode's undo-commutation memo: the verdict of
+        #: The undo-commutation memo: the verdict of
         #: :meth:`_undo_commutes` is a pure function of immutable
         #: values (the logged call, its pre-state, the incoming call,
         #: the current state — abstract semantics are deterministic),
         #: and hot-key traffic re-asks the same question constantly.
         #: Record hashes are precomputed, so keys are cheap.  Benign
         #: races on the dict are fine (concurrent shards compute
-        #: identical values), same as the virtual-route memo.  Gated
-        #: on ``compiled``: the interpreted baseline stays the
-        #: measurement control the bench gate compares against.
+        #: identical values), same as the virtual-route memo.
         self._undo_memo: dict[tuple, bool] = {}
-        if compiled and policy == "commutativity" \
-                and registry.has_conditions(ds_name):
+        if policy == "commutativity":
             from ..compiled import CompiledAdmission
             self._admission = CompiledAdmission(
                 self.spec, self._ctx,
-                conditions=registry.conditions(ds_name),
+                conditions=(registry.conditions(ds_name)
+                            if registry.has_conditions(ds_name) else ()),
                 stable_conditions=tuple(self._stable.values()))
 
     # -- routing (subclass hooks) ----------------------------------------------
@@ -267,14 +263,6 @@ class ConflictManager:
         """Whether ``txn_id`` may run ``op_name(args)`` now, given the
         outstanding operations of other transactions."""
         return self.check_many(txn_id, op_name, args, current)[0]
-
-    def admits_ex(self, txn_id: int, op_name: str, args: tuple[Any, ...],
-                  current: Record,
-                  shard_ids: Sequence[int] | None = None) \
-            -> tuple[bool, int | None]:
-        """Compatibility alias for :meth:`check_many`."""
-        return self.check_many(txn_id, op_name, args, current,
-                               shard_ids=shard_ids)
 
     def check_many(self, txn_id: int, op_name: str,
                    args: tuple[Any, ...], current: Record,
@@ -446,48 +434,28 @@ class ConflictManager:
                 return False
             return self._fallback(shard, logged, op_name, args,
                                   current)
-        checker = None if self._admission is None else \
-            self._admission.between_checker(logged.op_name, op_name)
-        if checker is not None:
-            # The compiled fast path: slot-specialized closure, no
-            # env dict.  It raises EvalError in exactly the cases the
-            # interpreter would (same messages), so the fallback
-            # decisions — and the eval_errors sample — are identical
-            # with and without compilation.
-            try:
-                verdict = checker.check(logged.before, current,
-                                        logged.args, logged.result,
-                                        args)
-            except SlotMismatch:
-                # Arity drift between the logged call and the
-                # operation signature: the interpreted dict env
-                # tolerates it (zip truncation / unbound-variable
-                # semantics), so that single check interprets.
-                pass
-            except EvalError as exc:
-                self._note_eval_error(shard, logged.op_name, op_name,
-                                      cond, exc, stable_path=False)
-                return self._fallback(shard, logged, op_name, args,
-                                      current)
-            else:
-                shard.compiled_hits += 1
-                if not verdict:
-                    return False
-                try:
-                    return self._undo_guard(shard, logged, op2, args,
-                                            current)
-                except EvalError as exc:
-                    # The interpreted path runs the undo guard inside
-                    # its try block; mirror that so an unevaluable
-                    # undo-side precondition falls back identically.
-                    self._note_eval_error(shard, logged.op_name,
-                                          op_name, cond, exc,
-                                          stable_path=False)
-                    return self._fallback(shard, logged, op_name,
-                                          args, current)
-        env = self._pair_env(op1, op2, logged, args, current)
+        # The arm-time closure decides; it raises EvalError in exactly
+        # the cases the interpreter would (same messages), so neither
+        # the decision nor the eval_errors sample depends on which one
+        # ran.  The interpreter decides a pair the lowerer refused
+        # (CompileError at arm time: no closure) and a call whose
+        # arity drifted from the operation signature (SlotMismatch:
+        # the dict env tolerates it by zip truncation).
+        checker = self._admission.between_checker(logged.op_name, op_name)
         try:
-            if not evaluate(cond.dynamic_formula, env, self._ctx):
+            if checker is not None:
+                try:
+                    holds = checker.check(logged.before, current,
+                                          logged.args, logged.result,
+                                          args)
+                except SlotMismatch:
+                    checker = None
+                else:
+                    shard.compiled_hits += 1
+            if checker is None:
+                env = self._pair_env(op1, op2, logged, args, current)
+                holds = evaluate(cond.dynamic_formula, env, self._ctx)
+            if not holds:
                 return False
             return self._undo_guard(shard, logged, op2, args, current)
         except EvalError as exc:
@@ -560,22 +528,19 @@ class ConflictManager:
             # skipping the abstract re-execution here keeps the guard
             # off the fast path for region-disjoint traffic.
             return True
-        if self.compiled:
-            # ``logged.after`` is determined by (op, args, before) —
-            # abstract semantics are deterministic — so this key
-            # covers every input of the verdict below.
-            key = (logged.op_name, logged.args, logged.before,
-                   op2.name, args2, current)
-            try:
-                return self._undo_memo[key]
-            except KeyError:
-                pass
-            verdict = self._undo_commutes_fresh(logged, op1, op2,
-                                                args2, current)
-            self._undo_memo[key] = verdict
-            return verdict
-        return self._undo_commutes_fresh(logged, op1, op2, args2,
-                                         current)
+        # ``logged.after`` is determined by (op, args, before) —
+        # abstract semantics are deterministic — so this key covers
+        # every input of the verdict.
+        key = (logged.op_name, logged.args, logged.before, op2.name,
+               args2, current)
+        try:
+            return self._undo_memo[key]
+        except KeyError:
+            pass
+        verdict = self._undo_commutes_fresh(logged, op1, op2, args2,
+                                            current)
+        self._undo_memo[key] = verdict
+        return verdict
 
     def _undo_commutes_fresh(self, logged: LoggedOperation, op1, op2,
                              args2: tuple[Any, ...],
@@ -651,11 +616,11 @@ class ConflictManager:
         """Evaluate a compiled drift-stable condition; unevaluable means
         no certificate (the caller falls through to the oracle) —
         counted and sampled per shard, so the silent fallback is
-        diagnosable.  Prefers the arm-time lowered closure; decisions
-        are identical either way."""
-        if self._admission is not None:
-            checker = self._admission.stable_checker(logged.op_name,
-                                                     op_name)
+        diagnosable.  The arm-time closure decides; the interpreter
+        only where the pair did not lower or the call's arity does not
+        fit the closure (decisions are identical either way)."""
+        checker = self._admission.stable_checker(logged.op_name, op_name)
+        try:
             if checker is not None:
                 try:
                     verdict = checker.check(logged.before, current,
@@ -663,17 +628,11 @@ class ConflictManager:
                                             args)
                 except SlotMismatch:
                     pass  # arity drift: interpret this single check
-                except EvalError as exc:
-                    self._note_eval_error(shard, logged.op_name,
-                                          op_name, stable, exc,
-                                          stable_path=True)
-                    return False
                 else:
                     shard.compiled_hits += 1
                     return bool(verdict)
-        env = self._pair_env(op1, self.spec.operations[op_name], logged,
-                             args, current)
-        try:
+            env = self._pair_env(op1, self.spec.operations[op_name],
+                                 logged, args, current)
             return bool(evaluate(stable.dynamic_formula, env, self._ctx))
         except EvalError as exc:
             self._note_eval_error(shard, logged.op_name, op_name,
@@ -825,8 +784,9 @@ class ConflictManager:
 
     @property
     def compiled_hits(self) -> int:
-        """Pair checks decided by a compiled closure (never differing
-        from what the interpreter would have decided)."""
+        """Pair checks decided by a compiled closure rather than by
+        the interpreter fallback (never differing from what the
+        interpreter would have decided)."""
         return sum(s.compiled_hits for s in self._shards)
 
     @property
@@ -894,10 +854,9 @@ class Gatekeeper(ConflictManager):
     manager is validated against."""
 
     def __init__(self, ds_name: str, policy: str = "commutativity",
-                 registry=None, stable: bool = False,
-                 compiled: bool = False) -> None:
+                 registry=None, stable: bool = False) -> None:
         super().__init__(ds_name, policy, registry=registry, shards=1,
-                         stable=stable, compiled=compiled)
+                         stable=stable)
 
 
 class ShardedGatekeeper(ConflictManager):
@@ -910,7 +869,7 @@ class ShardedGatekeeper(ConflictManager):
     replicated into every shard: that keeps every routed operation's
     scan self-contained (its own shards already hold every entry it
     could conflict with) at the cost of duplicate storage, and the
-    identity-dedup in :meth:`ConflictManager.admits_ex` keeps counters
+    identity-dedup in :meth:`ConflictManager.check_many` keeps counters
     exact when a multi-shard scan meets a replicated entry.
 
     Routing only partitions under the ``commutativity`` policy: the
@@ -925,9 +884,9 @@ class ShardedGatekeeper(ConflictManager):
     def __init__(self, ds_name: str, policy: str = "commutativity",
                  registry=None, shards: int = 2,
                  router: ShardRouter | None = None,
-                 stable: bool = False, compiled: bool = False) -> None:
+                 stable: bool = False) -> None:
         super().__init__(ds_name, policy, registry=registry, shards=shards,
-                         stable=stable, compiled=compiled)
+                         stable=stable)
         if router is None:
             router = self.registry.shard_router(ds_name)
         if router is None:
@@ -963,20 +922,17 @@ class ShardedGatekeeper(ConflictManager):
 def conflict_manager(ds_name: str, policy: str = "commutativity",
                      shards: int = 1, registry=None,
                      router: ShardRouter | None = None,
-                     stable: bool = False,
-                     compiled: bool = False) -> ConflictManager:
+                     stable: bool = False) -> ConflictManager:
     """The conflict manager for a shard count: the flat
     :class:`Gatekeeper` at ``shards=1`` (byte-for-byte the historical
     behaviour), a :class:`ShardedGatekeeper` above.  ``stable=True``
     arms the drift guard with the registry's compiled drift-stable
     conditions (both managers consult the same compiled set, so flat
-    and sharded decisions stay identical); ``compiled=True``
-    additionally lowers every armed condition into a slot-specialized
-    closure at arm time (:mod:`repro.compiled`) — faster checks,
-    identical decisions."""
+    and sharded decisions stay identical).  Every armed condition is
+    lowered into a slot-specialized closure at arm time
+    (:mod:`repro.compiled`)."""
     if shards == 1 and router is None:
         return Gatekeeper(ds_name, policy, registry=registry,
-                          stable=stable, compiled=compiled)
+                          stable=stable)
     return ShardedGatekeeper(ds_name, policy, registry=registry,
-                             shards=shards, router=router, stable=stable,
-                             compiled=compiled)
+                             shards=shards, router=router, stable=stable)

@@ -182,12 +182,6 @@ class RemoteConflictManager:
                current) -> bool:
         return self.check_many(txn_id, op_name, args, current)[0]
 
-    def admits_ex(self, txn_id: int, op_name: str,
-                  args: tuple[Any, ...], current,
-                  shard_ids=None) -> tuple[bool, int | None]:
-        return self.check_many(txn_id, op_name, args, current,
-                               shard_ids=shard_ids)
-
     def record(self, entry: LoggedOperation) -> tuple[int, ...]:
         self._pending.append(protocol.record_frame(self._domain, entry))
         self._stats = None
@@ -275,9 +269,9 @@ class ServiceBackend(AdmissionBackend):
 
     Connections are pooled (one per cluster worker, learned from the
     ``hello`` partition map) and server-side domains are cached by
-    (structure, policy, shards, stable, compiled): a repeated
-    execution sends a ``reset`` frame instead of re-opening, so the
-    server's armed stable conditions and compiled closures stay warm.
+    (structure, policy, shards, stable): a repeated execution sends a
+    ``reset`` frame instead of re-opening, so the server's armed
+    stable conditions and compiled closures stay warm.
     ``bump_epoch()`` invalidates the cache.  Serial per process, like
     the managers it hands out."""
 
@@ -296,8 +290,8 @@ class ServiceBackend(AdmissionBackend):
         self.registry = registry
         self._clients: list[ServiceClient] | None = None
         self._epoch = 0
-        #: (epoch, structure, policy, shards, stable, compiled) ->
-        #: one open domain id per pooled connection.
+        #: (epoch, structure, policy, shards, stable) -> one open
+        #: domain id per pooled connection.
         self._domains: dict[tuple, list[int]] = {}
         #: Executions served by resetting a cached domain instead of
         #: opening one (mirrors the server's ``domain_reuse_total``).
@@ -329,9 +323,9 @@ class ServiceBackend(AdmissionBackend):
 
     def conflict_manager(self, ds_name: str, *,
                          policy: str = "commutativity", shards: int = 1,
-                         stable: bool = False, compiled: bool = False):
+                         stable: bool = False):
         clients = self._pool()
-        key = (self._epoch, ds_name, policy, shards, stable, compiled)
+        key = (self._epoch, ds_name, policy, shards, stable)
         domains = self._domains.get(key)
         if domains is not None:
             try:
@@ -346,7 +340,7 @@ class ServiceBackend(AdmissionBackend):
         if domains is None:
             domains = [client.call(protocol.open_frame(
                 ds_name, policy=policy, shards=shards, stable=stable,
-                compiled=compiled, label=self.label))["domain"]
+                label=self.label))["domain"]
                 for client in clients]
             self._domains[key] = domains
         if len(clients) == 1:

@@ -145,12 +145,6 @@ class PartitionedConflictManager:
                current) -> bool:
         return self.check_many(txn_id, op_name, args, current)[0]
 
-    def admits_ex(self, txn_id: int, op_name: str,
-                  args: tuple[Any, ...], current,
-                  shard_ids=None) -> tuple[bool, int | None]:
-        return self.check_many(txn_id, op_name, args, current,
-                               shard_ids=shard_ids)
-
     def record(self, entry, shard_ids=None) -> tuple[int, ...]:
         route = self._router.store_regions(entry.op_name, entry.args)
         for worker, slice_ids in split_slices(route,

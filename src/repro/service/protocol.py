@@ -17,7 +17,9 @@ Request frames (``t`` field):
   worker's port): a cluster-aware client learns the shard partition
   from it and opens one pooled connection per worker.
 - ``open``    — create a server-side admission *domain* (one manager:
-  structure, policy, shards, stable/compiled arming) → ``domain`` id.
+  structure, policy, shards, stable arming) → ``domain`` id.  Every
+  domain lowers its conditions into closures (:mod:`repro.compiled`);
+  a ``compiled`` key from an older client is ignored.
 - ``check``   — batched admission (:meth:`ConflictManager.check_many`)
   for one op against the domain's outstanding log → admitted/holder,
   plus the shard the first conflict was found in (a cluster router
@@ -29,7 +31,7 @@ Request frames (``t`` field):
   explicit ``shards`` list restricts storage to that slice.
 - ``release`` — drop a transaction's outstanding ops (commit/abort).
 - ``reset``   — clear a domain's log/counters/outcomes while keeping
-  its manager (compiled stable conditions, memoized routes) warm:
+  its manager (compiled closures, memoized routes) warm:
   the domain-reuse path for repeated workload runs.
 - ``stats``   — the domain's counters + per-shard stats.
 - ``close``   — retire the domain.
@@ -158,10 +160,9 @@ def hello_frame() -> dict[str, Any]:
 
 def open_frame(structure: str, *, policy: str = "commutativity",
                shards: int = 1, stable: bool = False,
-               compiled: bool = False, label: str = "") -> dict[str, Any]:
+               label: str = "") -> dict[str, Any]:
     return {"t": "open", "structure": structure, "policy": policy,
-            "shards": shards, "stable": stable, "compiled": compiled,
-            "label": label}
+            "shards": shards, "stable": stable, "label": label}
 
 
 def check_frame(domain: int, txn_id: int, op_name: str,

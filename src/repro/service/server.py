@@ -5,7 +5,7 @@ worker processes speculate against it over the frame protocol
 (:mod:`.protocol`).  Each ``open`` frame creates an admission
 *domain* — one :class:`~repro.runtime.gatekeeper.ConflictManager`
 configured like the in-process path (structure, policy, shard count,
-stable/compiled arming) — so concurrent clients never share a log
+stable arming) — so concurrent clients never share a log
 unless they share a domain.
 
 Dispatch discipline: on the served path the managers' thread locks are
@@ -50,11 +50,11 @@ class _Domain:
     asyncio-side lock array and outcome counters."""
 
     __slots__ = ("domain_id", "manager", "structure", "policy", "shards",
-                 "stable", "compiled", "label", "locks", "touched_lock",
-                 "commits", "aborts", "closed")
+                 "stable", "label", "locks", "touched_lock", "commits",
+                 "aborts", "closed")
 
     def __init__(self, domain_id: int, manager, structure: str,
-                 policy: str, shards: int, stable: bool, compiled: bool,
+                 policy: str, shards: int, stable: bool,
                  label: str) -> None:
         self.domain_id = domain_id
         self.manager = manager
@@ -62,7 +62,6 @@ class _Domain:
         self.policy = policy
         self.shards = shards
         self.stable = stable
-        self.compiled = compiled
         self.label = label
         self.locks = [asyncio.Lock() for _ in range(manager.num_shards)]
         #: Guards the manager's touched-map mutations (record/release
@@ -82,7 +81,7 @@ class _Domain:
     def stats_payload(self) -> dict[str, Any]:
         return {"domain": self.domain_id, "structure": self.structure,
                 "policy": self.policy, "shards": self.shards,
-                "stable": self.stable, "compiled": self.compiled,
+                "stable": self.stable,
                 "label": self.label, "closed": self.closed,
                 "commits": self.commits, "aborts": self.aborts,
                 "abort_rate": self.abort_rate(),
@@ -286,7 +285,6 @@ class AdmissionServer:
     async def _frame_open(self, frame: dict[str, Any]) -> dict[str, Any]:
         structure = frame["structure"]
         stable = bool(frame.get("stable"))
-        compiled = bool(frame.get("compiled"))
         if stable:
             await self._ensure_stable(structure)
         from ..runtime.gatekeeper import conflict_manager
@@ -294,13 +292,13 @@ class AdmissionServer:
                                    frame.get("policy", "commutativity"),
                                    shards=int(frame.get("shards", 1)),
                                    registry=self.registry,
-                                   stable=stable, compiled=compiled)
+                                   stable=stable)
         domain_id = self._next_domain
         self._next_domain += 1
         self._domains[domain_id] = _Domain(
             domain_id, manager, structure,
             frame.get("policy", "commutativity"),
-            int(frame.get("shards", 1)), stable, compiled,
+            int(frame.get("shards", 1)), stable,
             str(frame.get("label", "")))
         return {"ok": True, "domain": domain_id}
 

@@ -33,7 +33,6 @@ class WorkloadRun:
     shards: int = 1
     adaptive: str | None = None
     stable: bool = False
-    compiled: bool = False
     #: Which admission backend decided the run ("local" or "service").
     backend: str = "local"
 
@@ -185,7 +184,6 @@ class ThroughputHarness:
                  shards: int | None = None,
                  adaptive: str | None = None,
                  stable: bool = False,
-                 compiled: bool = False,
                  backend=None) -> None:
         from ..api import resolve_registry
         self.registry = resolve_registry(registry)
@@ -202,9 +200,6 @@ class ThroughputHarness:
         #: Arm every run's drift guard with the registry's compiled
         #: drift-stable conditions.
         self.stable = stable
-        #: Lower admission conditions into closures at arm time
-        #: (:mod:`repro.compiled`); same decisions, faster checks.
-        self.compiled = compiled
         #: Where admission decisions come from: None is the in-process
         #: path; a :class:`~repro.service.client.ServiceBackend` routes
         #: every decision to a remote admission server.
@@ -225,7 +220,6 @@ class ThroughputHarness:
                 shards: int | None = None,
                 adaptive: str | None = None,
                 stable: bool | None = None,
-                compiled: bool | None = None,
                 backend=None) -> WorkloadRun:
         """Generate ``workload`` for ``structure`` and execute it.
 
@@ -243,8 +237,6 @@ class ThroughputHarness:
             adaptive = self.adaptive
         if stable is None:
             stable = self.stable
-        if compiled is None:
-            compiled = self.compiled
         if backend is None:
             backend = self.backend
         programs = self.generator.generate(structure, workload)
@@ -254,14 +246,13 @@ class ThroughputHarness:
             max_rounds=self.max_rounds, conflict_mode=conflict_mode,
             registry=self.registry, workers=workers, batch=self.batch,
             shards=shards, adaptive=adaptive, stable=stable,
-            compiled=compiled, backend=backend)
+            backend=backend)
         report = executor.run(programs, setup=setup)
         return WorkloadRun(structure=structure, workload=workload,
                            policy=policy, conflict_mode=conflict_mode,
                            workers=workers, shards=shards,
                            adaptive=adaptive, stable=stable,
-                           compiled=compiled, backend=report.backend,
-                           report=report)
+                           backend=report.backend, report=report)
 
     def sweep(self, structures: Sequence[str] | None = None,
               workloads: Iterable[WorkloadSpec] | None = None,

@@ -1,9 +1,11 @@
 """Shared fixtures for the compiled-admission tests: the runnable
-builtins + custom Register registry, and one session with compiled
+builtins + custom Register registry, one session with compiled
 drift-stable conditions (compiling the catalog once is the expensive
-part, so it is module-scoped)."""
+part, so it is module-scoped), and the interpreter as the reference
+every compiled decision is compared against."""
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ sys.path.insert(0,
 from stability_fixture import make_runnable_register_registry  # noqa: E402
 
 from repro.api import Session  # noqa: E402
+from repro.compiled import CompiledAdmission  # noqa: E402
 from repro.eval import Scope  # noqa: E402
 
 
@@ -31,3 +34,25 @@ def stable_session():
                       scope=Scope(), cache=False)
     session.compile_stable()
     return session
+
+
+def _no_closure(self, m1, m2):
+    return None
+
+
+@pytest.fixture
+def interpreted():
+    """A context manager under which every admission check is decided
+    by the interpreter: the armed closures are hidden, so each check
+    takes the per-check fallback to ``evaluate`` that a pair the
+    lowerer refused would take.  Runs outside the ``with`` block use
+    the closures as usual."""
+    @contextmanager
+    def patched():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CompiledAdmission, "between_checker",
+                          _no_closure)
+            patch.setattr(CompiledAdmission, "stable_checker",
+                          _no_closure)
+            yield
+    return patched

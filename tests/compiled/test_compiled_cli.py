@@ -1,43 +1,40 @@
-"""CLI surface of the compiled tier: ``run --compiled``, the
-``bench --compiled`` gate section, the ``bench --suite nogil`` scaling
-report, and the schema checker CI runs against the artifact."""
+"""CLI surface of the compiled tier: ``run`` decides through closures
+with no flag (and refuses the retired ``--compiled``), the ``bench
+--suite nogil`` scaling report, and the schema checker CI runs against
+the runtime artifact's ``abduction_gate`` section."""
 
 import json
 import sys
-from argparse import Namespace
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent.parent
                        / "benchmarks"))
 
 import check_schema  # noqa: E402
 
-import repro.__main__ as cli  # noqa: E402
 from repro.__main__ import main  # noqa: E402
-from repro.api import DEFAULT_REGISTRY  # noqa: E402
 
 
-def test_run_compiled(capsys):
-    code = main(["run", "--name", "HashSet", "--compiled",
-                 "--profile", "write-heavy", "--distribution", "hot-key",
-                 "--txns", "6", "--ops", "5", "--preload", "12",
-                 "--seed", "3"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "compiled_hits=" in out
-    assert "yes" in out  # the serializable column
+def test_compiled_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--name", "HashSet", "--compiled"])
+    assert exit_info.value.code == 2
+    assert "--compiled" in capsys.readouterr().err
 
 
-def test_run_compiled_matches_interpreted_output(capsys):
-    """The CLI's own report lines agree modulo the compiled counter:
+def test_run_output_matches_the_interpreter(capsys, interpreted):
+    """The CLI's report lines agree with an all-interpreted run:
     commits/aborts/ops are the decision-visible fields."""
     argv = ["run", "--name", "ArrayList", "--profile", "write-heavy",
             "--distribution", "hot-key", "--txns", "6", "--ops", "5",
             "--preload", "12", "--seed", "7"]
     assert main(argv) == 0
-    interpreted = capsys.readouterr().out
-    assert main(argv + ["--compiled"]) == 0
     compiled = capsys.readouterr().out
+    with interpreted():
+        assert main(argv) == 0
+    reference = capsys.readouterr().out
 
     def decisions(text):
         """Workload-report rows minus the ops/s column (the only
@@ -50,34 +47,9 @@ def test_run_compiled_matches_interpreted_output(capsys):
                 rows.append(cells)
         return rows
 
-    assert decisions(compiled) == decisions(interpreted)
+    assert decisions(compiled) == decisions(reference)
     assert decisions(compiled)
-
-
-def test_bench_compiled_gate_section(capsys, monkeypatch):
-    """The gate section compares every runnable builtin, records the
-    schema the CI check validates, and passes on this hardware."""
-    monkeypatch.setattr(cli, "COMPILED_GATE_REPEATS", 1)
-    payload = {}
-    failed = cli._bench_compiled_section(payload, DEFAULT_REGISTRY,
-                                         Namespace(shards=1))
-    out = capsys.readouterr().out
-    section = payload["compiled_gate"]
-    assert set(section["structures"]) == {
-        "Accumulator", "ListSet", "HashSet", "AssociationList",
-        "HashTable", "ArrayList"}
-    for name, entry in section["structures"].items():
-        assert entry["decisions_identical"] is True, name
-        assert entry["compiled_hits"] > 0, name
-    assert "speedup" in out
-    # The gate itself (strict throughput win) is timing-dependent at
-    # one repeat; decision identity and coverage must hold regardless.
-    assert isinstance(failed, bool)
-    assert not check_schema.check_payload(
-        {"schema": 1, "suite": "runtime", "workers": 1, "shards": 1,
-         "structures": {"x": {}}, "workloads": {}, "wall_seconds": 0.1,
-         "compiled_gate": section},
-        require_compiled_gate=True)
+    assert "yes" in compiled  # the serializable column
 
 
 def test_bench_nogil_suite(tmp_path, capsys):
@@ -87,7 +59,7 @@ def test_bench_nogil_suite(tmp_path, capsys):
     assert code == 0
     payload = json.loads(output.read_text())
     assert payload["suite"] == "nogil"
-    assert payload["compiled"] is True
+    assert "compiled" not in payload
     assert payload["conflict_mode"] == "block"
     assert payload["workers_axis"] == [1, 2, 4]
     assert payload["shards_axis"] == [1, 8]
@@ -103,20 +75,26 @@ def test_bench_nogil_suite(tmp_path, capsys):
 # -- the schema checker CI runs before upload ---------------------------------
 
 def _valid_payload():
+    entry = {
+        "workload": "register-hotkey", "baseline_hits": 0,
+        "baseline_fallbacks": 12, "abduced_stable_hits": 0,
+        "abduced_proved_hits": 0, "synthesized_hits": 9,
+        "abduced_fallbacks": 3, "fallback_admits": 0,
+        "flat_sharded_identical": True, "local_served_identical": True,
+    }
     return {
         "schema": 1, "suite": "runtime", "workers": 1, "shards": 4,
         "structures": {"HashSet": {"elapsed": 0.01}},
         "workloads": {"w": {}}, "wall_seconds": 1.0,
-        "compiled_gate": {
-            "workload": "write-heavy-hotkey", "policy": "commutativity",
-            "workers": 1, "shards": 4, "repeats": 4,
-            "structures": {"HashSet": {
-                "interpreted_committed_ops_per_second": 100.0,
-                "compiled_committed_ops_per_second": 150.0,
-                "speedup": 1.5, "compiled_hits": 10, "eval_errors": 0,
-                "decisions_identical": True,
-                "flat_sharded_identical": True,
-            }},
+        "abduction_gate": {
+            "policy": "commutativity", "shards": 4,
+            "compiled": {"RegisterCell": {"synthesized": 2, "proved": 0,
+                                          "weakened": 0, "fragile": 1}},
+            "structures": {"RegisterCell": entry},
+            "baseline_semantic_hits": 0, "abduced_semantic_hits": 9,
+            "baseline_hit_rate": 0.0, "abduced_hit_rate": 0.75,
+            "armed_hits_delta": 0.75, "fallback_delta": -9,
+            "digests_identical": True, "warm_cache_served": True,
         },
     }
 
@@ -124,49 +102,54 @@ def _valid_payload():
 def test_check_schema_accepts_a_valid_artifact(tmp_path, capsys):
     path = tmp_path / "BENCH_runtime.json"
     path.write_text(json.dumps(_valid_payload()))
-    assert check_schema.main([str(path), "--require-compiled-gate"]) == 0
+    assert check_schema.main([str(path), "--require-abduction-gate"]) \
+        == 0
     assert "expected gate keys" in capsys.readouterr().out
 
 
 def test_check_schema_rejects_missing_gate(tmp_path, capsys):
     payload = _valid_payload()
-    del payload["compiled_gate"]
+    del payload["abduction_gate"]
     path = tmp_path / "BENCH_runtime.json"
     path.write_text(json.dumps(payload))
     assert check_schema.main([str(path)]) == 0  # gate optional by default
-    assert check_schema.main([str(path), "--require-compiled-gate"]) == 1
-    assert "compiled_gate" in capsys.readouterr().err
+    assert check_schema.main([str(path), "--require-abduction-gate"]) == 1
+    assert "abduction_gate" in capsys.readouterr().err
 
 
 def test_check_schema_rejects_dropped_gate_keys():
     payload = _valid_payload()
-    del payload["compiled_gate"]["structures"]["HashSet"][
-        "decisions_identical"]
+    del payload["abduction_gate"]["structures"]["RegisterCell"][
+        "synthesized_hits"]
     problems = check_schema.check_payload(payload,
-                                          require_compiled_gate=True)
-    assert any("decisions_identical" in p for p in problems)
+                                          require_abduction_gate=True)
+    assert any("synthesized_hits" in p for p in problems)
 
 
 def test_check_schema_rejects_wrong_types():
     payload = _valid_payload()
-    payload["compiled_gate"]["structures"]["HashSet"]["compiled_hits"] \
-        = "many"
+    payload["abduction_gate"]["structures"]["RegisterCell"][
+        "synthesized_hits"] = "many"
     payload["wall_seconds"] = "fast"
     problems = check_schema.check_payload(payload,
-                                          require_compiled_gate=True)
+                                          require_abduction_gate=True)
     assert len(problems) == 2
 
 
 def test_check_schema_requires_flat_comparison_when_sharded():
+    """The flat-vs-sharded digest comparison is a gate key, and a
+    present-but-failed comparison fails the check."""
     payload = _valid_payload()
-    del payload["compiled_gate"]["structures"]["HashSet"][
-        "flat_sharded_identical"]
+    entry = payload["abduction_gate"]["structures"]["RegisterCell"]
+    del entry["flat_sharded_identical"]
     problems = check_schema.check_payload(payload,
-                                          require_compiled_gate=True)
+                                          require_abduction_gate=True)
     assert any("flat_sharded_identical" in p for p in problems)
-    payload["compiled_gate"]["shards"] = 1
-    assert not check_schema.check_payload(payload,
-                                          require_compiled_gate=True)
+    entry["flat_sharded_identical"] = False
+    payload["abduction_gate"]["digests_identical"] = False
+    problems = check_schema.check_payload(payload,
+                                          require_abduction_gate=True)
+    assert any("diverged" in p for p in problems)
 
 
 def test_check_schema_unreadable_file(tmp_path, capsys):

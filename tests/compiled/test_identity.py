@@ -1,17 +1,27 @@
 """The invariant the compiled tier sells: lowering is an *accelerator*,
-not a policy — ``--compiled`` on/off produces byte-identical decision
+not a policy.  Closures are the only admission path, and the
+interpreter — the per-check fallback, forced everywhere by the
+``interpreted`` fixture — stays the reference: byte-identical decision
 digests for every structure (six builtins + the custom Register), flat
 and sharded, stable and plain, weakened and proved tiers; and the
-EvalError diagnostics (satellite fix) carry the pair that failed."""
+EvalError diagnostics carry the pair that failed either way."""
 
 import dataclasses
+import inspect
 
 import pytest
 from stability_fixture import ALL_STRUCTURES
 
+from repro.api import Session
 from repro.eval import Record
-from repro.runtime import Gatekeeper, LoggedOperation
-from repro.workloads import ThroughputHarness, WorkloadSpec
+from repro.runtime import (ConflictManager, Gatekeeper, LoggedOperation,
+                           ShardedGatekeeper, SpeculativeExecutor,
+                           conflict_manager)
+from repro.runtime.backend import AdmissionBackend, LocalAdmissionBackend
+from repro.runtime.executor import ExecutionReport
+from repro.service import protocol
+from repro.service.client import ServiceBackend
+from repro.workloads import ThroughputHarness, WorkloadRun, WorkloadSpec
 
 #: Write-heavy hot-key over a preloaded structure: the shape where the
 #: compiled path actually carries traffic (deep logs, many pair checks).
@@ -27,56 +37,61 @@ MIX = WorkloadSpec(name="identity-mix", profile="mixed",
                    preload=10, seed=2)
 
 
-def _digest_pair(harness, structure, workload, *, shards, stable=False):
-    interpreted = harness.run_one(structure, workload, workers=1,
-                                  shards=shards, stable=stable,
-                                  compiled=False)
+def _digest_pair(harness, interpreted, structure, workload, *, shards,
+                 stable=False):
+    """The same run twice: through the closures (the default) and with
+    every check forced through the interpreter."""
     compiled = harness.run_one(structure, workload, workers=1,
-                               shards=shards, stable=stable,
-                               compiled=True)
-    assert interpreted.serializable and compiled.serializable
-    assert interpreted.compiled_hits == 0
-    return interpreted, compiled
+                               shards=shards, stable=stable)
+    with interpreted():
+        reference = harness.run_one(structure, workload, workers=1,
+                                    shards=shards, stable=stable)
+    assert reference.serializable and compiled.serializable
+    assert reference.compiled_hits == 0
+    return reference, compiled
 
 
 @pytest.mark.parametrize("shards", (1, 4))
 @pytest.mark.parametrize("structure", ALL_STRUCTURES)
 def test_compiled_decisions_are_byte_identical(runnable_registry,
-                                               structure, shards):
+                                               interpreted, structure,
+                                               shards):
     harness = ThroughputHarness(registry=runnable_registry)
     for workload in (GATE, MIX):
-        interpreted, compiled = _digest_pair(harness, structure,
-                                             workload, shards=shards)
+        reference, compiled = _digest_pair(harness, interpreted,
+                                           structure, workload,
+                                           shards=shards)
         assert compiled.compiled_hits > 0, structure
         assert compiled.report.decision_digest() \
-            == interpreted.report.decision_digest(), (
+            == reference.report.decision_digest(), (
                 f"{structure} @ {shards} shards on {workload.name}")
 
 
 @pytest.mark.parametrize("structure", ALL_STRUCTURES)
-def test_compiled_stable_path_identity(stable_session, structure):
+def test_compiled_stable_path_identity(stable_session, interpreted,
+                                       structure):
     """The stable (drift-guard) tier lowers too, with the same digest
     equality — and without losing a single stable-certified admission
     to the closure path."""
     harness = ThroughputHarness(registry=stable_session.registry)
-    interpreted, compiled = _digest_pair(harness, structure, GATE,
-                                         shards=4, stable=True)
+    reference, compiled = _digest_pair(harness, interpreted, structure,
+                                       GATE, shards=4, stable=True)
     assert compiled.report.decision_digest() \
-        == interpreted.report.decision_digest(), structure
-    assert compiled.stable_hits == interpreted.stable_hits
-    assert compiled.drift_fallbacks == interpreted.drift_fallbacks
+        == reference.report.decision_digest(), structure
+    assert compiled.stable_hits == reference.stable_hits
+    assert compiled.drift_fallbacks == reference.drift_fallbacks
 
 
 def test_compiled_flat_equals_sharded(runnable_registry):
-    """Orthogonality: with the compiler on, the sharded manager still
-    matches the flat log decision-for-decision."""
+    """Orthogonality: with the closures deciding, the sharded manager
+    still matches the flat log decision-for-decision, on every
+    structure."""
     harness = ThroughputHarness(registry=runnable_registry)
-    flat = harness.run_one("HashSet", GATE, workers=1, shards=1,
-                           compiled=True)
-    sharded = harness.run_one("HashSet", GATE, workers=1, shards=4,
-                              compiled=True)
-    assert flat.report.decision_digest() \
-        == sharded.report.decision_digest()
+    for structure in ALL_STRUCTURES:
+        flat = harness.run_one(structure, GATE, workers=1, shards=1)
+        sharded = harness.run_one(structure, GATE, workers=1, shards=4)
+        assert flat.report.decision_digest() \
+            == sharded.report.decision_digest(), structure
 
 
 @pytest.mark.parametrize("structure", ("HashSet", "ArrayList"))
@@ -86,8 +101,7 @@ def test_threaded_compiled_stays_serializable(runnable_registry,
     there is serializability with the closures actually in the loop."""
     harness = ThroughputHarness(registry=runnable_registry,
                                 max_rounds=500_000)
-    run = harness.run_one(structure, GATE, workers=4, shards=4,
-                          compiled=True)
+    run = harness.run_one(structure, GATE, workers=4, shards=4)
     assert run.serializable, run.summary()
     assert run.compiled_hits > 0
 
@@ -101,14 +115,14 @@ def test_tier_demotion_never_changes_decisions(stable_session):
     original = registry.stable_conditions("HashTable")
     harness = ThroughputHarness(registry=registry)
     baseline = harness.run_one("HashTable", GATE, workers=1, shards=4,
-                               stable=True, compiled=True)
+                               stable=True)
     assert baseline.stable_hits > 0 and baseline.report.proved_hits == 0
     flipped = [dataclasses.replace(c, tier="proved") for c in original]
     registry.register_stable_conditions("HashTable", flipped,
                                         replace=True)
     try:
         promoted = harness.run_one("HashTable", GATE, workers=1,
-                                   shards=4, stable=True, compiled=True)
+                                   shards=4, stable=True)
     finally:
         registry.register_stable_conditions("HashTable", original,
                                             replace=True)
@@ -119,13 +133,48 @@ def test_tier_demotion_never_changes_decisions(stable_session):
         == baseline.report.decision_digest()
 
 
-# -- satellite fix: EvalError samples name the failing pair -------------------
+# -- compiled admission is the only path ---------------------------------------
 
-def _arraylist_eval_error(compiled):
+def test_plain_gatekeeper_decides_through_closures():
+    """No flag arms the closures: a default-constructed manager already
+    decides through them."""
+    gk = Gatekeeper("HashSet")
+    before = Record(contents=frozenset({"a"}), size=1)
+    after = Record(contents=frozenset({"a", "b"}), size=2)
+    gk.record(LoggedOperation(txn_id=1, op_name="add", args=("b",),
+                              result=True, before=before, after=after))
+    assert gk.admits(2, "contains", ("c",), after)
+    assert gk.compiled_hits > 0
+
+
+#: Every callable that used to take the admission-mode option.
+OPTION_FREE = (ConflictManager, Gatekeeper, ShardedGatekeeper,
+               conflict_manager, AdmissionBackend.conflict_manager,
+               LocalAdmissionBackend.conflict_manager,
+               ServiceBackend.conflict_manager, SpeculativeExecutor,
+               ThroughputHarness, ThroughputHarness.run_one,
+               Session.run_workload, protocol.open_frame)
+
+
+@pytest.mark.parametrize("fn", OPTION_FREE,
+                         ids=lambda fn: fn.__qualname__)
+def test_no_compiled_option_remains(fn):
+    assert "compiled" not in inspect.signature(fn).parameters
+
+
+def test_reports_carry_no_compiled_field():
+    for cls in (ExecutionReport, WorkloadRun):
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert "compiled" not in names, cls.__name__
+
+
+# -- EvalError samples name the failing pair, closure or interpreter ----------
+
+def _arraylist_eval_error():
     """The get(0)/set(1, ...) recipe: evaluating ArrayList's between
     condition on this environment indexes out of range, so the check
     resolves conservatively and must leave a usable diagnostic."""
-    gk = Gatekeeper("ArrayList", compiled=compiled)
+    gk = Gatekeeper("ArrayList")
     state = Record(elems=("a",))
     gk.record(LoggedOperation(txn_id=1, op_name="get", args=(0,),
                               result="a", before=state, after=state))
@@ -134,8 +183,12 @@ def _arraylist_eval_error(compiled):
 
 
 @pytest.mark.parametrize("compiled", (False, True))
-def test_eval_error_sample_names_the_pair(compiled):
-    gk = _arraylist_eval_error(compiled)
+def test_eval_error_sample_names_the_pair(interpreted, compiled):
+    if compiled:
+        gk = _arraylist_eval_error()
+    else:
+        with interpreted():
+            gk = _arraylist_eval_error()
     assert gk.eval_errors == 1
     (sample,) = gk.eval_error_samples()
     assert sample["structure"] == "ArrayList"
@@ -145,22 +198,22 @@ def test_eval_error_sample_names_the_pair(compiled):
     assert sample["condition"]  # the formula text, not a placeholder
 
 
-def test_eval_error_counts_match_across_modes():
-    """Interpreter-exact EvalError propagation: the compiled manager
-    trips the same errors the interpreted one does, no more, no fewer."""
-    interpreted = _arraylist_eval_error(compiled=False)
-    compiled = _arraylist_eval_error(compiled=True)
-    assert compiled.eval_errors == interpreted.eval_errors
+def test_eval_error_counts_match_across_modes(interpreted):
+    """Interpreter-exact EvalError propagation: a closure trips the
+    same errors the interpreter does, no more, no fewer."""
+    compiled = _arraylist_eval_error()
+    with interpreted():
+        reference = _arraylist_eval_error()
+    assert compiled.eval_errors == reference.eval_errors
     assert compiled.eval_error_samples() \
-        == interpreted.eval_error_samples()
+        == reference.eval_error_samples()
 
 
 def test_eval_error_sample_reaches_the_report(runnable_registry):
     """End to end: a run that trips EvalErrors surfaces the bounded
     sample on its ExecutionReport (what the bench artifact uploads)."""
     harness = ThroughputHarness(registry=runnable_registry)
-    run = harness.run_one("ArrayList", GATE, workers=1, shards=1,
-                          compiled=True)
+    run = harness.run_one("ArrayList", GATE, workers=1, shards=1)
     if run.eval_errors:
         assert run.report.eval_error_sample
         for entry in run.report.eval_error_sample:

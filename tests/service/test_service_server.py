@@ -157,6 +157,43 @@ def test_malformed_body_gets_an_error_frame(live_server):
         probe.close()
 
 
+# -- every domain decides through compiled closures ----------------------------
+
+def test_open_frame_has_no_compiled_key():
+    assert "compiled" not in protocol.open_frame("HashSet", stable=True)
+
+
+def test_legacy_compiled_false_still_arms_closures(client):
+    """An older client's ``"compiled": false`` is never read: the
+    domain decides through closures anyway."""
+    frame = dict(protocol.open_frame("HashSet", label="legacy"),
+                 compiled=False)
+    domain = client.call(frame)["domain"]
+    state = Record(contents=frozenset({"a"}), size=1)
+    client.call(protocol.record_frame(domain, LoggedOperation(
+        txn_id=1, op_name="contains", args=("a",), result=True,
+        before=state, after=state)))
+    verdict = client.call(protocol.check_frame(domain, 2, "add", ("b",),
+                                               state))
+    assert verdict["admitted"] is True
+    stats = client.call(protocol.stats_frame(domain))["stats"]
+    assert "compiled" not in stats
+    assert stats["counters"]["checks"] == 1
+    assert stats["counters"]["compiled_hits"] > 0
+
+
+def test_metrics_json_domains_list_no_compiled_flag(client, live_server):
+    _open_arraylist(client)
+    status, body = scrape_metrics(live_server.host, live_server.port,
+                                  path="/metrics.json")
+    assert status == 200
+    domains = json.loads(body)["domains"]
+    assert domains
+    for domain in domains:
+        assert "compiled" not in domain
+        assert "compiled_hits" in domain["counters"]
+
+
 # -- metrics ------------------------------------------------------------------
 
 def test_http_metrics_exposes_every_shard_counter(client, live_server):
