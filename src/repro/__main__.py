@@ -650,7 +650,7 @@ def _bench_stability_section(payload: dict, registry: Registry,
             "stable_hits": stable.stable_hits,
             "plain_aborts": plain.aborts,
             "stable_aborts": stable.aborts,
-            "undo_refusals": stable.report.undo_refusals,
+            "undo_refusals": stable.undo_refusals,
         }
         if not (plain.serializable and stable.serializable):
             regressions.append(f"{name}: not serializable")
@@ -851,13 +851,13 @@ def _bench_abduction_section(payload: dict, registry: Registry,
         runs += [baselines[name], abduced]
         base = baselines[name]
         base_hits += (base.stable_hits + base.proved_hits
-                      + base.report.synthesized_hits)
+                      + base.synthesized_hits)
         base_fallbacks += base.drift_fallbacks
-        base_checks += base.report.drift_checks
+        base_checks += base.drift_checks
         hits += (abduced.stable_hits + abduced.proved_hits
-                 + abduced.report.synthesized_hits)
+                 + abduced.synthesized_hits)
         fallbacks += abduced.drift_fallbacks
-        checks += abduced.report.drift_checks
+        checks += abduced.drift_checks
         # Decision-identity legs: the sharded and served guards must
         # reproduce the local flat run's decisions byte-for-byte.
         flat = (abduced if args.shards == 1
@@ -878,13 +878,13 @@ def _bench_abduction_section(payload: dict, registry: Registry,
         section["structures"][name] = {
             "workload": workload.label,
             "baseline_hits": (base.stable_hits + base.proved_hits
-                              + base.report.synthesized_hits),
+                              + base.synthesized_hits),
             "baseline_fallbacks": base.drift_fallbacks,
             "abduced_stable_hits": abduced.stable_hits,
             "abduced_proved_hits": abduced.proved_hits,
-            "synthesized_hits": abduced.report.synthesized_hits,
+            "synthesized_hits": abduced.synthesized_hits,
             "abduced_fallbacks": abduced.drift_fallbacks,
-            "fallback_admits": abduced.report.fallback_admits,
+            "fallback_admits": abduced.fallback_admits,
             "flat_sharded_identical": flat_sharded,
             "local_served_identical": local_served,
         }

@@ -301,7 +301,7 @@ def shard_contention_table(runs) -> str:
         if len(run.shard_stats) <= 1:
             continue  # single-shard: the workload table already has it
         for stats in run.shard_stats:
-            checks = stats["checks"]
+            checks = stats["conflict_checks"]
             rate = stats["conflicts"] / checks if checks else 0.0
             rows.append([run.structure, run.workload.label, run.policy,
                          str(stats["shard"]), str(checks),

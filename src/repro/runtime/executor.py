@@ -52,7 +52,7 @@ from ..eval.values import Record, encode_value
 from ..impls import invoke, invoke_concrete
 from .adaptive import AdaptiveController, make_controller
 from .backend import AdmissionBackend, resolve_backend
-from .gatekeeper import ConflictManager, LoggedOperation
+from .gatekeeper import COUNTERS, ConflictManager, LoggedOperation
 from .sharding import VIRTUAL_REGIONS
 from .transaction import Transaction, TxnStatus, rollback
 
@@ -86,35 +86,15 @@ class ExecutionReport:
     commits: int = 0
     aborts: int = 0
     operations: int = 0
-    conflict_checks: int = 0
-    conflicts: int = 0
-    #: Drift-guard traffic: checks that hit the guard, the subset a
-    #: compiled drift-stable condition admitted, the conservative
-    #: resolutions that consulted the router oracle, and the subset of
-    #: those the oracle admitted (conservative-fallback admissions).
-    drift_checks: int = 0
-    stable_hits: int = 0
-    #: The subset of drift-guard admissions certified at the ``proved``
-    #: tier (symbolically proved conditions, ``--prover`` compilations).
-    proved_hits: int = 0
-    #: The subset certified at the ``synthesized`` tier (conditions the
-    #: abduction loop discovered, ``--abduce`` compilations).
-    synthesized_hits: int = 0
-    drift_fallbacks: int = 0
-    fallback_admits: int = 0
-    #: Would-be admissions refused because the incoming operation does
-    #: not commute with a logged operation's pending undo.
-    undo_refusals: int = 0
-    #: Pair checks decided by a compiled closure rather than by the
-    #: interpreter fallback; purely observational, like the tier split.
-    compiled_hits: int = 0
-    #: Condition evaluations that raised EvalError and resolved
-    #: conservatively, with a bounded diagnostic sample of
-    #: (structure, m1, m2, condition, error, stable) dicts.
-    eval_errors: int = 0
+    #: Every :data:`~repro.runtime.gatekeeper.COUNTERS` entry, summed
+    #: over the manager's shards; each also reads as an attribute
+    #: (``report.conflict_checks``).  How decisions were reached, never
+    #: what they were: outside :meth:`decision_digest`.
+    counters: dict[str, int] = field(default_factory=dict)
+    #: A bounded diagnostic sample of the EvalErrors behind
+    #: ``eval_errors``: (structure, m1, m2, condition, error, stable)
+    #: dicts.
     eval_error_sample: list = field(default_factory=list)
-    #: Diagnostics evicted from the bounded sample rings (exact count).
-    eval_errors_dropped: int = 0
     #: Which admission backend decided the run ("local" in-process,
     #: "service" over the wire); never decision-changing.
     backend: str = "local"
@@ -133,10 +113,18 @@ class ExecutionReport:
     txn_aborts: dict[int, int] = field(default_factory=dict)
     txn_statuses: dict[int, TxnStatus] = field(default_factory=dict)
     #: Per-shard admission statistics (one dict per shard: shard id,
-    #: checks, conflicts, outstanding), from the conflict manager.
+    #: log depth and every counter), from the conflict manager.
     shard_stats: list[dict[str, int]] = field(default_factory=list)
     final_state: Record | None = None
     serial_state: Record | None = None
+
+    def __getattr__(self, name: str) -> int:
+        # Only reached when normal lookup fails: a counter name reads
+        # from ``counters`` (0 before the report has run).
+        if name in COUNTERS:
+            return self.counters.get(name, 0)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def serializable(self) -> bool:
@@ -189,10 +177,9 @@ class ExecutionReport:
         milliseconds (nearest-rank; 0.0 when the run was in-process)."""
         if not self.admission_latencies:
             return 0.0
-        ordered = sorted(self.admission_latencies)
-        rank = max(0, min(len(ordered) - 1,
-                          round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[rank] * 1000.0
+        # Imported here: repro.reporting imports this module.
+        from ..reporting.tables import percentile
+        return percentile(self.admission_latencies, q) * 1000.0
 
     def summary(self) -> str:
         return (f"{self.ds_name}/{self.policy}: {self.commits} commits, "
@@ -376,19 +363,8 @@ class SpeculativeExecutor:
             # Throughput covers execution only; the serial-replay
             # serializability validation below is diagnostics, not work.
             report.wall_seconds = time.perf_counter() - start
-            report.conflict_checks = manager.checks
-            report.conflicts = manager.conflicts
-            report.drift_checks = manager.drift_checks
-            report.stable_hits = manager.stable_hits
-            report.proved_hits = manager.proved_hits
-            report.synthesized_hits = manager.synthesized_hits
-            report.drift_fallbacks = manager.fallbacks
-            report.fallback_admits = manager.fallback_admits
-            report.undo_refusals = manager.undo_refusals
-            report.compiled_hits = manager.compiled_hits
-            report.eval_errors = manager.eval_errors
+            report.counters = manager.counters()
             report.eval_error_sample = manager.eval_error_samples()
-            report.eval_errors_dropped = manager.eval_errors_dropped
             report.admission_latencies = list(
                 getattr(manager, "admission_latencies", ()))
             report.shard_stats = manager.shard_stats()

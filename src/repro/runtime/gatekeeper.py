@@ -29,10 +29,11 @@ Two concrete managers share the pair-checking machinery:
   disjoint regions admit concurrently without scanning (or locking) one
   global list.
 
-Counters are kept per shard and incremented under that shard's lock, so
-concurrent admission never loses an update; ``checks``/``conflicts``
-aggregate over shards and :meth:`ConflictManager.shard_stats` surfaces
-the per-shard breakdown.
+Every admission counter is declared once, in :data:`COUNTERS`.  Counters
+are kept per shard and incremented under that shard's lock, so
+concurrent admission never loses an update;
+:meth:`ConflictManager.counters` sums them over shards and
+:meth:`ConflictManager.shard_stats` surfaces the per-shard breakdown.
 """
 
 from __future__ import annotations
@@ -60,8 +61,46 @@ POLICIES = ("commutativity", "read-write", "mutex")
 #: always exact, the sample is a fixed-size ring keeping the *most
 #: recent* occurrences — in a long-running admission server the
 #: interesting failure is the one happening now, not the one from
-#: startup — with every eviction counted in ``eval_error_dropped``).
+#: startup — with every eviction counted in ``eval_errors_dropped``).
 EVAL_ERROR_SAMPLE = 5
+
+#: The admission counters, declared once: name -> what it counts.  Each
+#: is a :class:`_Shard` slot, incremented under that shard's lock.
+#: Aggregation, reset, :meth:`ConflictManager.shard_stats`, the service's
+#: ``stats`` frame, ``/metrics`` and the ``ExecutionReport`` and
+#: ``WorkloadRun`` attributes all derive from this table, so a new
+#: counter is one entry here plus its increment site.  Counters explain
+#: how decisions were reached; none of them changes a decision or enters
+#: ``ExecutionReport.decision_digest()``.
+COUNTERS: dict[str, str] = {
+    "conflict_checks": "Pair checks of an incoming operation against a "
+                       "logged operation of another transaction.",
+    "conflicts": "Pair checks that found a conflict.",
+    "drift_checks": "Pair checks that hit the drift guard: a "
+                    "state-referencing condition outside its verified "
+                    "environment.",
+    "stable_hits": "Drifted pair checks admitted by a compiled "
+                   "drift-stable condition of the weakened "
+                   "(bounded-sweep) tier.",
+    "proved_hits": "Drifted pair checks admitted by a symbolically "
+                   "proved drift-stable condition.",
+    "synthesized_hits": "Drifted pair checks admitted by an abduced "
+                        "drift-stable condition.",
+    "drift_fallbacks": "Conservative resolutions (a drifted check no "
+                       "stable condition admitted, or an unevaluable "
+                       "condition) that consulted the router oracle.",
+    "fallback_admits": "Conservative resolutions the router oracle "
+                       "admitted as region-disjoint.",
+    "undo_refusals": "Would-be admissions refused because the incoming "
+                     "operation does not commute with a logged "
+                     "operation's pending undo.",
+    "compiled_hits": "Condition evaluations decided by a compiled "
+                     "closure rather than the interpreter fallback.",
+    "eval_errors": "Condition evaluations (between or stable path) that "
+                   "raised EvalError and resolved conservatively.",
+    "eval_errors_dropped": "EvalError diagnostics evicted from the "
+                           "bounded per-shard sample rings.",
+}
 
 
 @dataclass(frozen=True)
@@ -80,56 +119,28 @@ class LoggedOperation:
 
 class _Shard:
     """One region of the outstanding-operation log: its entries, its
-    lock, and its admission counters (all mutated under the lock).
+    lock, a bounded ring of the most recent EvalError diagnostics, and
+    one slot per :data:`COUNTERS` entry (all mutated under the lock).
 
-    ``drift_checks`` counts pair checks that hit the drift guard (a
-    state-referencing condition outside its verified environment);
-    ``stable_hits`` the subset admitted by a compiled drift-stable
-    condition from the bounded sweep, ``proved_hits`` the subset
-    admitted by a symbolically *proved* condition (the tier is
-    decision-visible, never decision-changing — both admit
-    identically); ``fallbacks`` every conservative resolution — a drifted
-    check the stable condition could not admit, or an unevaluable
-    condition — that consulted the router oracle; ``fallback_admits``
-    the subset of those the oracle admitted (the *conservative-fallback
-    admissions* the stability compiler exists to replace with semantic
-    certificates).
+    ``eval_error_sample`` keeps the last :data:`EVAL_ERROR_SAMPLE`
+    (pair, condition, message) occurrences, so a bench artifact is
+    diagnosable down to the failing condition."""
 
-    ``compiled_hits`` counts pair checks decided by a slot-specialized
-    compiled closure (:mod:`repro.compiled`) instead of the
-    interpreter; ``eval_errors`` counts every condition evaluation
-    that raised :class:`~repro.eval.interpreter.EvalError` (between
-    *and* stable path), with the first :data:`EVAL_ERROR_SAMPLE`
-    occurrences kept in ``eval_error_sample`` so a bench artifact is
-    diagnosable down to the failing (pair, condition, message)."""
-
-    __slots__ = ("shard_id", "lock", "log", "checks", "conflicts",
-                 "drift_checks", "stable_hits", "proved_hits",
-                 "synthesized_hits", "fallbacks", "fallback_admits",
-                 "undo_refusals", "compiled_hits", "eval_errors",
-                 "eval_error_sample", "eval_error_dropped")
+    __slots__ = ("shard_id", "lock", "log", "eval_error_sample", *COUNTERS)
 
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
         self.lock = threading.RLock()
-        self.log: list[LoggedOperation] = []
-        self.checks = 0
-        self.conflicts = 0
-        self.drift_checks = 0
-        self.stable_hits = 0
-        self.proved_hits = 0
-        self.synthesized_hits = 0
-        self.fallbacks = 0
-        self.fallback_admits = 0
-        self.undo_refusals = 0
-        self.compiled_hits = 0
-        self.eval_errors = 0
-        #: Fixed-size ring of the most recent EvalError diagnostics;
-        #: a long-running server keeps a bounded, *current* sample.
         self.eval_error_sample: deque[dict[str, Any]] = \
             deque(maxlen=EVAL_ERROR_SAMPLE)
-        #: Diagnostics evicted from the ring (exact, never sampled).
-        self.eval_error_dropped = 0
+        self.clear()
+
+    def clear(self) -> None:
+        """Empty the log and the sample ring and zero every counter."""
+        self.log: list[LoggedOperation] = []
+        self.eval_error_sample.clear()
+        for name in COUNTERS:
+            setattr(self, name, 0)
 
 
 class ConflictManager:
@@ -314,7 +325,7 @@ class ConflictManager:
                         if id(logged) in seen:
                             continue
                         seen.add(id(logged))
-                    shard.checks += 1
+                    shard.conflict_checks += 1
                     if not self._pair_commutes(shard, logged, op_name,
                                                args, current):
                         shard.conflicts += 1
@@ -374,7 +385,7 @@ class ConflictManager:
         bench regressions are diagnosable from the uploaded artifact."""
         shard.eval_errors += 1
         if len(shard.eval_error_sample) == EVAL_ERROR_SAMPLE:
-            shard.eval_error_dropped += 1  # the ring evicts the oldest
+            shard.eval_errors_dropped += 1  # the ring evicts the oldest
         shard.eval_error_sample.append({
             "structure": self.ds_name, "m1": m1, "m2": m2,
             "condition": (getattr(cond, "dynamic_text", None)
@@ -477,7 +488,7 @@ class ConflictManager:
         """The conservative path: consult the router oracle, keeping
         the fallback counters exact (mutated under the shard's lock,
         like every other admission counter)."""
-        shard.fallbacks += 1
+        shard.drift_fallbacks += 1
         admitted = self._virtually_disjoint(logged, op_name, args)
         if not admitted:
             return False
@@ -697,20 +708,7 @@ class ConflictManager:
         sound."""
         for shard in self._shards:
             with shard.lock:
-                shard.log = []
-                shard.checks = 0
-                shard.conflicts = 0
-                shard.drift_checks = 0
-                shard.stable_hits = 0
-                shard.proved_hits = 0
-                shard.synthesized_hits = 0
-                shard.fallbacks = 0
-                shard.fallback_admits = 0
-                shard.undo_refusals = 0
-                shard.compiled_hits = 0
-                shard.eval_errors = 0
-                shard.eval_error_sample.clear()
-                shard.eval_error_dropped = 0
+                shard.clear()
         self._touched.clear()
 
     def close(self) -> None:
@@ -733,74 +731,6 @@ class ConflictManager:
 
     # -- counters -------------------------------------------------------------
 
-    @property
-    def checks(self) -> int:
-        """Pair checks across all shards (each increment happens under
-        its shard's lock, so the sum never loses concurrent updates)."""
-        return sum(s.checks for s in self._shards)
-
-    @property
-    def conflicts(self) -> int:
-        """Conflicting pair checks across all shards."""
-        return sum(s.conflicts for s in self._shards)
-
-    @property
-    def drift_checks(self) -> int:
-        """Pair checks that hit the drift guard."""
-        return sum(s.drift_checks for s in self._shards)
-
-    @property
-    def stable_hits(self) -> int:
-        """Drifted pair checks admitted by a compiled stable condition
-        of the ``weakened`` (bounded-sweep) tier."""
-        return sum(s.stable_hits for s in self._shards)
-
-    @property
-    def proved_hits(self) -> int:
-        """Drifted pair checks admitted by a symbolically proved
-        condition (the ``proved`` tier, ``--prover`` compilations)."""
-        return sum(s.proved_hits for s in self._shards)
-
-    @property
-    def synthesized_hits(self) -> int:
-        """Drifted pair checks admitted by an abduced condition (the
-        ``synthesized`` tier, ``--abduce`` compilations)."""
-        return sum(s.synthesized_hits for s in self._shards)
-
-    @property
-    def fallbacks(self) -> int:
-        """Conservative resolutions that consulted the router oracle."""
-        return sum(s.fallbacks for s in self._shards)
-
-    @property
-    def fallback_admits(self) -> int:
-        """Conservative-fallback admissions (oracle said disjoint)."""
-        return sum(s.fallback_admits for s in self._shards)
-
-    @property
-    def undo_refusals(self) -> int:
-        """Would-be admissions refused by the undo-commutation guard."""
-        return sum(s.undo_refusals for s in self._shards)
-
-    @property
-    def compiled_hits(self) -> int:
-        """Pair checks decided by a compiled closure rather than by
-        the interpreter fallback (never differing from what the
-        interpreter would have decided)."""
-        return sum(s.compiled_hits for s in self._shards)
-
-    @property
-    def eval_errors(self) -> int:
-        """Condition evaluations (between or stable path) that raised
-        :class:`EvalError` and resolved conservatively."""
-        return sum(s.eval_errors for s in self._shards)
-
-    @property
-    def eval_errors_dropped(self) -> int:
-        """Diagnostics evicted from the bounded per-shard sample rings
-        (the count a long-running server watches for silent churn)."""
-        return sum(s.eval_error_dropped for s in self._shards)
-
     def eval_error_samples(self) -> list[dict[str, Any]]:
         """Up to :data:`EVAL_ERROR_SAMPLE` recorded EvalError
         occurrences — (structure, m1, m2, condition, error, stable) —
@@ -815,36 +745,19 @@ class ConflictManager:
         return sample[:EVAL_ERROR_SAMPLE]
 
     def shard_stats(self) -> list[dict[str, int]]:
-        """Per-shard admission statistics, for contention reporting."""
-        return [{"shard": s.shard_id, "checks": s.checks,
-                 "conflicts": s.conflicts, "outstanding": len(s.log),
-                 "drift_checks": s.drift_checks,
-                 "stable_hits": s.stable_hits,
-                 "proved_hits": s.proved_hits,
-                 "synthesized_hits": s.synthesized_hits,
-                 "fallbacks": s.fallbacks,
-                 "fallback_admits": s.fallback_admits,
-                 "undo_refusals": s.undo_refusals,
-                 "compiled_hits": s.compiled_hits,
-                 "eval_errors": s.eval_errors,
-                 "eval_errors_dropped": s.eval_error_dropped}
+        """Per-shard admission statistics, for contention reporting:
+        the shard id, its log depth and every :data:`COUNTERS` entry."""
+        return [{"shard": s.shard_id, "outstanding": len(s.log),
+                 **{name: getattr(s, name) for name in COUNTERS}}
                 for s in self._shards]
 
     def counters(self) -> dict[str, int]:
-        """Every aggregate admission counter as one flat dict — the
-        transport-neutral stats surface the service's ``stats`` frame
-        and the remote manager's report plumbing share."""
-        return {"checks": self.checks, "conflicts": self.conflicts,
-                "drift_checks": self.drift_checks,
-                "stable_hits": self.stable_hits,
-                "proved_hits": self.proved_hits,
-                "synthesized_hits": self.synthesized_hits,
-                "fallbacks": self.fallbacks,
-                "fallback_admits": self.fallback_admits,
-                "undo_refusals": self.undo_refusals,
-                "compiled_hits": self.compiled_hits,
-                "eval_errors": self.eval_errors,
-                "eval_errors_dropped": self.eval_errors_dropped}
+        """Every :data:`COUNTERS` entry summed over shards (each
+        increment happens under its shard's lock, so the sum never
+        loses concurrent updates) — the transport-neutral stats surface
+        the service's ``stats`` frame and the executor's report share."""
+        return {name: sum(getattr(s, name) for s in self._shards)
+                for name in COUNTERS}
 
 
 class Gatekeeper(ConflictManager):

@@ -33,6 +33,8 @@ import socket
 import time
 from typing import Any, Callable, Sequence
 
+from ..runtime.gatekeeper import COUNTERS
+
 #: Structures the throughput leg drives (one set family, one list
 #: family — the two runtime-condition shapes).  The identity leg
 #: covers *every* runnable builtin instead.
@@ -478,13 +480,7 @@ def soak_leg(host: str, port: int, *, structure: str = SOAK_STRUCTURE,
 #: exported per-shard stat plus the server-level cluster gauges; the
 #: gate greps the Prometheus body).
 EXPECTED_METRIC_NAMES = (
-    "repro_shard_checks", "repro_shard_conflicts",
-    "repro_shard_outstanding", "repro_shard_drift_checks",
-    "repro_shard_stable_hits", "repro_shard_proved_hits",
-    "repro_shard_synthesized_hits",
-    "repro_shard_fallbacks", "repro_shard_fallback_admits",
-    "repro_shard_undo_refusals", "repro_shard_compiled_hits",
-    "repro_shard_eval_errors", "repro_shard_eval_errors_dropped",
+    *(f"repro_shard_{key}" for key in ("outstanding", *COUNTERS)),
     "repro_txn_outcomes_total", "repro_abort_rate",
     "repro_server_active_connections", "repro_server_worker_id",
     "repro_domain_reuse_total",

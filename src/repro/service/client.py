@@ -5,8 +5,7 @@ and scheduler) while every admission decision crosses the wire:
 :class:`RemoteConflictManager` duck-types the in-process
 :class:`~repro.runtime.gatekeeper.ConflictManager` surface the serial
 executor uses — ``shards_for`` / ``check_many`` / ``record`` /
-``release`` plus the counter surface — over one blocking TCP
-connection.
+``release`` plus ``counters()`` — over one blocking TCP connection.
 
 Round-trips are amortized by pipelining: ``record`` and ``release``
 frames are buffered client-side and flushed inside the *next*
@@ -178,10 +177,6 @@ class RemoteConflictManager:
         verdict = results[-1]
         return bool(verdict["admitted"]), verdict["holder"]
 
-    def admits(self, txn_id: int, op_name: str, args: tuple[Any, ...],
-               current) -> bool:
-        return self.check_many(txn_id, op_name, args, current)[0]
-
     def record(self, entry: LoggedOperation) -> tuple[int, ...]:
         self._pending.append(protocol.record_frame(self._domain, entry))
         self._stats = None
@@ -214,25 +209,6 @@ class RemoteConflictManager:
 
     def counters(self) -> dict[str, int]:
         return dict(self.stats()["counters"])
-
-    def _counter(self, name: str) -> int:
-        return self.stats()["counters"][name]
-
-    checks = property(lambda self: self._counter("checks"))
-    conflicts = property(lambda self: self._counter("conflicts"))
-    drift_checks = property(lambda self: self._counter("drift_checks"))
-    stable_hits = property(lambda self: self._counter("stable_hits"))
-    proved_hits = property(lambda self: self._counter("proved_hits"))
-    synthesized_hits = property(
-        lambda self: self._counter("synthesized_hits"))
-    fallbacks = property(lambda self: self._counter("fallbacks"))
-    fallback_admits = property(
-        lambda self: self._counter("fallback_admits"))
-    undo_refusals = property(lambda self: self._counter("undo_refusals"))
-    compiled_hits = property(lambda self: self._counter("compiled_hits"))
-    eval_errors = property(lambda self: self._counter("eval_errors"))
-    eval_errors_dropped = property(
-        lambda self: self._counter("eval_errors_dropped"))
 
     def eval_error_samples(self) -> list[dict[str, Any]]:
         return list(self.stats()["eval_error_sample"])

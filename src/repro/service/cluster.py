@@ -141,10 +141,6 @@ class PartitionedConflictManager:
         admitted, holder, _ = merge_verdicts(verdicts)
         return admitted, holder
 
-    def admits(self, txn_id: int, op_name: str, args: tuple[Any, ...],
-               current) -> bool:
-        return self.check_many(txn_id, op_name, args, current)[0]
-
     def record(self, entry, shard_ids=None) -> tuple[int, ...]:
         route = self._router.store_regions(entry.op_name, entry.args)
         for worker, slice_ids in split_slices(route,
@@ -211,25 +207,6 @@ class PartitionedConflictManager:
 
     def counters(self) -> dict[str, int]:
         return dict(self.stats()["counters"])
-
-    def _counter(self, name: str) -> int:
-        return self.stats()["counters"][name]
-
-    checks = property(lambda self: self._counter("checks"))
-    conflicts = property(lambda self: self._counter("conflicts"))
-    drift_checks = property(lambda self: self._counter("drift_checks"))
-    stable_hits = property(lambda self: self._counter("stable_hits"))
-    proved_hits = property(lambda self: self._counter("proved_hits"))
-    synthesized_hits = property(
-        lambda self: self._counter("synthesized_hits"))
-    fallbacks = property(lambda self: self._counter("fallbacks"))
-    fallback_admits = property(
-        lambda self: self._counter("fallback_admits"))
-    undo_refusals = property(lambda self: self._counter("undo_refusals"))
-    compiled_hits = property(lambda self: self._counter("compiled_hits"))
-    eval_errors = property(lambda self: self._counter("eval_errors"))
-    eval_errors_dropped = property(
-        lambda self: self._counter("eval_errors_dropped"))
 
     def eval_error_samples(self) -> list[dict[str, Any]]:
         return list(self.stats()["eval_error_sample"])

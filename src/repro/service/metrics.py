@@ -13,31 +13,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from ..runtime.gatekeeper import COUNTERS
+
 #: Prometheus metric name prefix for everything this server exposes.
 PREFIX = "repro"
-
-#: The aggregate per-domain admission counters
-#: (:meth:`ConflictManager.counters` keys) exported as counters.
-DOMAIN_COUNTERS = ("checks", "conflicts", "drift_checks", "stable_hits",
-                   "proved_hits", "synthesized_hits",
-                   "fallbacks", "fallback_admits",
-                   "undo_refusals", "compiled_hits", "eval_errors",
-                   "eval_errors_dropped")
-
-#: The per-shard stats keys (:meth:`ConflictManager.shard_stats`)
-#: exported with a ``shard`` label.  ``outstanding`` is a gauge (log
-#: depth right now); the rest only ever increase.
-SHARD_GAUGES = ("outstanding",)
-
-
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank ``q``-th percentile of ``values`` (0.0 when empty)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1,
-                      round(q / 100.0 * (len(ordered) - 1))))
-    return ordered[rank]
 
 
 def snapshot_json(snapshot: dict[str, Any]) -> str:
@@ -58,9 +37,11 @@ def _labels(**labels: Any) -> str:
 def prometheus_text(snapshot: dict[str, Any]) -> str:
     """The snapshot in Prometheus text exposition format.
 
-    Every existing per-shard counter is exported with ``domain`` and
-    ``shard`` labels; domain aggregates, transaction outcomes, and the
-    cross-domain abort-rate percentiles ride along.
+    Every :data:`~repro.runtime.gatekeeper.COUNTERS` entry is exported
+    twice, with its meaning as the HELP text: per domain
+    (``admission_<name>_total``) and per shard (``shard_<name>``, with
+    ``domain`` and ``shard`` labels).  Log depth, transaction outcomes,
+    and the cross-domain abort-rate percentiles ride along.
     """
     lines: list[str] = []
 
@@ -99,9 +80,8 @@ def prometheus_text(snapshot: dict[str, Any]) -> str:
          [("", server.get("domain_reuse_total", 0))])
 
     domains = snapshot.get("domains", [])
-    for key in DOMAIN_COUNTERS:
-        emit(f"admission_{key}_total", "counter",
-             f"Aggregate {key} per admission domain.",
+    for key, meaning in COUNTERS.items():
+        emit(f"admission_{key}_total", "counter", meaning,
              [(_labels(domain=d["domain"], structure=d["structure"],
                        label=d["label"]), d["counters"].get(key, 0))
               for d in domains])
@@ -111,14 +91,14 @@ def prometheus_text(snapshot: dict[str, Any]) -> str:
                    outcome=outcome), d.get(f"{outcome}s", 0))
           for d in domains for outcome in ("commit", "abort")])
 
-    shard_counter_keys = [key for key in
-                          (domains[0]["shard_stats"][0].keys()
-                           if domains and domains[0]["shard_stats"]
-                           else ())
-                          if key != "shard"]
-    for key in shard_counter_keys:
-        kind = "gauge" if key in SHARD_GAUGES else "counter"
-        emit(f"shard_{key}", kind, f"Per-shard {key}.",
+    # The per-shard stats keys (ConflictManager.shard_stats) exported
+    # with a ``shard`` label: ``outstanding`` is a gauge (log depth
+    # right now); every counter only ever increases.
+    shard_keys = {"outstanding": "Operations outstanding in the "
+                                 "shard's log now.", **COUNTERS}
+    for key, meaning in shard_keys.items():
+        kind = "gauge" if key == "outstanding" else "counter"
+        emit(f"shard_{key}", kind, meaning,
              [(_labels(domain=d["domain"], shard=stats["shard"]),
                stats.get(key, 0))
               for d in domains for stats in d["shard_stats"]])

@@ -58,7 +58,10 @@ from ..runtime.gatekeeper import LoggedOperation
 #: server refuses clients it cannot speak to.  v2: cluster map in the
 #: hello response, explicit ``shards`` slices on check/record, the
 #: conflicting shard in check responses, and the ``reset`` frame.
-PROTOCOL_VERSION = 2
+#: v3: the ``stats`` payload's counter keys are the names of
+#: :data:`~repro.runtime.gatekeeper.COUNTERS` (``checks`` became
+#: ``conflict_checks``, ``fallbacks`` became ``drift_fallbacks``).
+PROTOCOL_VERSION = 3
 
 #: Frames above this are refused outright (a corrupt length prefix
 #: must not allocate gigabytes).  Kept under 2**31 so the length

@@ -34,8 +34,9 @@ import contextlib
 import time
 from typing import Any, Callable
 
+from ..reporting.tables import percentile
 from . import protocol
-from .metrics import percentile, prometheus_text, snapshot_json
+from .metrics import prometheus_text, snapshot_json
 
 #: Closed domains retained for /metrics continuity (a scrape after a
 #: bench run must still see the run's counters).
@@ -440,8 +441,9 @@ class AdmissionServer:
                 "protocol_version": protocol.PROTOCOL_VERSION,
             },
             "domains": domains,
-            "abort_rate_percentiles": {"p50": percentile(rates, 50),
-                                       "p95": percentile(rates, 95)},
+            "abort_rate_percentiles": {
+                f"p{q}": percentile(rates, q) if rates else 0.0
+                for q in (50, 95)},
         }
 
     async def _serve_http(self, reader: asyncio.StreamReader,

@@ -36,81 +36,17 @@ class WorkloadRun:
     #: Which admission backend decided the run ("local" or "service").
     backend: str = "local"
 
-    @property
-    def commits(self) -> int:
-        return self.report.commits
-
-    @property
-    def aborts(self) -> int:
-        return self.report.aborts
-
-    @property
-    def operations(self) -> int:
-        return self.report.operations
-
-    @property
-    def conflicts(self) -> int:
-        return self.report.conflicts
-
-    @property
-    def conflict_checks(self) -> int:
-        return self.report.conflict_checks
-
-    @property
-    def drift_checks(self) -> int:
-        return self.report.drift_checks
-
-    @property
-    def stable_hits(self) -> int:
-        return self.report.stable_hits
-
-    @property
-    def proved_hits(self) -> int:
-        return self.report.proved_hits
-
-    @property
-    def synthesized_hits(self) -> int:
-        return self.report.synthesized_hits
-
-    @property
-    def drift_fallbacks(self) -> int:
-        return self.report.drift_fallbacks
-
-    @property
-    def fallback_admits(self) -> int:
-        return self.report.fallback_admits
-
-    @property
-    def compiled_hits(self) -> int:
-        return self.report.compiled_hits
-
-    @property
-    def eval_errors(self) -> int:
-        return self.report.eval_errors
-
-    @property
-    def conflict_rate(self) -> float:
-        return self.report.conflict_rate
-
-    @property
-    def ops_per_second(self) -> float:
-        return self.report.ops_per_second
-
-    @property
-    def committed_ops_per_second(self) -> float:
-        return self.report.committed_ops_per_second
-
-    @property
-    def wall_seconds(self) -> float:
-        return self.report.wall_seconds
-
-    @property
-    def serializable(self) -> bool:
-        return self.report.serializable
-
-    @property
-    def shard_stats(self) -> list[dict[str, int]]:
-        return self.report.shard_stats
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails: everything a run
+        # measured (commits, counters, throughput, ...) lives on its
+        # report.  ``report`` itself and dunders are refused, so copy
+        # and pickle, which probe an instance before its fields are
+        # set, cannot recurse.
+        if name == "report" or name.startswith("__"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute "
+                f"{name!r}")
+        return getattr(self.report, name)
 
     def summary(self) -> str:
         return (f"{self.structure} [{self.workload.label}] "

@@ -144,7 +144,7 @@ def test_plain_gatekeeper_decides_through_closures():
     gk.record(LoggedOperation(txn_id=1, op_name="add", args=("b",),
                               result=True, before=before, after=after))
     assert gk.admits(2, "contains", ("c",), after)
-    assert gk.compiled_hits > 0
+    assert gk.counters()["compiled_hits"] > 0
 
 
 #: Every callable that used to take the admission-mode option.
@@ -189,7 +189,7 @@ def test_eval_error_sample_names_the_pair(interpreted, compiled):
     else:
         with interpreted():
             gk = _arraylist_eval_error()
-    assert gk.eval_errors == 1
+    assert gk.counters()["eval_errors"] == 1
     (sample,) = gk.eval_error_samples()
     assert sample["structure"] == "ArrayList"
     assert sample["m1"] == "get" and sample["m2"] == "set"
@@ -204,7 +204,8 @@ def test_eval_error_counts_match_across_modes(interpreted):
     compiled = _arraylist_eval_error()
     with interpreted():
         reference = _arraylist_eval_error()
-    assert compiled.eval_errors == reference.eval_errors
+    assert compiled.counters()["eval_errors"] \
+        == reference.counters()["eval_errors"]
     assert compiled.eval_error_samples() \
         == reference.eval_error_samples()
 

@@ -17,7 +17,8 @@ def test_empty_log_admits_trivially():
     gk = Gatekeeper("ArrayList")
     admitted, holder = gk.check_many(1, "set", (0, "x"), _seq_state("a"))
     assert admitted is True and holder is None
-    assert gk.checks == 0 and gk.conflicts == 0
+    assert gk.counters()["conflict_checks"] == 0
+    assert gk.counters()["conflicts"] == 0
 
 
 def test_empty_shard_set_checks_nothing():
@@ -31,7 +32,7 @@ def test_empty_shard_set_checks_nothing():
     admitted, holder = gk.check_many(2, "set", (0, "x"),
                                      _seq_state("b"), shard_ids=())
     assert admitted is True and holder is None
-    assert gk.checks == 0
+    assert gk.counters()["conflict_checks"] == 0
 
 
 def test_own_operations_are_skipped():
@@ -42,7 +43,7 @@ def test_own_operations_are_skipped():
                               after=_seq_state("b")))
     admitted, holder = gk.check_many(1, "set", (0, "x"), _seq_state("b"))
     assert admitted is True and holder is None
-    assert gk.checks == 0  # self-pairs are not checks
+    assert gk.counters()["conflict_checks"] == 0  # self-pairs are not checks
 
 
 # -- conflicts mid-batch ------------------------------------------------------
@@ -66,8 +67,9 @@ def test_partial_admission_stops_at_the_first_conflict():
                               result=None, before=wide, after=wide))
     admitted, holder = gk.check_many(2, "set", (8, "x"), wide)
     assert admitted is False and holder == 1
-    assert gk.fallbacks == 1 and gk.fallback_admits == 1
-    assert gk.conflicts == 1
+    assert gk.counters()["drift_fallbacks"] == 1
+    assert gk.counters()["fallback_admits"] == 1
+    assert gk.counters()["conflicts"] == 1
 
 
 def test_holder_identifies_the_conflicting_transaction():
@@ -96,14 +98,16 @@ def test_eval_error_mid_batch_is_decided_per_pair():
                               result="a", before=state, after=state))
     admitted, holder = gk.check_many(2, "set", (1, "x"), state)
     assert admitted is False and holder == 1
-    assert gk.fallbacks == 1 and gk.fallback_admits == 0
+    assert gk.counters()["drift_fallbacks"] == 1
+    assert gk.counters()["fallback_admits"] == 0
 
     # Disjoint-band unevaluable pair: the oracle admits, and the
     # admitted verdict comes back through the same batched path.
     wide = _seq_state(*["a"] * 9)
     admitted, holder = gk.check_many(2, "set", (8, "x"), wide)
     assert admitted is True and holder is None
-    assert gk.fallbacks == 2 and gk.fallback_admits == 1
+    assert gk.counters()["drift_fallbacks"] == 2
+    assert gk.counters()["fallback_admits"] == 1
 
 
 # -- sharded batches ----------------------------------------------------------

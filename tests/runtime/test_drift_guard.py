@@ -42,8 +42,9 @@ def test_unevaluable_condition_falls_back_to_the_oracle():
     # No drift (current == after), but ``at(upd(s1, 1, v), 0)`` indexes
     # a one-element snapshot at 1: EvalError inside the evaluation.
     assert not gk.admits(2, "set", (1, "x"), state)
-    assert gk.fallbacks == 1 and gk.fallback_admits == 0
-    assert gk.drift_checks == 0  # this was the EvalError path, not drift
+    assert gk.counters()["drift_fallbacks"] == 1
+    assert gk.counters()["fallback_admits"] == 0
+    assert gk.counters()["drift_checks"] == 0  # the EvalError path
 
 
 def test_unevaluable_condition_can_still_admit_disjoint_regions():
@@ -55,7 +56,8 @@ def test_unevaluable_condition_can_still_admit_disjoint_regions():
     # Drifted AND the incoming index lives in a higher band: the oracle
     # admits what the condition cannot evaluate.
     assert gk.admits(2, "set", (8, "x"), state)
-    assert gk.fallbacks == 1 and gk.fallback_admits == 1
+    assert gk.counters()["drift_fallbacks"] == 1
+    assert gk.counters()["fallback_admits"] == 1
 
 
 # -- custom structures without routers ---------------------------------------
@@ -74,7 +76,8 @@ def test_custom_structure_without_router_conflicts_under_drift():
     assert gk.admits(2, "read", (), state)
     # Drifted: refused outright, no router to fall back to.
     assert not gk.admits(2, "read", (), Record(value="z"))
-    assert gk.fallbacks == 1 and gk.fallback_admits == 0
+    assert gk.counters()["drift_fallbacks"] == 1
+    assert gk.counters()["fallback_admits"] == 0
 
 
 # -- global-region operations -------------------------------------------------
@@ -91,8 +94,9 @@ def test_global_region_op_is_refused_under_drift():
     # add_;size between condition is ``v1 : s1``: fragile.  Under drift
     # the oracle cannot help — size routes to every region.
     assert not gk.admits(2, "size", (), drifted)
-    assert gk.drift_checks == 1
-    assert gk.fallbacks == 1 and gk.fallback_admits == 0
+    assert gk.counters()["drift_checks"] == 1
+    assert gk.counters()["drift_fallbacks"] == 1
+    assert gk.counters()["fallback_admits"] == 0
 
 
 def test_global_region_logged_op_blocks_drifted_incomers():
@@ -103,7 +107,8 @@ def test_global_region_logged_op_blocks_drifted_incomers():
     # size;add_ between condition is ``v2 : s1``: fragile, and the
     # logged size interacts with everything.
     assert not gk.admits(2, "add_", ("b",), _set_state("a", "c"))
-    assert gk.fallbacks == 1 and gk.fallback_admits == 0
+    assert gk.counters()["drift_fallbacks"] == 1
+    assert gk.counters()["fallback_admits"] == 0
 
 
 # -- the undo-commutation guard ----------------------------------------------
@@ -119,7 +124,7 @@ def test_undo_guard_refuses_clobberable_same_value_write():
     gk.record(LoggedOperation(txn_id=1, op_name="put_", args=("k", "x"),
                               result=None, before=before, after=after))
     assert not gk.admits(2, "put_", ("k", "x"), after)
-    assert gk.undo_refusals == 1
+    assert gk.counters()["undo_refusals"] == 1
 
 
 def test_undo_guard_skips_effect_free_executions():
@@ -129,7 +134,7 @@ def test_undo_guard_skips_effect_free_executions():
     gk.record(LoggedOperation(txn_id=1, op_name="put_", args=("k", "x"),
                               result=None, before=state, after=state))
     assert gk.admits(2, "put_", ("k", "x"), state)
-    assert gk.undo_refusals == 0
+    assert gk.counters()["undo_refusals"] == 0
 
 
 def test_undo_guard_refuses_add_discard_shadowing():
@@ -142,10 +147,10 @@ def test_undo_guard_refuses_add_discard_shadowing():
     gk.record(LoggedOperation(txn_id=1, op_name="add_", args=("a",),
                               result=None, before=before, after=after))
     assert not gk.admits(2, "add_", ("a",), after)
-    assert gk.undo_refusals == 1
+    assert gk.counters()["undo_refusals"] == 1
     # Disjoint elements never reach the guard (router short-circuit).
     assert gk.admits(2, "add_", ("b",), after)
-    assert gk.undo_refusals == 1
+    assert gk.counters()["undo_refusals"] == 1
 
 
 def test_executor_survives_abort_under_admitted_same_value_write():

@@ -284,7 +284,7 @@ def test_unevaluable_condition_reports_conflict_instead_of_raising():
                               args=("v0",), result=0, before=before,
                               after=before))
     assert gk.admits(2, "remove_at", (3,), current) is False
-    assert gk.conflicts == 1
+    assert gk.counters()["conflicts"] == 1
 
 
 @pytest.mark.parametrize("profile", ("read-heavy", "mixed", "write-heavy"))

@@ -156,8 +156,10 @@ def test_per_shard_counters_sum_to_totals():
     manager.admits(2, "add", ("a",), s0)    # scans one shard + global
     stats = manager.shard_stats()
     assert len(stats) == 4
-    assert sum(s["checks"] for s in stats) == manager.checks
-    assert sum(s["conflicts"] for s in stats) == manager.conflicts
+    counters = manager.counters()
+    assert sum(s["conflict_checks"] for s in stats) \
+        == counters["conflict_checks"]
+    assert sum(s["conflicts"] for s in stats) == counters["conflicts"]
 
 
 def test_multi_region_entries_are_checked_once():
@@ -170,7 +172,8 @@ def test_multi_region_entries_are_checked_once():
     for manager in (flat, sharded):
         manager.record(_entry(1, "size", (), 1, s0))
         assert manager.admits(2, "contains", ("a",), s0)
-    assert flat.checks == sharded.checks == 1
+    assert flat.counters()["conflict_checks"] \
+        == sharded.counters()["conflict_checks"] == 1
 
 
 def test_release_clears_all_regions():

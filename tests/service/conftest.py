@@ -17,13 +17,13 @@ from repro.service.server import AdmissionServer
 class LiveServer:
     """An :class:`AdmissionServer` running on its own loop thread."""
 
-    def __init__(self) -> None:
+    def __init__(self, registry=None) -> None:
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(target=self.loop.run_forever,
                                        name="test-admission-server",
                                        daemon=True)
         self.thread.start()
-        self.server = AdmissionServer("127.0.0.1", 0)
+        self.server = AdmissionServer("127.0.0.1", 0, registry=registry)
         self._call(self.server.start())
         self._serving = asyncio.run_coroutine_threadsafe(
             self.server.serve_forever(), self.loop)
@@ -54,8 +54,8 @@ class LiveCluster:
     map (worker id + full port list), exactly what ``start_cluster``
     installs across real processes — minus the spawn latency."""
 
-    def __init__(self, workers: int) -> None:
-        self.servers = [LiveServer() for _ in range(workers)]
+    def __init__(self, workers: int, registry=None) -> None:
+        self.servers = [LiveServer(registry) for _ in range(workers)]
         ports = [server.port for server in self.servers]
         for worker_id, server in enumerate(self.servers):
             server.server.set_cluster(worker_id, ports)

@@ -243,7 +243,7 @@ def test_reset_frame_clears_the_log_and_counters(live_server):
         assert verdict["admitted"] is False
         client.call(protocol.reset_frame(domain))
         stats = client.call(protocol.stats_frame(domain))["stats"]
-        assert stats["counters"]["checks"] == 0
+        assert stats["counters"]["conflict_checks"] == 0
         assert stats["counters"]["conflicts"] == 0
         assert stats["commits"] == 0 and stats["aborts"] == 0
         assert all(shard["outstanding"] == 0

@@ -6,11 +6,13 @@ import json
 import pytest
 
 from repro.eval import Record
-from repro.runtime import LoggedOperation
+from repro.runtime import ExecutionReport, LoggedOperation
 from repro.service import protocol
 from repro.service.bench import EXPECTED_METRIC_NAMES, scrape_metrics
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.metrics import prometheus_text
+
+from conftest import LiveServer
 
 
 def _seq_state(*elems):
@@ -75,7 +77,7 @@ def test_served_admission_flow(client):
     stats = client.call(protocol.stats_frame(domain))["stats"]
     assert stats["structure"] == "ArrayList"
     assert stats["commits"] == 1 and stats["aborts"] == 0
-    assert stats["counters"]["checks"] >= 2
+    assert stats["counters"]["conflict_checks"] >= 2
     assert stats["counters"]["conflicts"] == 1
     assert len(stats["shard_stats"]) == 2
 
@@ -178,7 +180,7 @@ def test_legacy_compiled_false_still_arms_closures(client):
     assert verdict["admitted"] is True
     stats = client.call(protocol.stats_frame(domain))["stats"]
     assert "compiled" not in stats
-    assert stats["counters"]["checks"] == 1
+    assert stats["counters"]["conflict_checks"] == 1
     assert stats["counters"]["compiled_hits"] > 0
 
 
@@ -226,6 +228,32 @@ def test_http_metrics_json_is_the_snapshot(client, live_server):
     assert snapshot["domains"]
 
 
+def test_percentiles_are_nearest_rank():
+    """The p50 of four samples is the second-smallest, for the client's
+    RPC latencies and for the server's abort-rate percentiles."""
+    report = ExecutionReport("HashSet", "commutativity",
+                             admission_latencies=[0.004, 0.001, 0.003,
+                                                  0.002])
+    assert report.admission_latency_ms(50) == pytest.approx(2.0)
+    server = LiveServer()
+    try:
+        client = ServiceClient(server.host, server.port)
+        try:
+            for aborts in (4, 1, 3, 2):  # abort rates 0.4, 0.1, 0.3, 0.2
+                domain = client.call(
+                    protocol.open_frame("HashSet"))["domain"]
+                client.call_batch([
+                    protocol.release_frame(
+                        domain, txn, "abort" if txn < aborts else "commit")
+                    for txn in range(10)])
+        finally:
+            client.close()
+        rates = server.server.metrics_snapshot()["abort_rate_percentiles"]
+    finally:
+        server.stop()
+    assert rates["p50"] == pytest.approx(0.2)
+
+
 def test_http_unknown_path_is_404(live_server):
     status, body = scrape_metrics(live_server.host, live_server.port,
                                   path="/nope")
@@ -243,16 +271,16 @@ def test_prometheus_rendering_is_pure():
         "domains": [{
             "domain": 0, "structure": "HashSet", "label": "t",
             "commits": 2, "aborts": 1,
-            "counters": {"checks": 5, "conflicts": 1},
-            "shard_stats": [{"shard": 0, "checks": 5, "conflicts": 1,
-                             "outstanding": 0}],
+            "counters": {"conflict_checks": 5, "conflicts": 1},
+            "shard_stats": [{"shard": 0, "conflict_checks": 5,
+                             "conflicts": 1, "outstanding": 0}],
         }],
         "abort_rate_percentiles": {"p50": 0.25, "p95": 0.5},
     }
     body = prometheus_text(snapshot)
-    assert "# TYPE repro_shard_checks counter" in body
+    assert "# TYPE repro_shard_conflict_checks counter" in body
     assert "# TYPE repro_shard_outstanding gauge" in body
-    assert 'repro_admission_checks_total{domain="0",structure="HashSet"' \
-        in body
+    assert ('repro_admission_conflict_checks_total'
+            '{domain="0",structure="HashSet"') in body
     assert 'repro_abort_rate{quantile="0.5"} 0.25' in body
     assert body.endswith("\n")

@@ -60,12 +60,14 @@ def test_stable_condition_admits_drifted_disjoint_pair():
                                   before=before, after=after))
         assert gk.admits(2, "get", ("k2",), drifted)
         if stable:
-            assert gk.stable_hits == 1 and gk.fallbacks == 0
+            assert gk.counters()["stable_hits"] == 1
+            assert gk.counters()["drift_fallbacks"] == 0
         else:
             # The plain drift guard resolves the same pair through the
             # conservative router oracle.
-            assert gk.stable_hits == 0
-            assert gk.fallbacks == 1 and gk.fallback_admits == 1
+            assert gk.counters()["stable_hits"] == 0
+            assert gk.counters()["drift_fallbacks"] == 1
+            assert gk.counters()["fallback_admits"] == 1
 
 
 def test_stable_condition_false_falls_back_conservatively():
@@ -76,7 +78,8 @@ def test_stable_condition_false_falls_back_conservatively():
                               result=None, before=before, after=after))
     # Same key: the weakening is false, the router sees one region.
     assert not gk.admits(2, "get", ("k1",), drifted)
-    assert gk.stable_hits == 0 and gk.fallbacks == 1
+    assert gk.counters()["stable_hits"] == 0
+    assert gk.counters()["drift_fallbacks"] == 1
 
 
 def test_stable_without_compiled_conditions_raises():
