@@ -14,15 +14,25 @@ Obj = str | None
 
 
 class FMap(Mapping[str, Any]):
-    """An immutable, hashable partial map used as the map abstract state."""
+    """An immutable, hashable partial map used as the map abstract state.
+
+    The hash is computed on first use and cached, so a functional update
+    costs one dict copy and no O(size) hash until something hashes it.
+    """
 
     __slots__ = ("_items", "_hash")
 
     def __init__(self, items: Mapping[str, Any] | None = None) -> None:
-        data = dict(items) if items else {}
-        object.__setattr__(self, "_items", data)
-        object.__setattr__(
-            self, "_hash", hash(frozenset(data.items())))
+        object.__setattr__(self, "_items", dict(items) if items else {})
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _adopt(cls, data: dict[str, Any]) -> "FMap":
+        """Wrap ``data`` without copying it; the caller gives it up."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "_items", data)
+        object.__setattr__(new, "_hash", None)
+        return new
 
     # Mapping interface -----------------------------------------------------
 
@@ -36,12 +46,26 @@ class FMap(Mapping[str, Any]):
         return len(self._items)
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            # Racing threads store the same value: benign.
+            h = hash(frozenset(self._items.items()))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if isinstance(other, FMap):
+            if self._hash is not None and other._hash is not None \
+                    and self._hash != other._hash:
+                return False
             return self._items == other._items
         return NotImplemented
+
+    def __reduce__(self):
+        # Never carry a cached hash: str hashes differ between processes.
+        return FMap._adopt, (self._items,)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in sorted(self._items.items()))
@@ -52,14 +76,14 @@ class FMap(Mapping[str, Any]):
     def put(self, key: str, value: Any) -> "FMap":
         data = dict(self._items)
         data[key] = value
-        return FMap(data)
+        return FMap._adopt(data)
 
     def remove(self, key: str) -> "FMap":
         if key not in self._items:
             return self
         data = dict(self._items)
         del data[key]
-        return FMap(data)
+        return FMap._adopt(data)
 
     def lookup(self, key: str) -> Any:
         """Value for ``key``, or ``None`` (null) when unmapped."""
@@ -68,15 +92,23 @@ class FMap(Mapping[str, Any]):
 
 class Record(Mapping[str, Any]):
     """An immutable record of named fields — an abstract data-structure
-    state such as ``{contents: {a, b}, size: 2}``."""
+    state such as ``{contents: {a, b}, size: 2}``.  Hashed lazily, like
+    :class:`FMap`."""
 
     __slots__ = ("_fields", "_hash")
 
     def __init__(self, **fields: Any) -> None:
-        object.__setattr__(self, "_fields", dict(fields))
-        object.__setattr__(
-            self, "_hash", hash(tuple(sorted(
-                (k, v) for k, v in fields.items()))))
+        # ``**fields`` is already a fresh dict owned by this call.
+        object.__setattr__(self, "_fields", fields)
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _adopt(cls, fields: dict[str, Any]) -> "Record":
+        """Wrap ``fields`` without copying it; the caller gives it up."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "_fields", fields)
+        object.__setattr__(new, "_hash", None)
+        return new
 
     def __getitem__(self, name: str) -> Any:
         return self._fields[name]
@@ -88,12 +120,24 @@ class Record(Mapping[str, Any]):
         return len(self._fields)
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash(tuple(sorted(self._fields.items())))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if isinstance(other, Record):
+            if self._hash is not None and other._hash is not None \
+                    and self._hash != other._hash:
+                return False
             return self._fields == other._fields
         return NotImplemented
+
+    def __reduce__(self):
+        return Record._adopt, (self._fields,)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self._fields.items()))
@@ -102,7 +146,7 @@ class Record(Mapping[str, Any]):
     def replace(self, **updates: Any) -> "Record":
         data = dict(self._fields)
         data.update(updates)
-        return Record(**data)
+        return Record._adopt(data)
 
 
 def encode_value(value: Any) -> Any:

@@ -16,19 +16,39 @@ from ..eval.values import Record
 
 
 class _Node:
-    __slots__ = ("value", "next")
+    """A bucket entry carrying its element's hash, so a resize relinks
+    it without rehashing (like ``java.util.HashMap.Node.hash``)."""
 
-    def __init__(self, value: str, next_: "_Node | None") -> None:
+    __slots__ = ("value", "hash", "next")
+
+    def __init__(self, value: str, hash_: int, next_: "_Node | None") -> None:
         self.value = value
+        self.hash = hash_
         self.next = next_
 
 
-def _hash_of(value: str, buckets: int) -> int:
-    """Deterministic string hash (stable across runs, unlike ``hash``)."""
+def _hash_of(value: str) -> int:
+    """Deterministic string hash (stable across runs, unlike ``hash``);
+    an element lives in bucket ``_hash_of(value) % buckets``."""
     h = 0
     for ch in value:
         h = (h * 31 + ord(ch)) & 0x7FFFFFFF
-    return h % buckets
+    return h
+
+
+def _relink(old: list, buckets: int) -> list:
+    """A ``buckets``-long table holding ``old``'s nodes, each pushed onto
+    the front of its new bucket by its stored hash.  Walking ``old`` in
+    order gives the layout rehashing every element would."""
+    table: list = [None] * buckets
+    for node in old:
+        while node is not None:
+            following = node.next
+            index = node.hash % buckets
+            node.next = table[index]
+            table[index] = node
+            node = following
+    return table
 
 
 class HashSet:
@@ -47,13 +67,14 @@ class HashSet:
         """Add ``v``; returns True iff it was not already present."""
         if v is None:
             raise ValueError("v must not be null")
-        index = _hash_of(v, len(self._table))
+        h = _hash_of(v)
+        index = h % len(self._table)
         node = self._table[index]
         while node is not None:
             if node.value == v:
                 return False
             node = node.next
-        self._table[index] = _Node(v, self._table[index])
+        self._table[index] = _Node(v, h, self._table[index])
         self._size += 1
         if self._size > self._LOAD_FACTOR * len(self._table):
             self._resize()
@@ -63,7 +84,7 @@ class HashSet:
         """True iff ``v`` is in the set."""
         if v is None:
             raise ValueError("v must not be null")
-        node = self._table[_hash_of(v, len(self._table))]
+        node = self._table[_hash_of(v) % len(self._table)]
         while node is not None:
             if node.value == v:
                 return True
@@ -74,7 +95,7 @@ class HashSet:
         """Remove ``v``; returns True iff it was present."""
         if v is None:
             raise ValueError("v must not be null")
-        index = _hash_of(v, len(self._table))
+        index = _hash_of(v) % len(self._table)
         prev: _Node | None = None
         node = self._table[index]
         while node is not None:
@@ -96,14 +117,7 @@ class HashSet:
     # -- internals --------------------------------------------------------------
 
     def _resize(self) -> None:
-        old = self._table
-        self._table = [None] * (2 * len(old))
-        for head in old:
-            node = head
-            while node is not None:
-                index = _hash_of(node.value, len(self._table))
-                self._table[index] = _Node(node.value, self._table[index])
-                node = node.next
+        self._table = _relink(self._table, 2 * len(self._table))
 
     # -- abstraction function -----------------------------------------------------
 

@@ -7,15 +7,19 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..eval.values import FMap, Record
-from .hashset import _hash_of
+from .hashset import _hash_of, _relink
 
 
 class _Node:
-    __slots__ = ("key", "value", "next")
+    """A bucket entry carrying its key's hash (see the HashSet node)."""
 
-    def __init__(self, key: str, value: str, next_: "_Node | None") -> None:
+    __slots__ = ("key", "value", "hash", "next")
+
+    def __init__(self, key: str, value: str, hash_: int,
+                 next_: "_Node | None") -> None:
         self.key = key
         self.value = value
+        self.hash = hash_
         self.next = next_
 
 
@@ -48,13 +52,16 @@ class HashTable:
         """Map ``k`` to ``v``; returns the previous value or None."""
         if k is None or v is None:
             raise ValueError("k and v must not be null")
-        node = self._find(k)
-        if node is not None:
-            previous = node.value
-            node.value = v
-            return previous
-        index = _hash_of(k, len(self._table))
-        self._table[index] = _Node(k, v, self._table[index])
+        h = _hash_of(k)
+        index = h % len(self._table)
+        node = self._table[index]
+        while node is not None:
+            if node.key == k:
+                previous = node.value
+                node.value = v
+                return previous
+            node = node.next
+        self._table[index] = _Node(k, v, h, self._table[index])
         self._size += 1
         if self._size > self._LOAD_FACTOR * len(self._table):
             self._resize()
@@ -64,7 +71,7 @@ class HashTable:
         """Unmap ``k``; returns the previous value or None."""
         if k is None:
             raise ValueError("k must not be null")
-        index = _hash_of(k, len(self._table))
+        index = _hash_of(k) % len(self._table)
         prev: _Node | None = None
         node = self._table[index]
         while node is not None:
@@ -86,7 +93,7 @@ class HashTable:
     # -- internals --------------------------------------------------------------
 
     def _find(self, k: str) -> _Node | None:
-        node = self._table[_hash_of(k, len(self._table))]
+        node = self._table[_hash_of(k) % len(self._table)]
         while node is not None:
             if node.key == k:
                 return node
@@ -94,15 +101,7 @@ class HashTable:
         return None
 
     def _resize(self) -> None:
-        old = self._table
-        self._table = [None] * (2 * len(old))
-        for head in old:
-            node = head
-            while node is not None:
-                index = _hash_of(node.key, len(self._table))
-                self._table[index] = _Node(node.key, node.value,
-                                           self._table[index])
-                node = node.next
+        self._table = _relink(self._table, 2 * len(self._table))
 
     # -- abstraction function -----------------------------------------------------
 

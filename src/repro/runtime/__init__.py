@@ -11,7 +11,8 @@ from .gatekeeper import (ConflictManager, Gatekeeper, LoggedOperation,
 from .sharding import (FAMILY_ROUTERS, ShardRouter, single_region_router,
                        stable_hash)
 from .transaction import Transaction, TxnStatus, UndoEntry, rollback
-from .executor import ExecutionReport, RoundsExhausted, SpeculativeExecutor
+from .executor import (ExecutionReport, RefinementError, RoundsExhausted,
+                       SpeculativeExecutor)
 
 __all__ = [
     "ConflictManager", "Gatekeeper", "ShardedGatekeeper",
@@ -22,5 +23,6 @@ __all__ = [
     "FAMILY_ROUTERS", "ShardRouter", "single_region_router",
     "stable_hash",
     "Transaction", "TxnStatus", "UndoEntry", "rollback",
-    "ExecutionReport", "RoundsExhausted", "SpeculativeExecutor",
+    "ExecutionReport", "RefinementError", "RoundsExhausted",
+    "SpeculativeExecutor",
 ]

@@ -29,15 +29,19 @@ Thread scheduling makes the interleaving nondeterministic, but the
 commutativity conditions and inverses make every interleaving
 serializable — which the executor still validates: at commit time of
 the final transaction, the abstract state must equal the state produced
-by replaying the committed transactions serially in commit order.
+by replaying the committed transactions serially in commit order, and
+every committed operation must have returned what it returns in that
+replay.
 
 ``adaptive=`` wraps the conflict *response* with a contention
 controller (:mod:`~repro.runtime.adaptive`): exponential backoff,
 wait-die ordering, or the per-shard hybrid fallback to blocking.
 
 Every scheduler drives the structure through one
-:class:`StructureHandle`, which materializes the abstract state at
-most once per mutation: reads reuse the last snapshot.
+:class:`StructureHandle`, which keeps the abstract state by the spec:
+the abstraction function runs once when a run starts and once when it
+ends, where it must agree with the kept state.  The serial replay runs
+in the spec too, from the run's initial abstract state.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from typing import Any
 
 from ..eval.values import Record, encode_value
 from ..impls import invoke, invoke_concrete
+from ..specs.interface import PreconditionError
 from .adaptive import AdaptiveController, make_controller
 from .backend import AdmissionBackend, resolve_backend
 from .gatekeeper import COUNTERS, ConflictManager, LoggedOperation
@@ -70,6 +75,12 @@ class RoundsExhausted(RuntimeError):
     surfaces the episode — instead of crashing the run (ROADMAP 3b:
     extreme write-heavy hot-key mixes can starve under liberal
     admission; a server must degrade, not die)."""
+
+
+class RefinementError(RuntimeError):
+    """At the end of a run, the structure's abstraction function
+    disagreed with the abstract state its spec kept: the concrete
+    implementation does not refine its spec."""
 
 
 @dataclass
@@ -115,8 +126,15 @@ class ExecutionReport:
     #: Per-shard admission statistics (one dict per shard: shard id,
     #: log depth and every counter), from the conflict manager.
     shard_stats: list[dict[str, int]] = field(default_factory=list)
+    #: The abstraction function applied to the structure after the run.
     final_state: Record | None = None
+    #: The spec's serial replay of the committed transactions in commit
+    #: order; ``None`` when a replayed operation's precondition fails.
     serial_state: Record | None = None
+    #: The results the committed operations returned, in commit order,
+    #: and the results the same operations return in the serial replay.
+    committed_results: list = field(default_factory=list)
+    serial_results: list = field(default_factory=list)
 
     def __getattr__(self, name: str) -> int:
         # Only reached when normal lookup fails: a counter name reads
@@ -128,12 +146,15 @@ class ExecutionReport:
 
     @property
     def serializable(self) -> bool:
-        """Whether the execution matched its serial replay.  ``False``
-        until both states are populated by a run — an un-run report must
-        never read as vacuously serializable."""
+        """Whether the execution matched its serial replay: the same
+        final state, and every committed operation returned what it
+        returns in the replay.  ``False`` until both states are
+        populated by a run — an un-run report must never read as
+        vacuously serializable."""
         if self.final_state is None or self.serial_state is None:
             return False
-        return self.final_state == self.serial_state
+        return self.final_state == self.serial_state \
+            and self.committed_results == self.serial_results
 
     @property
     def conflict_rate(self) -> float:
@@ -223,48 +244,63 @@ class ExecutionReport:
 
 
 class StructureHandle:
-    """The shared concrete structure as the schedulers drive it.
+    """The shared concrete structure as the schedulers drive it, with
+    its abstract state kept by the spec.
 
     The executor makes every mutation of the structure through
-    :meth:`apply` and :meth:`undo`, so the handle knows when the
-    abstract state can have changed.  It keeps the last materialized
-    state and drops it only on a ``mutator=True`` operation or a
-    rollback with a non-empty undo log: a ``mutator=False`` operation
-    leaves the abstract state unchanged (the spec contract rollback and
+    :meth:`apply` and :meth:`undo`, and the implementation is verified
+    to refine its spec, so the handle never needs the abstraction
+    function between the two calls :meth:`__init__` and
+    :meth:`materialize` make.  :meth:`apply` advances the state by the
+    operation's abstract semantics, :meth:`undo` through the inverse
+    calls :func:`rollback` applied.  A ``mutator=False`` operation
+    leaves the state unchanged (the spec contract rollback and
     :meth:`Transaction.record` already rely on), so a read logs
     ``after`` as the very object it logged as ``before``.  Not
     thread-safe: the threaded schedulers use it under the lock that
     guards the structure.
     """
 
-    __slots__ = ("impl", "family", "registry", "_state")
+    __slots__ = ("impl", "family", "registry", "_operations", "_state")
 
     def __init__(self, impl: Any, family: str, registry) -> None:
         self.impl = impl
         self.family = family
         self.registry = registry
-        self._state: Record | None = None
+        self._operations = registry.spec(family).operations
+        self._state: Record = impl.abstract_state()
 
     def state(self) -> Record:
-        """The current abstract state, materialized at most once per
-        mutation."""
-        state = self._state
-        if state is None:
-            state = self._state = self.impl.abstract_state()
-        return state
+        """The current abstract state, as the spec keeps it."""
+        return self._state
 
     def apply(self, op: Any, args: tuple[Any, ...]) -> tuple[Any, Any]:
         """Execute ``op(args)``; returns :func:`invoke_concrete`'s
         ``(raw, visible)`` results."""
+        results = invoke_concrete(self.impl, op, args)
         if op.mutator:
-            self._state = None
-        return invoke_concrete(self.impl, op, args)
+            self._state = op.semantics(self._state, args)[0]
+        return results
 
     def undo(self, undo_log: list) -> None:
         """Roll ``undo_log`` back through the verified inverses."""
-        if undo_log:
-            self._state = None
-        rollback(self.impl, self.family, undo_log, registry=self.registry)
+        state = self._state
+        for op_name, args in rollback(self.impl, self.family, undo_log,
+                                      registry=self.registry):
+            state = self._operations[op_name].semantics(state, args)[0]
+        self._state = state
+
+    def materialize(self) -> Record:
+        """Run the abstraction function on the structure; raises
+        :class:`RefinementError` when it disagrees with the kept
+        state."""
+        actual = self.impl.abstract_state()
+        if actual != self._state:
+            raise RefinementError(
+                f"{self.family}: the implementation's abstract state "
+                f"drifted from the one its spec kept; the implementation "
+                f"does not refine its spec")
+        return actual
 
 
 class SpeculativeExecutor:
@@ -334,6 +370,7 @@ class SpeculativeExecutor:
         for op_name, args in (setup or ()):
             invoke(impl, self.spec.operations[op_name], args)
         structure = StructureHandle(impl, self.ds_name, self.registry)
+        initial_state = structure.state()
         start = time.perf_counter()
         manager = self.backend.conflict_manager(self.ds_name,
                                                 policy=self.policy,
@@ -360,8 +397,8 @@ class SpeculativeExecutor:
                                        report)
             except RoundsExhausted:
                 self._quench(transactions, structure, manager, report)
-            # Throughput covers execution only; the serial-replay
-            # serializability validation below is diagnostics, not work.
+            # Throughput covers execution only; the refinement check and
+            # the serial replay below are diagnostics, not work.
             report.wall_seconds = time.perf_counter() - start
             report.counters = manager.counters()
             report.eval_error_sample = manager.eval_error_samples()
@@ -374,10 +411,12 @@ class SpeculativeExecutor:
         report.txn_statuses = {t.txn_id: t.status for t in transactions}
         report.committed_operations = sum(
             len(programs[txn_id]) for txn_id in report.commit_order)
-        report.final_state = structure.state()
-        report.serial_state = self._serial_replay(programs,
-                                                  report.commit_order,
-                                                  setup)
+        report.committed_results = [
+            result for txn_id in report.commit_order
+            for result in transactions[txn_id].results]
+        report.final_state = structure.materialize()
+        report.serial_state, report.serial_results = self._serial_replay(
+            programs, report.commit_order, initial_state)
         return report
 
     # -- deterministic serial scheduler --------------------------------------
@@ -760,14 +799,19 @@ class SpeculativeExecutor:
         report.aborts += 1
 
     def _serial_replay(self, programs: list[list[tuple[str, tuple]]],
-                       order: list[int],
-                       setup: list[tuple[str, tuple]] | None = None) \
-            -> Record:
-        """Replay committed transactions serially in commit order."""
-        impl = self.registry.new_instance(self.ds_name)
-        for op_name, args in (setup or ()):
-            invoke(impl, self.spec.operations[op_name], args)
+                       order: list[int], state: Record) \
+            -> tuple[Record | None, list]:
+        """Replay the committed transactions through the spec, serially
+        in commit order, from ``state``: the final state and every
+        operation's result.  The state is ``None`` once an operation's
+        precondition fails; no serial execution explains the run."""
+        results = []
         for txn_id in order:
             for op_name, args in programs[txn_id]:
-                invoke(impl, self.spec.operations[op_name], args)
-        return impl.abstract_state()
+                try:
+                    state, result = self.spec.execute(
+                        self.spec.operations[op_name], state, args)
+                except PreconditionError:
+                    return None, results
+                results.append(result)
+        return state, results

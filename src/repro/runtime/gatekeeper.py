@@ -214,8 +214,8 @@ class ConflictManager:
         #: values (the logged call, its pre-state, the incoming call,
         #: the current state — abstract semantics are deterministic),
         #: and hot-key traffic re-asks the same question constantly.
-        #: Record hashes are precomputed, so keys are cheap.  Benign
-        #: races on the dict are fine (concurrent shards compute
+        #: A Record caches its hash on first use, so keys are cheap.
+        #: Benign races on the dict are fine (concurrent shards compute
         #: identical values), same as the virtual-route memo.
         self._undo_memo: dict[tuple, bool] = {}
         if policy == "commutativity":

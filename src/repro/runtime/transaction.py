@@ -97,18 +97,23 @@ class Transaction:
 
 
 def rollback(impl: Any, family: str, undo_log: list[UndoEntry],
-             registry=None) -> None:
+             registry=None) -> list[tuple[str, tuple[Any, ...]]]:
     """Undo all logged mutations, most recent first, using the verified
-    inverse operations of Table 5.10."""
+    inverse operations of Table 5.10.  Returns the ``(operation,
+    arguments)`` calls it applied, in order."""
     from ..api import resolve_registry
     registry = resolve_registry(registry)
     spec = registry.spec(family)
+    applied: list[tuple[str, tuple[Any, ...]]] = []
     for entry in reversed(undo_log):
         op = spec.operations[entry.op_name]
-        base = op.base_name or op.name
-        inverse = registry.inverse(family, base)
-        _apply_inverse_concrete(impl, inverse, op, entry)
+        inverse = registry.inverse(family, op.base_name or op.name)
+        for op_name, args in resolve_inverse_calls(inverse, op, entry.args,
+                                                   entry.result):
+            invoke(impl, op_name, args)
+            applied.append((op_name, args))
     undo_log.clear()
+    return applied
 
 
 def resolve_inverse_calls(inverse: InverseSpec, op: Any,
@@ -139,10 +144,3 @@ def resolve_inverse_calls(inverse: InverseSpec, op: Any,
                 call_args.append(result)
         calls.append((call.op, tuple(call_args)))
     return calls
-
-
-def _apply_inverse_concrete(impl: Any, inverse: InverseSpec, op: Any,
-                            entry: UndoEntry) -> None:
-    for op_name, args in resolve_inverse_calls(inverse, op, entry.args,
-                                               entry.result):
-        invoke(impl, op_name, args)

@@ -13,12 +13,14 @@ suite, mirroring the paper's reliance on *verified* implementations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from ..eval.enumeration import Scope
+from ..eval.interpreter import EvalContext
 from ..eval.values import Record
 from ..logic import parse_formula
+from ..logic.compile import compile_term
 from ..logic.sorts import Sort
 from ..logic.symbols import SymbolTable
 from ..logic import terms as t
@@ -76,6 +78,11 @@ class DataStructureSpec:
     states: Callable[[Scope], Iterator[Record]]
     #: Enumerate all argument tuples for an operation within a scope.
     arguments: Callable[[Operation, Scope], Iterator[tuple[Any, ...]]]
+    #: Operation name -> (operation, its precondition, the compiled
+    #: precondition); filled on first use.  Not an input: kept out of
+    #: ``__init__``, ``repr``, equality and every fingerprint.
+    _preconditions: dict[str, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- symbol tables -------------------------------------------------------
 
@@ -101,13 +108,21 @@ class DataStructureSpec:
 
     def precondition_holds(self, op: Operation, state: Record,
                            args: tuple[Any, ...]) -> bool:
-        """Evaluate ``op``'s precondition on ``state`` and ``args``."""
-        from ..eval.interpreter import EvalContext, evaluate
+        """Evaluate ``op``'s precondition on ``state`` and ``args``
+        through a closure compiled once per operation, which decides
+        (and raises ``EvalError``) exactly as the interpreter does."""
+        entry = self._preconditions.get(op.name)
+        if entry is None or entry[0] is not op \
+                or entry[1] is not op.precondition:
+            # Racing threads store equivalent closures: benign.
+            entry = (op, op.precondition,
+                     compile_term(op.precondition,
+                                  EvalContext(observe=self.observe)))
+            self._preconditions[op.name] = entry
         env: dict[str, Any] = {"s": state}
         for param, value in zip(op.params, args):
             env[param.name] = value
-        return bool(evaluate(op.precondition, env,
-                             EvalContext(observe=self.observe)))
+        return bool(entry[2](env))
 
     def execute(self, op: Operation, state: Record,
                 args: tuple[Any, ...]) -> tuple[Record, Any]:

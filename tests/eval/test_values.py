@@ -96,3 +96,75 @@ def test_fmap_mirrors_dict(data):
     assert dict(m.items()) == data
     for k, v in data.items():
         assert m.lookup(k) == v
+
+
+# -- lazily cached hashes ----------------------------------------------------
+
+small_maps = st.dictionaries(st.sampled_from("abcd"), st.sampled_from("xyz"),
+                             max_size=4)
+hash_first = st.sampled_from(("neither", "left", "right", "both"))
+
+
+def _hash(order, a, b):
+    if order in ("left", "both"):
+        hash(a)
+    if order in ("right", "both"):
+        hash(b)
+
+
+@given(small_maps, small_maps, hash_first)
+def test_fmap_equality_follows_dicts_whichever_side_hashed(left, right,
+                                                          order):
+    """``==`` agrees with a plain dict compare however many operands
+    already cached a hash, and equal maps hash equally."""
+    a, b = FMap(left), FMap(right)
+    _hash(order, a, b)
+    assert (a == b) is (left == right)
+    assert (b == a) is (left == right)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(small_maps, small_maps, st.integers(0, 3), st.integers(0, 3),
+       hash_first)
+def test_record_equality_follows_dicts_whichever_side_hashed(
+        left, right, size_left, size_right, order):
+    a = Record(contents=FMap(left), size=size_left)
+    b = Record(size=size_right, contents=FMap(right))
+    _hash(order, a, b)
+    _hash(order, a["contents"], b["contents"])
+    expected = (left, size_left) == (right, size_right)
+    assert (a == b) is expected
+    assert (b == a) is expected
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(small_maps, st.sampled_from("abcde"), st.sampled_from("xyz"),
+       st.booleans())
+def test_functional_updates_leave_the_original_unchanged(data, key, value,
+                                                        hashed):
+    m = FMap(data)
+    if hashed:
+        hash(m)
+    before = hash(FMap(data))
+    put, removed = m.put(key, value), m.remove(key)
+    assert dict(m.items()) == data
+    assert hash(m) == before
+    assert dict(put.items()) == {**data, key: value}
+    assert dict(removed.items()) == {k: v for k, v in data.items()
+                                     if k != key}
+    record = Record(contents=m, size=len(data))
+    replaced = record.replace(size=len(data) + 1)
+    assert record["size"] == len(data) and replaced["size"] == len(data) + 1
+
+
+def test_cached_hashes_do_not_cross_a_pickle():
+    """A str hash differs between processes, so a pickled value must
+    not carry its cached hash."""
+    import pickle
+    record = Record(contents=FMap({"a": "x"}), size=1)
+    hash(record)
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record
+    assert copy._hash is None and copy["contents"]._hash is None

@@ -128,6 +128,103 @@ def test_hashtable_many_keys_resize():
     assert all(m.get(f"k{i}") == f"v{i}" for i in range(25))
 
 
+# -- hash-carrying nodes -----------------------------------------------------
+
+def _string_hash(key):
+    h = 0
+    for ch in key:
+        h = (h * 31 + ord(ch)) & 0x7FFFFFFF
+    return h
+
+
+def _rehashing_reference(ops):
+    """Yield the bucket layout after each of ``ops``, computed the way
+    the tables used to resize: rehash every entry from its key, walking
+    the old buckets head to tail and pushing each onto its new bucket's
+    front."""
+    table = [[] for _ in range(4)]
+    size = 0
+    for op, key, value in ops:
+        bucket = table[_string_hash(key) % len(table)]
+        index = next((i for i, (k, _) in enumerate(bucket) if k == key),
+                     None)
+        if op == "remove":
+            if index is not None:
+                del bucket[index]
+                size -= 1
+        elif index is not None:
+            bucket[index] = (key, value)
+        else:
+            bucket.insert(0, (key, value))
+            size += 1
+            if size > 0.75 * len(table):
+                old, table = table, [[] for _ in range(2 * len(table))]
+                for entries in old:
+                    for entry in entries:
+                        table[_string_hash(entry[0]) % len(table)] \
+                            .insert(0, entry)
+        yield table
+
+
+def _nodes(impl):
+    for head in impl._table:
+        node = head
+        while node is not None:
+            yield node
+            node = node.next
+
+
+def _layout(impl):
+    layout = []
+    for head in impl._table:
+        entries, node = [], head
+        while node is not None:
+            entries.append((getattr(node, "key", node.value),
+                            node.value))
+            node = node.next
+        layout.append(entries)
+    return layout
+
+
+@pytest.mark.parametrize("cls", [HashSet, HashTable])
+def test_resize_by_stored_hash_keeps_the_rehashing_layout(cls):
+    """A seeded 3,000-operation sequence leaves every bucket as the
+    rehashing resize did, after every operation."""
+    import random
+    rng = random.Random(20111)
+    ops = []
+    for _ in range(3000):
+        key = f"k{rng.randrange(600)}"
+        op = "remove" if rng.random() < 0.3 else "insert"
+        ops.append((op, key, key if cls is HashSet
+                    else f"v{rng.randrange(5)}"))
+    impl = cls()
+    for (op, key, value), expected in zip(ops, _rehashing_reference(ops)):
+        if op == "remove":
+            impl.remove(key)
+        elif cls is HashSet:
+            impl.add(key)
+        else:
+            impl.put(key, value)
+        assert _layout(impl) == expected
+    assert len(impl._table) >= 512  # several resizes happened
+
+
+@pytest.mark.parametrize("cls", [HashSet, HashTable])
+def test_resize_relinks_the_existing_nodes(cls):
+    impl = cls()
+    insert = impl.add if cls is HashSet else (lambda k: impl.put(k, "v"))
+    for key in ("a", "b", "c"):
+        insert(key)
+    before = list(_nodes(impl))
+    insert("d")  # the fourth entry passes the 0.75 load factor
+    assert len(impl._table) == 8
+    after = list(_nodes(impl))
+    assert all(any(old is node for node in after) for old in before)
+    assert all(node.hash == _string_hash(getattr(node, "key", node.value))
+               for node in after)
+
+
 # -- ArrayList ---------------------------------------------------------------------
 
 def test_arraylist_shifting():

@@ -1,8 +1,11 @@
-"""The executor's abstract-state handle: every logged snapshot is what
-the abstract semantics says it is, the state is materialized once per
-mutation rather than twice per step, and the decision digest is the
-same in every process."""
+"""The executor's abstract-state handle keeps the state by the spec:
+after every apply and every undo the kept state equals the concrete
+structure's abstraction, the abstraction function runs at most twice
+per run, an implementation that drifts from its spec fails the run,
+the serial replay checks results and preconditions, and the decision
+digest is the same in every process."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,8 +14,17 @@ from pathlib import Path
 import pytest
 
 from repro.abduction import DEMO_FAMILY, make_demo_registry
-from repro.impls import HashSet
-from repro.runtime import LocalAdmissionBackend, SpeculativeExecutor
+from repro.abduction.demo import RegisterCellImpl, make_demo_spec
+from repro.api import Registry
+from repro.commutativity.catalog import (arraylist_conditions,
+                                         set_conditions)
+from repro.commutativity.conditions import Kind
+from repro.impls import ArrayList, HashSet, HashTable
+from repro.inverses.catalog import INVERSES
+from repro.runtime import (LocalAdmissionBackend, RefinementError,
+                           SpeculativeExecutor)
+from repro.runtime.executor import StructureHandle
+from repro.specs import arraylist_spec, set_spec
 from repro.workloads import WorkloadGenerator, WorkloadSpec
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -81,74 +93,205 @@ def _run(registry, name, shape, seed, **kwargs):
     return report, backend
 
 
+@pytest.fixture
+def checked_handle(monkeypatch):
+    """Check the kept state against the concrete structure's
+    abstraction after every apply and every undo (under the lock the
+    schedulers hold for both); returns the per-call counts."""
+    counts = {"apply": 0, "undo": 0}
+    apply, undo = StructureHandle.apply, StructureHandle.undo
+
+    def check(handle, kind):
+        counts[kind] += 1
+        assert handle.state() == handle.impl.abstract_state(), kind
+
+    def checked_apply(self, op, args):
+        results = apply(self, op, args)
+        check(self, "apply")
+        return results
+
+    def checked_undo(self, undo_log):
+        logged = len(undo_log)
+        undo(self, undo_log)
+        if logged:
+            check(self, "undo")
+
+    monkeypatch.setattr(StructureHandle, "apply", checked_apply)
+    monkeypatch.setattr(StructureHandle, "undo", checked_undo)
+    return counts
+
+
 @pytest.mark.parametrize("name", BUILTINS + (DEMO_FAMILY,))
 @pytest.mark.parametrize("shards", (1, 4))
 @pytest.mark.parametrize("mode", ("abort", "block"))
-def test_logged_snapshots_follow_the_abstract_semantics(name, shards, mode):
-    """Every logged ``after`` is the abstract semantics applied to its
-    ``before``.  A stale cached state breaks this; comparing two
-    runtimes would not, since both would share the cache."""
+def test_logged_snapshots_follow_the_abstract_semantics(checked_handle,
+                                                        name, shards, mode):
+    """The state the spec keeps equals the concrete structure's
+    abstraction after every apply and every non-empty undo, so every
+    logged snapshot is the structure's real abstract state."""
     registry = make_demo_registry()
-    spec = registry.spec(name)
     for shape, seed in ((READ_HEAVY, 1), (WRITE_HEAVY, 2)):
         report, backend = _run(registry, name, shape, seed,
                                shards=shards, conflict_mode=mode)
         assert report.serializable
         assert backend.log
-        for entry in backend.log:
-            op = spec.operations[entry.op_name]
-            assert op.semantics(entry.before, entry.args)[0] \
-                == entry.after, entry
+    assert checked_handle["apply"] > 0
+    if mode == "abort" and name != "Accumulator":  # increments commute
+        assert checked_handle["undo"] > 0
 
 
 @pytest.mark.parametrize("shards", (1, 4))
-def test_threaded_workers_share_one_consistent_state(shards):
+def test_threaded_workers_share_one_consistent_state(checked_handle,
+                                                     shards):
     """More workers than cores, switching threads as often as the
-    interpreter allows.  The flat mode steps under one lock, so every
-    logged snapshot still follows the semantics; in both modes the
-    cached final state must match the serial replay."""
+    interpreter allows.  Both modes apply and undo under the lock that
+    guards the structure, so the kept state follows the concrete one
+    after every call, and the final state matches the serial replay."""
     registry = make_demo_registry()
-    spec = registry.spec("HashTable")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for seed in range(3):
-            report, backend = _run(registry, "HashTable", WRITE_HEAVY,
-                                   seed, workers=4, shards=shards)
+            report, _ = _run(registry, "HashTable", WRITE_HEAVY, seed,
+                             workers=4, shards=shards)
             assert report.commits == WRITE_HEAVY["transactions"]
             assert report.serializable
-            if shards == 1:
-                for entry in backend.log:
-                    op = spec.operations[entry.op_name]
-                    assert op.semantics(entry.before, entry.args)[0] \
-                        == entry.after, entry
     finally:
         sys.setswitchinterval(interval)
+    assert checked_handle["apply"] > 0
+
+
+def _count_materializations(monkeypatch, cls) -> list[int]:
+    calls = [0]
+    materialize = cls.abstract_state
+
+    def counted(self):
+        calls[0] += 1
+        return materialize(self)
+
+    monkeypatch.setattr(cls, "abstract_state", counted)
+    return calls
 
 
 @pytest.mark.parametrize("shape", (READ_HEAVY, WRITE_HEAVY),
                          ids=("read-heavy", "write-heavy"))
 @pytest.mark.parametrize("seed", range(5))
 def test_state_is_materialized_once_per_mutation(monkeypatch, shape, seed):
-    """``abstract_state()`` runs at most once per executed mutator and
-    per rollback that undid something, plus the first state, the final
-    state and the serial replay's."""
-    calls = [0]
-    materialize = HashSet.abstract_state
-
-    def counted(self):
-        calls[0] += 1
-        return materialize(self)
-
-    monkeypatch.setattr(HashSet, "abstract_state", counted)
+    """``abstract_state()`` runs at most twice per run — once when it
+    starts, once when it ends — however many mutations and rollbacks
+    the run makes."""
     registry = make_demo_registry()
-    spec = registry.spec("HashSet")
-    report, backend = _run(registry, "HashSet", shape, seed)
+    for name, cls in (("HashSet", HashSet), ("HashTable", HashTable),
+                      ("ArrayList", ArrayList)):
+        calls = _count_materializations(monkeypatch, cls)
+        report, backend = _run(registry, name, shape, seed)
+        assert report.serializable
+        assert calls[0] <= 2, (name, calls[0])
+
+
+@pytest.mark.parametrize("name,cls", (("HashSet", HashSet),
+                                      ("HashTable", HashTable),
+                                      ("ArrayList", ArrayList)))
+def test_abstract_state_runs_twice_despite_rollbacks(monkeypatch, name,
+                                                     cls):
+    """A write-heavy run that rolls back mutations still runs the
+    abstraction function exactly twice."""
+    registry = make_demo_registry()
+    calls = _count_materializations(monkeypatch, cls)
+    report, backend = _run(registry, name, WRITE_HEAVY, 2)
     assert report.serializable
-    mutators = sum(spec.operations[entry.op_name].mutator
-                   for entry in backend.log)
-    assert calls[0] <= mutators + len(backend.undone) + 3, \
-        (calls[0], mutators, len(backend.undone))
+    spec = registry.spec(name)
+    assert sum(spec.operations[entry.op_name].mutator
+               for entry in backend.log) > 2
+    assert backend.undone
+    assert calls[0] == 2
+
+
+class _LossyCell(RegisterCellImpl):
+    """Drops every other write: not a refinement of the cell's spec."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._writes = 0
+
+    def write(self, v):
+        self._writes += 1
+        if self._writes % 2 == 0:
+            return self._value
+        return super().write(v)
+
+
+def test_diverging_implementation_fails_the_run_naming_it():
+    registry = Registry.with_builtins()
+    registry.register_spec("LossyCell", make_demo_spec,
+                           implementation=_LossyCell)
+    executor = SpeculativeExecutor("LossyCell", registry=registry)
+    with pytest.raises(RefinementError, match="LossyCell"):
+        executor.run([[("write", ("a",)), ("write", ("b",))]])
+
+
+def _doctored(build, m1, m2):
+    """``build``'s catalog with the ``m1;m2`` between condition
+    replaced by ``true``: an unsound admission, on purpose."""
+    def doctored(spec):
+        return [dataclasses.replace(c, text="true", dynamic_text=None)
+                if (c.m1, c.m2, c.kind) == (m1, m2, Kind.BETWEEN) else c
+                for c in build(spec)]
+    return doctored
+
+
+def _doctored_registry(family, make_spec, name, impl, build, m1, m2):
+    registry = Registry()
+    registry.register_spec(family, make_spec, aliases=(name,),
+                           implementation=impl)
+    registry.register_conditions(family, _doctored(build, m1, m2))
+    registry.register_inverses(
+        family, [inv for inv in INVERSES if inv.family == family])
+    return registry
+
+
+#: A serial-scheduler seed that runs T0's read, then T1's write, and
+#: commits T1 before T0; each test checks the schedule through the
+#: commit order and the observed results.
+READ_WRITE_COMMIT_WRITER_FIRST = 6
+
+
+def test_a_result_the_replay_contradicts_is_not_serializable():
+    """T0's ``contains(a)`` observes False; the doctored condition
+    admits T1's ``add(a)``, which commits first.  Both orders end in
+    ``{a}``, so only the replay's result for ``contains(a)`` — True —
+    shows that no serial order explains the run."""
+    registry = _doctored_registry("Set", set_spec.make_spec, "HashSet",
+                                  HashSet, set_conditions.build,
+                                  "contains", "add")
+    report = SpeculativeExecutor(
+        "HashSet", seed=READ_WRITE_COMMIT_WRITER_FIRST,
+        registry=registry).run([[("contains", ("a",))], [("add", ("a",))]])
+    assert report.commit_order == [1, 0]
+    assert report.final_state == report.serial_state
+    # add(a), then contains(a): observed True, False; replayed True, True.
+    assert report.committed_results == [True, False]
+    assert report.serial_results == [True, True]
+    assert not report.serializable
+
+
+def test_a_broken_precondition_in_the_replay_is_not_serializable():
+    """T0's ``get(0)`` runs on a one-element list; the doctored
+    condition admits T1's ``remove_at(0)``, which commits first.
+    Replayed in commit order, ``get(0)`` is outside its precondition:
+    the run is reported, not raised."""
+    registry = _doctored_registry("ArrayList", arraylist_spec.make_spec,
+                                  "ArrayList", ArrayList,
+                                  arraylist_conditions.build,
+                                  "get", "remove_at")
+    report = SpeculativeExecutor(
+        "ArrayList", seed=READ_WRITE_COMMIT_WRITER_FIRST,
+        registry=registry).run([[("get", (0,))], [("remove_at", (0,))]],
+                               setup=[("add_at", (0, "a"))])
+    assert report.commit_order == [1, 0]
+    assert report.committed_results == ["a", "a"]
+    assert report.serial_state is None
+    assert not report.serializable
 
 
 _DIGESTS = """

@@ -3,7 +3,9 @@ postcondition/semantics agreement."""
 
 import pytest
 
-from repro.eval import EvalContext, Record, Scope, evaluate
+from repro.abduction import DEMO_FAMILY, make_demo_registry
+from repro.eval import EvalContext, EvalError, Record, Scope, evaluate
+from repro.logic.sorts import Sort
 from repro.specs import PreconditionError, all_specs, get_spec
 from repro.specs.registry import SPEC_FAMILIES
 
@@ -137,3 +139,57 @@ def test_initial_states():
     assert get_spec("Map").initial_state["size"] == 0
     assert get_spec("ArrayList").initial_state["elems"] == ()
     assert get_spec("Accumulator").initial_state == Record(value=0)
+
+
+# -- compiled preconditions --------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ("Accumulator", "ListSet", "HashSet",
+                                  "AssociationList", "HashTable",
+                                  "ArrayList", DEMO_FAMILY))
+def test_compiled_preconditions_decide_as_the_interpreter(name):
+    """Over every in-scope state, operation and argument tuple (and the
+    tuple with its objects nulled), the compiled precondition returns
+    the interpreter's verdict; a call missing an argument raises
+    EvalError in both."""
+    spec = make_demo_registry().spec(name)
+    ctx = EvalContext(observe=spec.observe)
+    scope = Scope()
+    verdicts = set()
+    errors = 0
+    for state in spec.states(scope):
+        for op in spec.operations.values():
+            for args in spec.arguments(op, scope):
+                nulled = tuple(None if p.sort is Sort.OBJ else v
+                               for p, v in zip(op.params, args))
+                calls = [args, nulled, args[:-1]] if args else [args]
+                for call in calls:
+                    env = {"s": state}
+                    env.update((p.name, v) for p, v in zip(op.params, call))
+                    try:
+                        expected = bool(evaluate(op.precondition, env, ctx))
+                    except EvalError:
+                        with pytest.raises(EvalError):
+                            spec.precondition_holds(op, state, call)
+                        errors += 1
+                        continue
+                    verdict = spec.precondition_holds(op, state, call)
+                    assert verdict is expected, (op.name, state, call)
+                    verdicts.add(verdict)
+    # Accumulator's preconditions are all ``true``.
+    assert verdicts == {True, False} or name == "Accumulator"
+    assert errors or name == "Accumulator"
+
+
+def test_compiled_preconditions_stay_out_of_the_fingerprint():
+    """Engine cache keys hash the spec fingerprint; compiling a
+    precondition must not move them."""
+    from repro.engine.fingerprint import spec_fingerprint, stable_hash
+    spec = make_demo_registry().spec("ArrayList")
+    before = stable_hash(spec_fingerprint(spec))
+    text = repr(spec)
+    for op in spec.operations.values():
+        spec.precondition_holds(op, spec.initial_state,
+                                (0, "a")[:len(op.params)])
+    assert stable_hash(spec_fingerprint(spec)) == before
+    assert repr(spec) == text
