@@ -15,7 +15,7 @@ The payload's ``suite`` field dispatches the validation
 (``runtime``/``service``).  ``--require-abduction-gate`` asserts the
 runtime suite's abduction section is present with every gate key;
 without the flag the section is validated only when present (legs that
-run without ``--abduce``).
+run below ``--arm synthesized``).
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ TOP_LEVEL_KEYS = {
 }
 
 #: Aggregate keys of the ``abduction_gate`` section — the armed-delta,
-#: fallback-delta, and digest-identity facts the ``--abduce`` CI leg
-#: gates on.
+#: fallback-delta, and digest-identity facts the ``--arm synthesized``
+#: CI leg gates on.
 ABDUCTION_GATE_KEYS = {
     "policy": str,
     "shards": int,
@@ -315,7 +315,8 @@ def check_payload(payload, require_soak: bool = False,
     if abduction is None:
         if require_abduction_gate:
             problems.append("payload: abduction_gate section is "
-                            "missing (leg ran without --abduce?)")
+                            "missing (leg ran without --arm "
+                            "synthesized?)")
     else:
         _check_abduction_gate(abduction, problems)
     return problems
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
     parser.add_argument("--require-abduction-gate", action="store_true",
                         help="fail when the runtime suite's "
                              "abduction_gate section is absent (legs "
-                             "that ran --abduce)")
+                             "that ran --arm synthesized)")
     args = parser.parse_args(argv)
     try:
         with open(args.report, encoding="utf-8") as handle:

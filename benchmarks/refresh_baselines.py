@@ -43,8 +43,8 @@ SUITES = {
     ),
     "runtime": (
         BENCH_DIR / "BENCH_runtime_baseline.json",
-        ["bench", "--suite", "runtime", "--shards", "1", "--stable",
-         "--prover"],
+        ["bench", "--suite", "runtime", "--shards", "1", "--arm",
+         "proved"],
     ),
 }
 

@@ -52,7 +52,7 @@ def main() -> None:
     print(stability_table({"ArrayList": type(reports["ArrayList"])(
         name="ArrayList", family="ArrayList", pairs=showcase)}))
 
-    print("\n=== 2. run: plain drift guard vs --stable ===")
+    print("\n=== 2. run: plain drift guard vs --arm weakened ===")
     harness = ThroughputHarness(registry=session.registry)
     runs = []
     for structure in ("ArrayList", "HashTable"):

@@ -7,22 +7,25 @@ Commands:
   structure (or all registered) through the sharded engine;
 - ``inverses`` — verify the registered inverse operations (Table 5.10);
 - ``run --name NAME [--policy P] [--profile P] [--distribution D]
-  [--workers N] [--stable]`` — generate a seeded workload and execute
-  it speculatively (all three policies and a comparison table when
-  ``--policy`` is omitted); ``--stable`` compiles drift-stable
-  conditions first and arms the gatekeeper's drift guard with them.
-  Admission always runs through closures lowered at arm time
+  [--workers N] [--arm TIER]`` — generate a seeded workload and
+  execute it speculatively (all three policies and a comparison table
+  when ``--policy`` is omitted); ``--arm weakened|proved|synthesized``
+  compiles that tier's drift-stable conditions first and arms the
+  gatekeeper's drift guard with them (see :data:`ARM_TIERS`).
+  Admission always runs through closures compiled at arm time
   (:mod:`repro.compiled`), with the interpreter as the per-check
   fallback;
-- ``stability [--name NAME]`` — compile every between condition into a
-  drift-stability verdict (stable / weakened / fragile) plus, where
-  possible, a drift-stable weakening, through the cached engine;
-- ``bench [--suite verify|runtime|nogil] [--stable] [--seeds N]`` —
+- ``stability [--name NAME] [--arm TIER]`` — compile every between
+  condition into a drift-stability verdict (stable / weakened / proved
+  / synthesized / fragile) plus, where possible, a drift-stable
+  weakening, through the cached engine;
+- ``bench [--suite verify|runtime|nogil] [--arm TIER] [--seeds N]`` —
   ``verify``: time a cold verification sweep per structure into
   ``BENCH_verify.json``; ``runtime``: sweep the throughput harness
   over every structure and policy into ``BENCH_runtime.json``
-  (``--stable`` adds the drift-admission gate on preloaded hot-key
-  workloads, ``--seeds N`` the p50/p95 seed matrix);
+  (``--arm weakened`` adds the drift-admission gate on preloaded
+  hot-key workloads, ``proved`` its prover leg, ``synthesized`` the
+  abduction gate; ``--seeds N`` the p50/p95 seed matrix);
   ``nogil``: the informational free-threaded scaling sweep into
   ``BENCH_nogil.json``; ``service``: the client/server admission bench
   into ``BENCH_service.json`` (four-leg decision identity across
@@ -117,17 +120,24 @@ BENCH_FLOOR_SECONDS = 0.1
 STABILITY_SCOPE_SEQ_LEN = 3
 
 
+#: The ``--arm`` tiers, weakest first.  Each adds a certificate to the
+#: one before it: ``weakened`` compiles the bounded drift-stable
+#: weakenings, ``proved`` adds the symbolic prover, ``synthesized`` the
+#: CEGIS abduction loop; ``between`` arms the catalog conditions alone.
+ARM_TIERS = ("between", "weakened", "proved", "synthesized")
+
+
 def _compile_stable(registry: Registry, names, jobs=None,
                     cache=True, max_seq_len: int = STABILITY_SCOPE_SEQ_LEN,
-                    prover: bool = False, abduce: bool = False):
-    """Compile and register drift-stable conditions for ``names``."""
+                    tier: str = "weakened"):
+    """Compile and register the drift-stable conditions of ``tier`` (a
+    :data:`ARM_TIERS` entry past ``between``) for ``names``."""
     from .engine import run_stability_compilation
     scope = paper_scope(max_seq_len=max_seq_len)
-    reports = run_stability_compilation(scope, names=names,
-                                        registry=registry, jobs=jobs,
-                                        cache=cache,
-                                        prover=prover or abduce,
-                                        abduce=abduce)
+    reports = run_stability_compilation(
+        scope, names=names, registry=registry, jobs=jobs, cache=cache,
+        prover=tier in ("proved", "synthesized"),
+        abduce=tier == "synthesized")
     for name, report in reports.items():
         registry.register_stable_conditions(
             name, report.stable_conditions(registry.spec(name)),
@@ -141,8 +151,7 @@ def _cmd_stability(args: argparse.Namespace, registry: Registry) -> int:
     names = (args.name,) if args.name else None
     reports = _compile_stable(registry, names, jobs=args.jobs,
                               cache=not args.no_cache,
-                              max_seq_len=args.max_seq_len,
-                              prover=args.prover, abduce=args.abduce)
+                              max_seq_len=args.max_seq_len, tier=args.arm)
     print(stability_table(reports))
     print()
     for report in reports.values():
@@ -151,7 +160,7 @@ def _cmd_stability(args: argparse.Namespace, registry: Registry) -> int:
             line += (f" [{report.cache_hits}/"
                      f"{len(report.task_timings)} groups cached]")
         print(line)
-    if args.prover or args.abduce:
+    if args.arm != "weakened":
         from .prover import prover_fingerprint
         fp = prover_fingerprint()
         countermodels = sum(
@@ -160,16 +169,16 @@ def _cmd_stability(args: argparse.Namespace, registry: Registry) -> int:
         print(f"prover: backend {fp['backend']} v{fp['prover_version']}"
               f", z3 {'available' if fp['external']['z3'] else 'absent'}"
               f", {countermodels} countermodels")
-    if args.abduce:
+    if args.arm == "synthesized":
         _print_abduction_trace(reports)
     return 0
 
 
 def _print_abduction_trace(reports) -> None:
-    """The ``--abduce`` trace: per-structure lattice-walk statistics,
-    then one compact line per prover-refuted abduced candidate with its
-    countermodel (root state, drift, arguments, first result) — the
-    loop's debugging surface."""
+    """The ``--arm synthesized`` trace: per-structure lattice-walk
+    statistics, then one compact line per prover-refuted abduced
+    candidate with its countermodel (root state, drift, arguments,
+    first result) — the loop's debugging surface."""
     for name, report in reports.items():
         stats = [pair.synthesis for pair in report.pairs
                  if pair.synthesis]
@@ -209,11 +218,9 @@ def _cmd_run(args: argparse.Namespace, registry: Registry) -> int:
         transactions=args.txns, ops_per_transaction=args.ops,
         key_space=args.key_space, value_space=args.value_space,
         preload=args.preload, seed=args.seed)
-    # --prover and --abduce both imply --stable
-    stable = args.stable or args.prover or args.abduce
+    stable = args.arm != "between"
     if stable:
-        _compile_stable(registry, (args.name,), prover=args.prover,
-                        abduce=args.abduce)
+        _compile_stable(registry, (args.name,), tier=args.arm)
     harness = ThroughputHarness(registry=registry, workers=args.workers,
                                 batch=args.batch, shards=args.shards,
                                 adaptive=args.adaptive, stable=stable)
@@ -489,19 +496,18 @@ def _cmd_bench_runtime(args: argparse.Namespace, registry: Registry) -> int:
             "policies": policies,
             "commutativity_beats_read_write_on": strict_wins,
         }
-    # The adaptive, scaling, stability, and seed-matrix sections run
+    # The scaling, stability, seed-matrix and abduction sections run
     # (and mutate the payload) before it is written, so the emitted
     # JSON carries their numbers.
-    adaptive_failed = _bench_adaptive_section(payload, registry, args)
     scaling_failed = (args.shards > 1
                       and _bench_scaling_section(payload, registry, args))
-    stability_failed = (args.stable
+    stability_failed = (args.arm != "between"
                         and _bench_stability_section(payload, registry,
                                                      args))
     seeds_failed = (args.seeds > 1
                     and _bench_seed_matrix_section(payload, registry,
                                                    args))
-    abduce_failed = (args.abduce
+    abduce_failed = (args.arm == "synthesized"
                      and _bench_abduction_section(payload, registry,
                                                   args))
     with open(output, "w", encoding="utf-8") as handle:
@@ -511,8 +517,8 @@ def _cmd_bench_runtime(args: argparse.Namespace, registry: Registry) -> int:
           f"policies x {len(BENCH_WORKLOADS)} workloads, "
           f"workers={args.workers}, wall {wall:.2f}s -> {output}")
     print(policy_comparison_table(runs))
-    failed = (adaptive_failed or scaling_failed or stability_failed
-              or seeds_failed or abduce_failed)
+    failed = (scaling_failed or stability_failed or seeds_failed
+              or abduce_failed)
     not_serializable = [r for r in runs if not r.serializable]
     if not_serializable:
         print("bench: NOT SERIALIZABLE: "
@@ -538,49 +544,6 @@ def _cmd_bench_runtime(args: argparse.Namespace, registry: Registry) -> int:
     return 0
 
 
-def _bench_adaptive_section(payload: dict, registry: Registry,
-                            args: argparse.Namespace) -> bool:
-    """Hybrid-vs-plain abort counts on the hot-key write-heavy workload
-    (serial, hence deterministic).  Returns True on gate failure: the
-    hybrid policy must strictly reduce aborts on every structure."""
-    from .workloads import BENCH_WORKLOADS, ThroughputHarness
-    hot = next(w for w in BENCH_WORKLOADS
-               if w.label == "write-heavy-hotkey")
-    harness = ThroughputHarness(registry=registry)
-    section: dict = {"workload": hot.label, "policy": "commutativity",
-                     "adaptive": "hybrid", "shards": args.shards,
-                     "structures": {}}
-    regressions = []
-    for name in harness.runnable_structures():
-        plain = harness.run_one(name, hot, policy="commutativity",
-                                workers=1, shards=args.shards)
-        hybrid = harness.run_one(name, hot, policy="commutativity",
-                                 workers=1, shards=args.shards,
-                                 adaptive="hybrid")
-        section["structures"][name] = {
-            "plain_aborts": plain.aborts,
-            "hybrid_aborts": hybrid.aborts,
-        }
-        if not (plain.serializable and hybrid.serializable):
-            regressions.append(f"{name}: not serializable")
-        elif plain.aborts and hybrid.aborts >= plain.aborts:
-            regressions.append(
-                f"{name}: hybrid {hybrid.aborts} aborts >= plain "
-                f"{plain.aborts}")
-    payload["adaptive"] = section
-    total_plain = sum(e["plain_aborts"]
-                      for e in section["structures"].values())
-    total_hybrid = sum(e["hybrid_aborts"]
-                       for e in section["structures"].values())
-    print(f"bench: adaptive hybrid on {hot.label}: "
-          f"{total_hybrid} aborts vs {total_plain} plain")
-    if regressions:
-        print("bench: hybrid policy failed to reduce aborts:\n  "
-              + "\n  ".join(regressions), file=sys.stderr)
-        return True
-    return False
-
-
 #: The drift-admission gate's pinned workloads: write-heavy hot-key
 #: traffic over *preloaded* structures — deep enough that admission
 #: checks routinely outlive their verified environment, which is
@@ -588,7 +551,7 @@ def _bench_adaptive_section(payload: dict, registry: Registry,
 #: compiled stable conditions earn their keep.  Serial and seeded, so
 #: the gate is deterministic; the seed is pinned to traffic in which
 #: the prover's observer-pinned conditions (``indexOf;set`` and
-#: friends) actually evaluate under drift, so the ``--prover`` leg
+#: friends) actually evaluate under drift, so the proved leg
 #: measures real admissions rather than an empty intersection.
 def _stability_gate_workloads():
     from .workloads import WorkloadSpec
@@ -606,17 +569,18 @@ def _stability_gate_workloads():
 def _bench_stability_section(payload: dict, registry: Registry,
                              args: argparse.Namespace) -> bool:
     """Drift-admission comparison on preloaded hot-key workloads
-    (serial, hence deterministic).  Returns True on gate failure:
-    ``--stable`` must strictly reduce conservative-fallback admissions
+    (serial, hence deterministic).  Returns True on gate failure: the
+    weakened tier must strictly reduce conservative-fallback admissions
     vs the plain PR 4 drift guard on every gated structure, restore at
     least one semantic admission under drift, and keep both executions
     serializable — with flat and sharded decisions identical.
 
-    With ``--prover`` a third variant recompiles the conditions with
-    the symbolic prover and repeats the gate workloads; across the
-    gate structures in aggregate, the proved conditions must strictly
-    increase semantic admissions (``stable_hits + proved_hits``) and
-    strictly reduce conservative fallbacks vs ``--stable`` alone —
+    With ``--arm proved`` (or ``synthesized``) a third variant
+    recompiles the conditions with the symbolic prover and repeats the
+    gate workloads; across the gate structures in aggregate, the proved
+    conditions must strictly increase semantic admissions
+    (``stable_hits + proved_hits``) and strictly reduce conservative
+    fallbacks vs the weakened tier alone —
     the proved tier arms state-reading candidates the bounded sweep
     passes but refuses to arm, so the gate fails if the proofs buy
     nothing at run time.
@@ -661,8 +625,8 @@ def _bench_stability_section(payload: dict, registry: Registry,
         if stable.drift_fallbacks >= plain.drift_fallbacks:
             regressions.append(
                 f"{name}: {stable.drift_fallbacks} conservative "
-                f"fallbacks with --stable >= {plain.drift_fallbacks} "
-                f"without")
+                f"fallbacks with --arm weakened >= "
+                f"{plain.drift_fallbacks} without")
         if args.shards > 1:
             flat = harness.run_one(name, workload,
                                    policy="commutativity", workers=1,
@@ -672,7 +636,7 @@ def _bench_stability_section(payload: dict, registry: Registry,
                         stable.report.commit_order):
                 regressions.append(f"{name}: flat and sharded stable "
                                    f"decisions diverged")
-    if getattr(args, "prover", False):
+    if args.arm in ("proved", "synthesized"):
         regressions += _bench_prover_gate(section, registry, harness,
                                           args, stable_runs, runs)
     payload["stability"] = section
@@ -698,10 +662,10 @@ def _bench_stability_section(payload: dict, registry: Registry,
 def _bench_prover_gate(section: dict, registry: Registry, harness,
                        args: argparse.Namespace, stable_runs: dict,
                        runs: list) -> list[str]:
-    """The ``--prover`` leg of the stability gate (see above):
+    """The proved leg of the stability gate (see above):
     recompile with symbolic proofs, rerun the gate workloads, and
     enforce the aggregate strict improvements."""
-    proved_reports = _compile_stable(registry, None, prover=True)
+    proved_reports = _compile_stable(registry, None, tier="proved")
     section["prover"] = {
         name: {"proved": report.proved_count,
                "weakened": report.weakened_count}
@@ -725,7 +689,8 @@ def _bench_prover_gate(section: dict, registry: Registry, harness,
             "proved_aborts": proved.aborts,
         })
         if not proved.serializable:
-            regressions.append(f"{name}: not serializable with --prover")
+            regressions.append(f"{name}: not serializable with "
+                               "--arm proved")
         if args.shards > 1:
             flat = harness.run_one(name, workload,
                                    policy="commutativity", workers=1,
@@ -737,12 +702,12 @@ def _bench_prover_gate(section: dict, registry: Registry, harness,
                                    f"decisions diverged")
     if hits <= base_hits:
         regressions.append(
-            f"prover: {hits} semantic admissions with --prover <= "
-            f"{base_hits} with --stable alone")
+            f"prover: {hits} semantic admissions with --arm proved <= "
+            f"{base_hits} with --arm weakened")
     if fallbacks >= base_fallbacks:
         regressions.append(
-            f"prover: {fallbacks} conservative fallbacks with --prover "
-            f">= {base_fallbacks} with --stable alone")
+            f"prover: {fallbacks} conservative fallbacks with --arm "
+            f"proved >= {base_fallbacks} with --arm weakened")
     return regressions
 
 
@@ -805,16 +770,16 @@ def _served_run(registry: Registry, harness, name, workload, shards):
 
 def _bench_abduction_section(payload: dict, registry: Registry,
                              args: argparse.Namespace) -> bool:
-    """The ``--abduce`` gate: recompile with the CEGIS abduction loop
-    and rerun the stability-gate workloads plus the projector-less
-    custom-structure leg.  Returns True on gate failure — across the
-    legs in aggregate, the abduced conditions must strictly increase
-    the armed semantic admission *rate* (``stable + proved +
-    synthesized`` hits per drift check — a rate, not a count, because
-    the weaker abduced guard admits more operations early, diverging
-    the retry trace and with it the raw check volume) and strictly
-    reduce conservative fallbacks vs ``--stable --prover``; every leg
-    must stay serializable with byte-identical decision digests
+    """The ``--arm synthesized`` gate: recompile with the CEGIS
+    abduction loop and rerun the stability-gate workloads plus the
+    projector-less custom-structure leg.  Returns True on gate failure
+    — across the legs in aggregate, the abduced conditions must
+    strictly increase the armed semantic admission *rate* (``stable +
+    proved + synthesized`` hits per drift check — a rate, not a count,
+    because the weaker abduced guard admits more operations early,
+    diverging the retry trace and with it the raw check volume) and
+    strictly reduce conservative fallbacks vs the proved tier; every
+    leg must stay serializable with byte-identical decision digests
     flat==sharded and local==served; and a warm rerun must serve every
     ABDUCTION task from the engine cache."""
     from .engine.tasks import ABDUCTION
@@ -824,15 +789,15 @@ def _bench_abduction_section(payload: dict, registry: Registry,
     names = tuple(name for name, _ in workloads)
     harness = ThroughputHarness(registry=registry)
     regressions: list[str] = []
-    # Baseline: the full pre-abduction pipeline (--stable --prover).
-    _compile_stable(registry, names, prover=True)
+    # Baseline: the full pre-abduction pipeline (the proved tier).
+    _compile_stable(registry, names, tier="proved")
     baselines = {name: harness.run_one(name, workload,
                                        policy="commutativity",
                                        workers=1, shards=args.shards,
                                        stable=True)
                  for name, workload in workloads}
     # Abduced: same workloads with the CEGIS loop armed on top.
-    reports = _compile_stable(registry, names, abduce=True)
+    reports = _compile_stable(registry, names, tier="synthesized")
     section: dict = {
         "policy": "commutativity", "shards": args.shards,
         "compiled": {name: {"synthesized": report.synthesized_count,
@@ -898,7 +863,7 @@ def _bench_abduction_section(payload: dict, registry: Registry,
             regressions.append(f"{name}: local and served abduced "
                                f"decisions diverged")
     # Warm rerun: every ABDUCTION task must come from the engine cache.
-    warm = _compile_stable(registry, names, abduce=True)
+    warm = _compile_stable(registry, names, tier="synthesized")
     abduction_timings = [t for report in warm.values()
                          for t in report.task_timings
                          if t.kind == ABDUCTION]
@@ -921,11 +886,11 @@ def _bench_abduction_section(payload: dict, registry: Registry,
     if rate <= base_rate:
         regressions.append(
             f"abduce: {rate:.2%} armed semantic admission rate with "
-            f"--abduce <= {base_rate:.2%} with --stable --prover")
+            f"--arm synthesized <= {base_rate:.2%} with --arm proved")
     if fallbacks >= base_fallbacks:
         regressions.append(
-            f"abduce: {fallbacks} conservative fallbacks with --abduce "
-            f">= {base_fallbacks} with --stable --prover")
+            f"abduce: {fallbacks} conservative fallbacks with --arm "
+            f"synthesized >= {base_fallbacks} with --arm proved")
     if not warm_cached:
         regressions.append("abduce: warm rerun did not serve every "
                            "ABDUCTION task from .repro-cache")
@@ -1384,17 +1349,14 @@ def build_parser(registry: Registry | None = None) -> argparse.ArgumentParser:
                           "(default: none)")
     run.add_argument("--conflict-mode", default="abort",
                      choices=("abort", "block"))
-    run.add_argument("--stable", action="store_true",
-                     help="compile drift-stable conditions first and "
-                          "arm the drift guard with them")
-    run.add_argument("--prover", action="store_true",
-                     help="compile with the symbolic prover (implies "
-                          "--stable): proved state-reading conditions "
-                          "are armed too")
-    run.add_argument("--abduce", action="store_true",
-                     help="compile with the CEGIS abduction loop "
-                          "(implies --stable and the prover): "
-                          "synthesized conditions are armed too")
+    run.add_argument("--arm", default="between", choices=ARM_TIERS,
+                     help="admission tier to arm: between (catalog "
+                          "conditions only, the default); weakened "
+                          "compiles drift-stable conditions first and "
+                          "arms the drift guard with them; proved adds "
+                          "the symbolic prover's state-reading "
+                          "conditions; synthesized adds the CEGIS "
+                          "abduction loop's")
     run.add_argument("--txn-stats", action="store_true",
                      help="print per-transaction abort counts")
     run.add_argument("--shard-stats", action="store_true",
@@ -1407,16 +1369,17 @@ def build_parser(registry: Registry | None = None) -> argparse.ArgumentParser:
     stability.add_argument("--name", choices=registry.names())
     stability.add_argument("--max-seq-len", type=int,
                            default=STABILITY_SCOPE_SEQ_LEN)
-    stability.add_argument("--prover", action="store_true",
-                           help="discharge symbolic proof obligations "
-                                "too: proved pairs arm state-reading "
-                                "candidates the bounded sweep refuses")
-    stability.add_argument("--abduce", action="store_true",
-                           help="run the CEGIS abduction loop too "
-                                "(implies --prover): synthesize "
-                                "brand-new stable conditions and "
-                                "print the lattice-walk trace with "
-                                "per-refutation countermodels")
+    stability.add_argument("--arm", default="weakened",
+                           choices=ARM_TIERS[1:],
+                           help="weakened: the bounded drift-stable "
+                                "sweep (default); proved: discharge "
+                                "symbolic proof obligations too, so "
+                                "proved pairs arm state-reading "
+                                "candidates the bounded sweep refuses; "
+                                "synthesized: run the CEGIS abduction "
+                                "loop too and print the lattice-walk "
+                                "trace with per-refutation "
+                                "countermodels")
     _add_engine_options(stability)
     stability.set_defaults(func=_cmd_stability)
 
@@ -1440,18 +1403,14 @@ def build_parser(registry: Registry | None = None) -> argparse.ArgumentParser:
                        help="conflict-manager shards for --suite "
                             "runtime (powers of two); > 1 adds the "
                             "flat-vs-sharded scaling comparison")
-    bench.add_argument("--stable", action="store_true",
-                       help="--suite runtime: add the drift-stable "
-                            "admission section and its gate")
-    bench.add_argument("--prover", action="store_true",
-                       help="--suite runtime, with --stable: add the "
-                            "prover leg to the stability gate (proved "
-                            "admissions must strictly beat --stable "
-                            "alone)")
-    bench.add_argument("--abduce", action="store_true",
-                       help="--suite runtime, with --stable: add the "
+    bench.add_argument("--arm", default="between", choices=ARM_TIERS,
+                       help="--suite runtime: weakened adds the "
+                            "drift-stable admission section and its "
+                            "gate; proved adds the prover leg to it "
+                            "(proved admissions must strictly beat the "
+                            "weakened tier); synthesized adds the "
                             "abduction gate (synthesized conditions "
-                            "must strictly beat --stable --prover on "
+                            "must strictly beat the proved tier on "
                             "semantic admissions and fallbacks, with "
                             "flat==sharded and local==served decision "
                             "digests, warm-cache served reruns)")

@@ -27,7 +27,7 @@ and merge into each pair's verdict
 condition admits exactly like any other armed condition — flat and
 sharded managers, local and served deployments, still agree
 byte-for-byte).  Entry points: :meth:`repro.api.Session.abduce_stable`,
-``stability --abduce``, ``bench --stable --abduce``.
+``stability --arm synthesized``, ``bench --arm synthesized``.
 """
 
 from .atoms import atom_pool

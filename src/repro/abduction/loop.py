@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..commutativity.conditions import (CommutativityCondition,
-                                        condition_symbols)
+                                        condition_symbols, pair_layout)
 from ..eval.enumeration import Scope
 from ..eval.interpreter import EvalContext, EvalError
 from ..logic import ParseError, parse_formula
@@ -120,11 +120,13 @@ def synthesize_pair(spec: DataStructureSpec,
     op1, op2 = cond.op1, cond.op2
     ctx = EvalContext(observe=spec.observe)
     table = condition_symbols(spec, op1, op2)
+    # The state-free layout of an observation (see _observation_slots).
+    names = pair_layout(op1, op2)
     compiled: dict[str, Any] = {}
     for atom in atom_pool(op1, op2):
         try:
             compiled[atom] = compile_term(parse_formula(atom, table),
-                                          ctx)
+                                          names, ctx)
         except ParseError:
             continue
     pool = list(compiled)
@@ -135,7 +137,7 @@ def synthesize_pair(spec: DataStructureSpec,
             return ordered[0]
         return " & ".join(f"({a})" for a in ordered)
 
-    def holds(atom: str, env: dict[str, Any]) -> bool:
+    def holds(atom: str, env: list) -> bool:
         # Unevaluable counts as holding: the atom might admit the
         # refuting trace, so it neither prunes nor strengthens.
         try:
@@ -143,22 +145,11 @@ def synthesize_pair(spec: DataStructureSpec,
         except EvalError:
             return True
 
-    def obs_env(obs: tuple) -> dict[str, Any]:
-        args1, args2, r1 = obs
-        env: dict[str, Any] = {}
-        for param, value in zip(op1.params, args1):
-            env[f"{param.name}1"] = value
-        for param, value in zip(op2.params, args2):
-            env[f"{param.name}2"] = value
-        if op1.result_sort is not None:
-            env["r1"] = r1
-        return env
-
-    def strengthen(cand: frozenset, env: dict[str, Any]) -> list:
+    def strengthen(cand: frozenset, env: list) -> list:
         return [cand | {atom} for atom in pool
                 if atom not in cand and not holds(atom, env)]
 
-    store: list[dict[str, Any]] = []
+    store: list[list] = []
     decided: list[CandidateResult] = []
     armed_sets: list[frozenset] = []
     checked = pruned = refuted = rounds = cases = 0
@@ -196,9 +187,10 @@ def synthesize_pair(spec: DataStructureSpec,
                     newly_armed.append((cand, result))
                 elif result.witnesses:
                     for obs in result.witnesses:
-                        store.append(obs_env(obs))
-                    children += strengthen(cand,
-                                           obs_env(result.witnesses[0]))
+                        store.append(_observation_slots(cond, *obs))
+                    children += strengthen(
+                        cand, _observation_slots(cond,
+                                                 *result.witnesses[0]))
                 # else: vacuous — a dead end, spawn nothing.
             children += _screen(spec, cond, scope, newly_armed,
                                 decided, armed_sets, strengthen,
@@ -251,12 +243,22 @@ def _screen(spec, cond, scope, newly_armed, decided, armed_sets,
     return children
 
 
+def _observation_slots(cond: CommutativityCondition, args1: tuple,
+                       args2: tuple, r1: Any) -> list:
+    """One value per name of ``pair_layout(op1, op2)``: the arguments,
+    then ``r1`` when the first operation returns a value."""
+    env = [*args1, *args2]
+    if cond.op1.result_sort is not None:
+        env.append(r1)
+    return env
+
+
 def _countermodel_env(cond: CommutativityCondition,
-                      countermodel: dict | None) -> dict | None:
-    """Rebuild a state-free evaluation environment from a prover
-    countermodel's repr-string valuation; ``None`` when any repr does
-    not parse back into a concrete value (symbolic tokens beyond
-    literals — the loop then pivots instead of strengthening)."""
+                      countermodel: dict | None) -> list | None:
+    """Rebuild a state-free observation from a prover countermodel's
+    repr-string valuation; ``None`` when any repr does not parse back
+    into a concrete value (symbolic tokens beyond literals — the loop
+    then pivots instead of strengthening)."""
     if not countermodel:
         return None
     try:
@@ -268,14 +270,7 @@ def _countermodel_env(cond: CommutativityCondition,
               if countermodel.get("r1") is not None else None)
     except (ValueError, SyntaxError):
         return None
-    env: dict[str, Any] = {}
-    for param, value in zip(cond.op1.params, args1):
-        env[f"{param.name}1"] = value
-    for param, value in zip(cond.op2.params, args2):
-        env[f"{param.name}2"] = value
-    if cond.op1.result_sort is not None:
-        env["r1"] = r1
-    return env
+    return _observation_slots(cond, args1, args2, r1)
 
 
 # -- plain-data (de)serialization for the engine cache ------------------------

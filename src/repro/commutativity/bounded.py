@@ -23,8 +23,9 @@ from typing import Any, Iterator
 from ..eval.enumeration import Scope
 from ..eval.interpreter import EvalContext
 from ..eval.values import Record
+from ..logic.compile import compile_term
 from ..specs.interface import DataStructureSpec, Operation
-from .conditions import CommutativityCondition
+from .conditions import CommutativityCondition, pair_layout
 
 
 @dataclass(frozen=True)
@@ -115,21 +116,29 @@ def commutes(spec: DataStructureSpec, op1: Operation, op2: Operation,
     return case.fin == fin_b
 
 
+def case_layout(op1: Operation, op2: Operation) -> list[str]:
+    """The names a condition formula is evaluated over, in slot order:
+    the three states, the suffixed parameters, then the results."""
+    names = pair_layout(op1, op2, "s1", "s2", "s3")
+    if op2.result_sort is not None:
+        names.append("r2")
+    return names
+
+
+def case_slots(op1: Operation, op2: Operation, case: Case) -> list[Any]:
+    """One value per :func:`case_layout` name."""
+    env = [case.state, case.mid, case.fin, *case.args1, *case.args2]
+    if op1.result_sort is not None:
+        env.append(case.r1)
+    if op2.result_sort is not None:
+        env.append(case.r2)
+    return env
+
+
 def case_environment(op1: Operation, op2: Operation,
                      case: Case) -> dict[str, Any]:
-    """Build the evaluation environment for a condition formula."""
-    env: dict[str, Any] = {
-        "s1": case.state, "s2": case.mid, "s3": case.fin,
-    }
-    for param, value in zip(op1.params, case.args1):
-        env[f"{param.name}1"] = value
-    for param, value in zip(op2.params, case.args2):
-        env[f"{param.name}2"] = value
-    if op1.result_sort is not None:
-        env["r1"] = case.r1
-    if op2.result_sort is not None:
-        env["r2"] = case.r2
-    return env
+    """The interpreter's evaluation environment for a condition formula."""
+    return dict(zip(case_layout(op1, op2), case_slots(op1, op2, case)))
 
 
 def check_conditions(spec: DataStructureSpec,
@@ -148,15 +157,15 @@ def check_conditions(spec: DataStructureSpec,
     op1 = conditions[0].op1
     op2 = conditions[0].op2
     ctx = EvalContext(observe=spec.observe)
-    from ..logic.compile import compile_term
+    names = case_layout(op1, op2)
     formulas = [compile_term(
-        c.dynamic_formula if use_dynamic else c.formula, ctx)
+        c.dynamic_formula if use_dynamic else c.formula, names, ctx)
         for c in conditions]
     results = [CheckResult(condition=c) for c in conditions]
     start = time.perf_counter()
     for case in enumerate_cases(spec, op1, op2, scope):
         truth = commutes(spec, op1, op2, case)
-        env = case_environment(op1, op2, case)
+        env = case_slots(op1, op2, case)
         for formula, result in zip(formulas, results):
             result.cases += 1
             phi = bool(formula(env))

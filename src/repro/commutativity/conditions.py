@@ -63,6 +63,16 @@ def suffixed_params(op: Operation, suffix: str) -> dict[str, Sort]:
     return {f"{p.name}{suffix}": p.sort for p in op.params}
 
 
+def pair_layout(m1: Operation, m2: Operation, *states: str) -> list[str]:
+    """A slot layout (see :func:`repro.logic.compile.compile_term`) over
+    a pair's vocabulary: the given state variables, the suffixed
+    parameters, then ``r1`` when ``m1`` returns a value."""
+    names = [*states, *suffixed_params(m1, "1"), *suffixed_params(m2, "2")]
+    if m1.result_sort is not None:
+        names.append("r1")
+    return names
+
+
 def condition_symbols(spec: DataStructureSpec, m1: Operation,
                       m2: Operation) -> SymbolTable:
     """The full (after-kind) symbol table for a pair's conditions."""

@@ -1,17 +1,19 @@
 """repro.compiled — the closure-compiled admission hot path.
 
-Lowers admission formulas (catalog between conditions and armed
-drift-stable conditions) into slot-specialized Python closures at arm
-time, cached process-wide by content fingerprint, with an interpreted
-fallback that keeps decisions byte-identical.  See
-:mod:`repro.compiled.lowering` for the semantics contract.
+Compiles admission formulas (catalog between conditions and armed
+drift-stable conditions) at arm time over the gatekeeper's pair slot
+layout, caches the closures process-wide by content fingerprint, and
+keeps an interpreted fallback so decisions stay byte-identical.  The
+compiler itself is :mod:`repro.logic.compile`, which the offline
+verifiers use too; :mod:`repro.compiled.lowering` declares the pair
+layout and the semantics contract of admission checks.
 """
 
+from ..logic.compile import CompileError
 from .admission import CompiledAdmission
 from .cache import cache_size, clear_cache, compiled_pair, pair_cache_key
-from .lowering import (ADMISSION_COMPILER_VERSION, CompileError,
-                       LoweredCheck, SlotMismatch, lower_pair_condition,
-                       pair_scope)
+from .lowering import (ADMISSION_COMPILER_VERSION, LoweredCheck,
+                       SlotMismatch, lower_pair_condition, pair_scope)
 
 __all__ = [
     "ADMISSION_COMPILER_VERSION",

@@ -7,7 +7,7 @@ the process-global content-addressed cache) into a slot-specialized
 closure *before the first transaction runs*.  The hot loop then asks
 :meth:`between_checker` / :meth:`stable_checker` — plain dict lookups —
 and falls back to the interpreter, one check at a time, only for pairs
-the lowerer refused (:class:`~repro.compiled.lowering.CompileError`,
+the compiler refused (:class:`~repro.logic.compile.CompileError`,
 cached as ``None``) or calls whose arity does not fit the compiled slot
 layout (:class:`~repro.compiled.lowering.SlotMismatch`).  The
 interpreter stays the reference: closures decide exactly as it does,

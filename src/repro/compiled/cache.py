@@ -13,7 +13,7 @@ is: identical fingerprints mean identical lowering inputs, so the
 cached closure behaves identically to a fresh one.  The adaptive
 disjunct counters inside a shared closure are cross-run state by
 design — hit-rate learning carries over — and are decision-neutral
-(see :class:`~repro.compiled.lowering._AdaptiveOr`).
+(see :class:`~repro.logic.compile._AdaptiveOr`).
 
 A pair the lowerer cannot handle is cached as uncompilable, so the
 ``CompileError`` is paid once and every later manager takes the
@@ -26,7 +26,8 @@ import threading
 
 from ..engine.fingerprint import (compiled_admission_fingerprint,
                                   stable_hash)
-from .lowering import CompileError, LoweredCheck, lower_pair_condition
+from ..logic.compile import CompileError
+from .lowering import LoweredCheck, lower_pair_condition
 
 #: Sentinel for pairs the lowerer refused (cached misses stay misses).
 UNCOMPILABLE = None

@@ -145,7 +145,7 @@ def symbolic_stability_fingerprint(conditions,
     The bounded group's ingredients plus the prover identity: version,
     backend name, and external-solver availability
     (:func:`repro.prover.backend.prover_fingerprint`) — so toggling
-    ``--prover`` internals or installing z3 retires cached proofs
+    prover internals or installing z3 retires cached proofs
     instead of serving stale ``.repro-cache`` entries.
     """
     from ..prover.backend import prover_fingerprint

@@ -189,7 +189,7 @@ def _execute_stability(task: VerifyTask, registry) -> TaskOutcome:
 
 def _execute_symbolic_stability(task: VerifyTask, registry) -> TaskOutcome:
     """Discharge the symbolic proof obligations of one condition group
-    (``--prover`` runs; same grouping as the bounded stability task)."""
+    (prover runs; same grouping as the bounded stability task)."""
     from ..commutativity.conditions import Kind
     from ..prover.backend import discharge_pair, proof_payload
     from ..stability.compiler import candidate_texts
@@ -216,7 +216,7 @@ def _execute_symbolic_stability(task: VerifyTask, registry) -> TaskOutcome:
 
 def _execute_abduction(task: VerifyTask, registry) -> TaskOutcome:
     """Run the CEGIS synthesis loop for one condition group
-    (``--abduce`` runs; same grouping as the bounded stability task)."""
+    (abduction runs; same grouping as the bounded stability task)."""
     from ..abduction.loop import synthesis_payload, synthesize_pair
     from ..commutativity.conditions import Kind
     spec = registry.spec(task.structure)

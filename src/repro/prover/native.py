@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from ..commutativity.conditions import CommutativityCondition
+from ..commutativity.conditions import CommutativityCondition, pair_layout
 from ..eval.enumeration import Scope
 from ..eval.interpreter import EvalContext, EvalError
 from ..eval.values import FMap, Record
@@ -334,12 +334,14 @@ def prove_pair(spec: DataStructureSpec, cond: CommutativityCondition,
         ctx = EvalContext(observe=_symbolic_observe(semantics, spec))
         apply1 = semantics[op1.name] if semantics else op1.semantics
         apply2 = semantics[op2.name] if semantics else op2.semantics
+        # Slot 0 (``s2``) is rebound per drift.
+        names = pair_layout(op1, op2, "s2")
         # Live work lists: state-free candidates are evaluated once per
         # case (at the no-drift binding), s2-readers once per drift.
         free_live = []
         drift_live = []
         for o in supported:
-            item = (o, compile_term(o.term, ctx), results[o.text])
+            item = (o, compile_term(o.term, names, ctx), results[o.text])
             (drift_live if o.wants_s2 else free_live).append(item)
 
         def judge(item, env, truth, w, mid, d, args1, args2, r1,
@@ -392,29 +394,22 @@ def prove_pair(spec: DataStructureSpec, cond: CommutativityCondition,
                 commute_cache[case_key] = truth
             if truth == "outside":
                 continue
-            env: dict[str, Any] = {}
-            for p, v in zip(op1.params, args1):
-                env[f"{p.name}1"] = v
-            for p, v in zip(op2.params, args2):
-                env[f"{p.name}2"] = v
+            env = [mid, *args1, *args2]
             if op1.result_sort is not None:
-                env["r1"] = r1
+                env.append(r1)
             if free_live:
-                cenv = dict(env)
-                cenv["s2"] = mid
                 proof.cases += 1
                 for item in free_live[:]:
-                    judge(item, cenv, truth, w, mid, mid, args1, args2,
+                    judge(item, env, truth, w, mid, mid, args1, args2,
                           r1, free_live)
             if drift_live:
                 for d in itertools.chain((mid,), drift_fn(mid, r1)):
                     if not spec.precondition_holds(op2, d, args2):
                         continue
-                    denv = dict(env)
-                    denv["s2"] = d
+                    env[0] = d
                     proof.cases += 1
                     for item in drift_live[:]:
-                        judge(item, denv, truth, w, mid, d, args1,
+                        judge(item, env, truth, w, mid, d, args1,
                               args2, r1, drift_live)
     for result in results.values():
         if result.status == "unsupported" and result.reason is None:

@@ -359,8 +359,8 @@ def stability_table(reports) -> str:
     repro stability``).  The ``armed/reported`` column splits each
     pair's candidates into the ones compiled into its runtime guard
     versus the ones kept as report-only evidence; a ``*`` marks proved
-    candidates (``--prover`` runs) and a ``+`` abduced ones
-    (``--abduce`` runs)."""
+    candidates (prover runs) and a ``+`` abduced ones (abduction
+    runs)."""
     if not isinstance(reports, dict):
         reports = {reports.name: reports}
     rows = []

@@ -308,8 +308,8 @@ class AdmissionServer:
         once per server (the engine cache makes reruns cheap); off the
         event loop — compilation is CPU work.  A registry that already
         carries stable conditions for the structure — an in-process
-        server sharing its caller's registry after an ``--abduce`` or
-        ``--prover`` compilation — is honoured as-is, so served
+        server sharing its caller's registry after a prover or
+        abduction compilation — is honoured as-is, so served
         decisions arm exactly the caller's tiers."""
         async with self._compile_lock:
             if structure in self._stable_ready:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from ..eval.enumeration import Scope
-from ..eval.interpreter import EvalContext
+from ..eval.interpreter import EvalContext, evaluate
 from ..eval.values import Record
 from ..logic import parse_formula
 from ..logic.compile import compile_term
@@ -109,20 +109,26 @@ class DataStructureSpec:
     def precondition_holds(self, op: Operation, state: Record,
                            args: tuple[Any, ...]) -> bool:
         """Evaluate ``op``'s precondition on ``state`` and ``args``
-        through a closure compiled once per operation, which decides
-        (and raises ``EvalError``) exactly as the interpreter does."""
+        through a closure compiled once per operation over the layout
+        ``s`` then the parameters, which decides (and raises
+        ``EvalError``) exactly as the interpreter does.  A call whose
+        arity does not fit the layout is interpreted instead, which
+        tolerates the mismatch the way :func:`zip` does."""
+        if len(args) != len(op.params):
+            env: dict[str, Any] = {"s": state}
+            env.update(zip((param.name for param in op.params), args))
+            return bool(evaluate(op.precondition, env,
+                                 EvalContext(observe=self.observe)))
         entry = self._preconditions.get(op.name)
         if entry is None or entry[0] is not op \
                 or entry[1] is not op.precondition:
             # Racing threads store equivalent closures: benign.
+            names = ("s", *(param.name for param in op.params))
             entry = (op, op.precondition,
-                     compile_term(op.precondition,
+                     compile_term(op.precondition, names,
                                   EvalContext(observe=self.observe)))
             self._preconditions[op.name] = entry
-        env: dict[str, Any] = {"s": state}
-        for param, value in zip(op.params, args):
-            env[param.name] = value
-        return bool(entry[2](env))
+        return bool(entry[2]([state, *args]))
 
     def execute(self, op: Operation, state: Record,
                 args: tuple[Any, ...]) -> tuple[Record, Any]:

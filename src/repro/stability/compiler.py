@@ -132,7 +132,7 @@ def compile_group(spec: DataStructureSpec,
 
 def merge_proofs(pair: PairStability, proof) -> PairStability:
     """Fold a :class:`~repro.prover.native.PairProof` into a bounded
-    verdict (``--prover`` runs; parent-side, after both task kinds
+    verdict (prover runs; parent-side, after both task kinds
     resolve).
 
     Per candidate: a **proved** obligation arms any candidate the
@@ -177,7 +177,7 @@ def merge_proofs(pair: PairStability, proof) -> PairStability:
 
 def merge_synthesis(pair: PairStability, synth) -> PairStability:
     """Fold a :class:`~repro.abduction.loop.PairSynthesis` into a
-    bounded (and possibly proof-merged) verdict (``--abduce`` runs;
+    bounded (and possibly proof-merged) verdict (abduction runs;
     parent-side, after the ``ABDUCTION`` tasks resolve).
 
     Abduction only *adds* admission power: armed abduced candidates

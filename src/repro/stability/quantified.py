@@ -48,13 +48,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..commutativity.bounded import Case, commutes
 from ..commutativity.conditions import (CommutativityCondition, Kind,
                                         allowed_variables,
                                         condition_symbols,
-                                        formula_references_state)
+                                        formula_references_state,
+                                        pair_layout)
 from ..eval.enumeration import Scope
 from ..eval.interpreter import EvalContext, EvalError
 from ..logic import ParseError, free_vars, parse_formula
@@ -86,7 +86,7 @@ class CandidateResult:
     #: have made).
     violations: int = 0
     #: The symbolic prover discharged this candidate's obligation over
-    #: all states (``--prover`` runs only).  A proved state-reading
+    #: all states (prover runs only).  A proved state-reading
     #: candidate is armed after all — the unbounded certificate is
     #: exactly what the bounded sweep could not give it.
     proved: bool = False
@@ -114,9 +114,9 @@ class PairStability:
     #: ``"stable"`` — the original condition is arg/result-only and
     #: needs no guard; ``"proved"`` — a weakening was compiled and
     #: every armed candidate carries a symbolic proof over all states
-    #: (``--prover`` runs only); ``"synthesized"`` — at least one armed
-    #: candidate was abduced by the CEGIS loop (``--abduce`` runs
-    #: only); ``"weakened"`` — a drift-stable weakening was compiled
+    #: (prover runs only); ``"synthesized"`` — at least one armed
+    #: candidate was abduced by the CEGIS loop (abduction runs only);
+    #: ``"weakened"`` — a drift-stable weakening was compiled
     #: from the bounded sweep; ``"fragile"`` — no candidate survived,
     #: the runtime keeps its conservative fallback.
     verdict: str
@@ -126,7 +126,7 @@ class PairStability:
     cases: int = 0
     elapsed: float = field(default=0.0, compare=False)
     #: Lattice-walk statistics when the abduction loop ran for this
-    #: pair (``--abduce``): checked / pruned / refuted candidate counts
+    #: pair (abduction runs): checked / pruned / refuted candidate counts
     #: and the number of frontier rounds — the synthesis trace the CLI
     #: and the README example surface.
     synthesis: dict | None = None
@@ -182,7 +182,9 @@ def check_pair(spec: DataStructureSpec, cond: CommutativityCondition,
     op1, op2 = cond.op1, cond.op2
     ctx = EvalContext(observe=spec.observe)
     parsed = _parse_candidates(spec, cond, candidate_texts)
-    compiled = [(text, compile_term(term, ctx),
+    # Slot 1 (``s2``) is rebound under drift.
+    names = pair_layout(op1, op2, "s1", "s2")
+    compiled = [(text, compile_term(term, names, ctx),
                  "s2" in free_vars(term),
                  not formula_references_state(term))
                 for text, term in parsed]
@@ -219,11 +221,7 @@ def check_pair(spec: DataStructureSpec, cond: CommutativityCondition,
             if not spec.precondition_holds(op1, state, args1):
                 continue
             mid, r1 = op1.semantics(state, args1)
-            base_env: dict[str, Any] = {"s1": state, "s2": mid}
-            for param, value in zip(op1.params, args1):
-                base_env[f"{param.name}1"] = value
-            if op1.result_sort is not None:
-                base_env["r1"] = r1
+            result = (r1,) if op1.result_sort is not None else ()
             for args2 in args2_list:
                 if not spec.precondition_holds(op2, mid, args2):
                     continue
@@ -235,9 +233,7 @@ def check_pair(spec: DataStructureSpec, cond: CommutativityCondition,
                 truth = commutes(spec, op1, op2, case)
                 always_commutes[obs] = \
                     always_commutes.get(obs, True) and truth
-                env = dict(base_env)
-                for param, value in zip(op2.params, args2):
-                    env[f"{param.name}2"] = value
+                env = [state, mid, *args1, *args2, *result]
                 for text, formula, wants_s2, _ in compiled:
                     if not wants_s2:
                         if _holds(formula, env):
@@ -245,9 +241,9 @@ def check_pair(spec: DataStructureSpec, cond: CommutativityCondition,
                         continue
                     # Quantify the drifted binding; ``mid`` (the
                     # verified no-drift environment) is always included.
+                    drift_env = env.copy()
                     for drift_state in (mid, *drifted_for[args2]):
-                        drift_env = dict(env)
-                        drift_env["s2"] = drift_state
+                        drift_env[1] = drift_state
                         if _holds(formula, drift_env):
                             admit(text, obs)
     survivors: list[str] = []

@@ -38,13 +38,13 @@ class StabilityReport:
     @property
     def proved_count(self) -> int:
         """Weakened pairs whose every armed candidate carries a
-        symbolic all-states proof (``--prover`` runs only)."""
+        symbolic all-states proof (prover runs only)."""
         return self._count("proved")
 
     @property
     def synthesized_count(self) -> int:
         """Pairs that gained at least one armed abduced candidate from
-        the CEGIS loop (``--abduce`` runs only)."""
+        the CEGIS loop (abduction runs only)."""
         return self._count("synthesized")
 
     @property

@@ -173,7 +173,7 @@ def test_synthesized_guard_admits_where_the_fallback_cannot(registry):
                             stable=True)
     assert plain.serializable and armed.serializable
     # No router: the conservative oracle admits nothing under drift,
-    # and without --abduce there is no semantic tier at all.
+    # and without abduction there is no semantic tier at all.
     assert plain.report.fallback_admits == 0
     assert plain.report.synthesized_hits == 0
     # The abduced conditions admit through the synthesized tier, and

@@ -18,10 +18,18 @@ from repro.__main__ import main  # noqa: E402
 
 
 def test_compiled_flag_is_gone(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["run", "--name", "HashSet", "--compiled"])
-    assert exit_info.value.code == 2
-    assert "--compiled" in capsys.readouterr().err
+    """``--compiled`` is gone, and so are the arming flags ``--arm``
+    replaced: each exits 2 naming the flag."""
+    argvs = [["run", "--name", "HashSet", "--compiled"]]
+    for flag in ("--stable", "--prover", "--abduce"):
+        argvs += [["run", "--name", "HashSet", flag],
+                  ["stability", "--name", "HashSet", flag],
+                  ["bench", "--suite", "runtime", flag]]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+        assert argv[-1] in capsys.readouterr().err, argv
 
 
 def test_run_output_matches_the_interpreter(capsys, interpreted):

@@ -13,7 +13,7 @@ from repro.commutativity.bounded import enumerate_cases
 from repro.commutativity.conditions import Kind
 from repro.compiled import (CompiledAdmission, CompileError, SlotMismatch,
                             lower_pair_condition, pair_scope)
-from repro.compiled.lowering import _AdaptiveOr
+from repro.logic.compile import _AdaptiveOr
 from repro.eval import Scope
 from repro.eval.interpreter import EvalContext, EvalError, evaluate
 from repro.logic import terms as t
@@ -122,6 +122,39 @@ def test_pair_scope_layout():
     scope = pair_scope(op1, op2)
     assert scope == {"s1": 0, "s2": 1, "p01": 2, "p11": 3, "p02": 4,
                      "r1": 5}
+
+
+def test_colliding_names_decide_as_the_interpreter():
+    """A parameter named ``r`` on a returning first operation suffixes
+    to ``r1``, and one named ``s`` to ``s1`` or ``s2``.  The gatekeeper's
+    interpreted environment (``ConflictManager._pair_env``) keeps the
+    last binding of each name, and the compiled check must read the same
+    slots, with its quantifier scratch slot past all of them."""
+    from repro.specs.interface import Operation, Param
+
+    def op(name, params, result=None):
+        return Operation(
+            name=name, params=tuple(Param(p, Sort.INT) for p in params),
+            result_sort=result, precondition=t.BoolConst(True),
+            semantics=lambda s, a: (s, None), mutator=False)
+
+    op1 = op("f", ("r", "s"), result=Sort.INT)
+    op2 = op("g", ("s",))
+    before, current, args1, result1, args2 = 100, 200, (1, 2), 4, (3,)
+    env = {"s1": before, "s2": current}
+    env.update(r1=args1[0], s1=args1[1])  # op1's parameters, suffixed
+    env.update(s2=args2[0])               # op2's
+    env["r1"] = result1                   # op1's result
+    r1, s1, s2 = (t.Var(name, Sort.INT) for name in ("r1", "s1", "s2"))
+    i = t.Var("i", Sort.INT)
+    ctx = EvalContext()
+    for term in (r1, s1, s2,
+                 t.Exists(i, t.And((t.Eq(i, t.Add((r1, t.IntConst(1)))),
+                                    t.Lt(s2, r1)))),
+                 t.Forall(i, t.Or((t.Lt(i, s1), t.Lt(t.IntConst(-9), r1))))):
+        check = lower_pair_condition(term, op1, op2, ctx)
+        assert check.check(before, current, args1, result1, args2) \
+            == evaluate(term, env, ctx), term
 
 
 def test_slot_mismatch_on_arity_drift():

@@ -71,7 +71,7 @@ def test_prover_off_reuses_bounded_tasks_only(tmp_path, registry):
                                             cache=cache, prover=True)
     without = run_stability_compilation(SCOPE, names=["HashSet"],
                                         registry=registry, cache=cache)
-    # The bounded tasks are shared (served warm); dropping --prover
+    # The bounded tasks are shared (served warm); dropping the prover
     # simply leaves the proof tasks out, restoring bounded verdicts.
     report = without["HashSet"]
     assert report.cache_hits == len(report.task_timings) > 0

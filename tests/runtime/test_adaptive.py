@@ -105,17 +105,25 @@ def test_adaptive_serial_is_deterministic(adaptive):
     assert traces[0] == traces[1]
 
 
-@pytest.mark.parametrize("name", ("HashSet", "HashTable", "ArrayList",
-                                  "Accumulator"))
-def test_hybrid_strictly_reduces_aborts_on_hotkey(name):
+#: The six runnable builtins.
+RUNNABLE = ThroughputHarness().runnable_structures()
+
+
+@pytest.mark.parametrize("name, shards", [
+    *(pytest.param(name, 1, id=name) for name in RUNNABLE),
+    *(pytest.param(name, 4, id=f"{name}-shards4") for name in RUNNABLE),
+])
+def test_hybrid_strictly_reduces_aborts_on_hotkey(name, shards):
     """The acceptance-criterion shape: on the hot-key write-heavy
     workload the hybrid policy (speculate, then block per tripped
-    shard) must abort strictly less than plain commutativity."""
+    shard) must abort strictly less than plain commutativity.  The
+    controller keeps one conflict window per shard, so four shards
+    make a different decision sequence from one."""
     harness = ThroughputHarness(max_rounds=500_000)
     plain = harness.run_one(name, HOTKEY, policy="commutativity",
-                            workers=1)
+                            workers=1, shards=shards)
     hybrid = harness.run_one(name, HOTKEY, policy="commutativity",
-                             workers=1, adaptive="hybrid")
+                             workers=1, shards=shards, adaptive="hybrid")
     assert plain.serializable and hybrid.serializable
     assert plain.aborts > 0
     assert hybrid.aborts < plain.aborts

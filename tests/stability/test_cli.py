@@ -1,5 +1,5 @@
 """CLI surface of the stability subsystem: the ``stability``
-subcommand, ``run --stable``, and the ``bench --suite runtime`` gate
+subcommand, ``run --arm weakened``, and the ``bench --suite runtime`` gate
 and seed-matrix sections."""
 
 import json
@@ -38,7 +38,8 @@ def test_run_stable_prints_drift_admission_table(capsys):
     code = main(["run", "--name", "HashTable", "--policy",
                  "commutativity", "--profile", "write-heavy",
                  "--distribution", "hot-key", "--txns", "6", "--ops",
-                 "5", "--preload", "12", "--seed", "5", "--stable"])
+                 "5", "--preload", "12", "--seed", "5", "--arm",
+                 "weakened"])
     assert code == 0
     out = capsys.readouterr().out
     assert "drift checks" in out and "stable hits" in out
@@ -46,7 +47,7 @@ def test_run_stable_prints_drift_admission_table(capsys):
 
 def test_bench_runtime_stable_gate(tmp_path, capsys):
     output = tmp_path / "BENCH_runtime.json"
-    code = main(["bench", "--suite", "runtime", "--stable",
+    code = main(["bench", "--suite", "runtime", "--arm", "weakened",
                  "--output", str(output)])
     assert code == 0
     data = json.loads(output.read_text())

@@ -1,9 +1,9 @@
 """Drift-stable admission at run time: the gatekeeper's stable path,
 registry/session plumbing, and the acceptance properties — on
-write-heavy hot-key *preloaded* workloads ``--stable`` strictly reduces
-conservative fallbacks while sharded decisions remain identical to the
-flat log and every execution stays identical to its serial replay,
-across all six built-ins and a custom structure."""
+write-heavy hot-key *preloaded* workloads the armed weakened tier
+strictly reduces conservative fallbacks while sharded decisions remain
+identical to the flat log and every execution stays identical to its
+serial replay, across all six built-ins and a custom structure."""
 
 import pytest
 from hypothesis import given, settings, strategies as st

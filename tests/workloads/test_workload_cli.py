@@ -174,20 +174,6 @@ def test_run_preload(capsys):
     assert code == 0
 
 
-def test_bench_runtime_emits_adaptive_section(tmp_path):
-    code, output = _run_bench(tmp_path)
-    assert code == 0
-    data = json.loads(output.read_text())
-    section = data["adaptive"]
-    assert section["workload"] == "write-heavy-hotkey"
-    assert set(section["structures"]) == BUILTINS
-    for entry in section["structures"].values():
-        # The deterministic acceptance shape: hybrid strictly reduces
-        # aborts wherever plain commutativity aborts at all.
-        assert entry["hybrid_aborts"] < entry["plain_aborts"] \
-            or entry["plain_aborts"] == 0
-
-
 def test_bench_runtime_sharded_emits_scaling_section(tmp_path):
     """The JSON shape of the flat-vs-sharded comparison.  The actual
     performance gate (sharded beats flat on >= 1 workload per family)
