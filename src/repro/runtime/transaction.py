@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from ..impls import invoke
 from ..inverses.catalog import ArgKind, Guard, InverseSpec
@@ -101,19 +101,29 @@ def rollback(impl: Any, family: str, undo_log: list[UndoEntry],
     """Undo all logged mutations, most recent first, using the verified
     inverse operations of Table 5.10.  Returns the ``(operation,
     arguments)`` calls it applied, in order."""
+    applied: list[tuple[str, tuple[Any, ...]]] = []
+    for op_name, args in undo_calls(family, undo_log, registry):
+        invoke(impl, op_name, args)
+        applied.append((op_name, args))
+    undo_log.clear()
+    return applied
+
+
+def undo_calls(family: str, undo_log: list[UndoEntry],
+               registry=None) -> Iterator[tuple[str, tuple[Any, ...]]]:
+    """The ``(operation, arguments)`` calls that undo ``undo_log``,
+    most recent entry first, through the verified inverses.
+    :func:`rollback` invokes them on a concrete structure; the
+    admission server applies them to the abstract state it keeps for a
+    client, so both undo an abort by the same calls."""
     from ..api import resolve_registry
     registry = resolve_registry(registry)
     spec = registry.spec(family)
-    applied: list[tuple[str, tuple[Any, ...]]] = []
     for entry in reversed(undo_log):
         op = spec.operations[entry.op_name]
         inverse = registry.inverse(family, op.base_name or op.name)
-        for op_name, args in resolve_inverse_calls(inverse, op, entry.args,
-                                                   entry.result):
-            invoke(impl, op_name, args)
-            applied.append((op_name, args))
-    undo_log.clear()
-    return applied
+        yield from resolve_inverse_calls(inverse, op, entry.args,
+                                         entry.result)
 
 
 def resolve_inverse_calls(inverse: InverseSpec, op: Any,

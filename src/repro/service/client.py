@@ -7,9 +7,13 @@ and scheduler) while every admission decision crosses the wire:
 executor uses — ``shards_for`` / ``check_many`` / ``record`` /
 ``release`` plus ``counters()`` — over one blocking TCP connection.
 
-Round-trips are amortized by pipelining: ``record`` and ``release``
-frames are buffered client-side and flushed inside the *next*
-``check`` as one ``batch`` frame (order preserved, so the server
+Frames carry operations, never states: the server keeps the domain's
+abstract state by the spec from the one ``state`` frame each run
+sends, ahead of its first check or record (see :mod:`.protocol`).
+
+Round-trips are amortized by pipelining: ``state``, ``record`` and
+``release`` frames are buffered client-side and flushed inside the
+*next* ``check`` as one ``batch`` frame (order preserved, so the server
 applies exactly the sequence an in-process manager would have seen —
 decision identity is free).  A transaction's final release rides with
 the next transaction's first check; anything still buffered flushes on
@@ -35,6 +39,7 @@ import socket
 import time
 from typing import Any
 
+from ..eval.values import Record
 from ..runtime.backend import AdmissionBackend
 from ..runtime.gatekeeper import LoggedOperation
 from . import protocol
@@ -144,8 +149,10 @@ class RemoteConflictManager:
         #: (the next execution resets it) and the connection up.
         self._pooled = pooled
         self.num_shards = shards
-        #: record/release frames awaiting the next check's batch.
+        #: state/record/release frames awaiting the next check's batch.
         self._pending: list[dict[str, Any]] = []
+        #: Whether this run's ``state`` frame is on its way.
+        self._state_sent = False
         #: Stats memo; invalidated by every new frame, final after close.
         self._stats: dict[str, Any] | None = None
         self._closed = False
@@ -163,13 +170,22 @@ class RemoteConflictManager:
         server recomputes the authoritative scan set per check."""
         return ()
 
+    def _send_state(self, state: Record) -> None:
+        """Ship the first state this manager is handed, the run's
+        initial state, at the head of the pending frames."""
+        if not self._state_sent:
+            self._state_sent = True
+            self._pending.insert(0, protocol.state_frame(self._domain,
+                                                         state))
+
     def check_many(self, txn_id: int, op_name: str,
-                   args: tuple[Any, ...], current,
+                   args: tuple[Any, ...], current: Record,
                    shard_ids=None) -> tuple[bool, int | None]:
+        self._send_state(current)
         frames = self._pending
         self._pending = []
         frames.append(protocol.check_frame(self._domain, txn_id,
-                                           op_name, args, current))
+                                           op_name, args))
         self._stats = None
         started = time.perf_counter()
         results = self._client.call_batch(frames)
@@ -178,7 +194,10 @@ class RemoteConflictManager:
         return bool(verdict["admitted"]), verdict["holder"]
 
     def record(self, entry: LoggedOperation) -> tuple[int, ...]:
-        self._pending.append(protocol.record_frame(self._domain, entry))
+        self._send_state(entry.before)
+        self._pending.append(protocol.record_frame(
+            self._domain, entry.txn_id, entry.op_name, entry.args,
+            entry.result))
         self._stats = None
         return ()
 

@@ -13,12 +13,19 @@ Why the merged decisions are identical to a single-process server's
 (the digest-identity anchor that makes the deployment change safe):
 
 - Each domain has one serial client, and per-connection frame order is
-  preserved, so worker ``w``'s per-shard logs are byte-identical to
-  the single process's logs for the shards ``w`` owns.  A pending
-  (pipelined) record/release only ever matters on the workers that
-  store it, and any check that could scan those shards is routed to
-  the same workers, where it flushes the pending frames first — so no
-  check ever misses an entry that a single process would have seen.
+  preserved.  Every worker receives the run's ``state`` frame, every
+  record and every release, so every worker keeps the single process's
+  abstract state: the same initial state, the same spec step per
+  record, the same inverse calls per abort.  A check is decided only
+  after every frame pipelined ahead of it on that worker's connection,
+  so the state it sees is the state the single process sees.
+- Each record carries the worker's owned slice of the routed shards
+  (empty when the worker owns none), and a worker stores the entry
+  only in that slice, so worker ``w``'s per-shard logs are
+  byte-identical to the single process's logs for the shards ``w``
+  owns.  Any check that could scan those shards is routed to ``w``,
+  where it flushes the pending frames first — so no check ever misses
+  an entry that a single process would have seen.
 - A check scans shards in ascending id order and stops at the first
   conflict.  Each worker scans its slice ascending and reports the
   conflicting shard; the merge takes the smallest conflicting shard
@@ -42,6 +49,7 @@ import multiprocessing as mp
 import time
 from typing import Any, Sequence
 
+from ..eval.values import Record
 from . import protocol
 
 #: Seconds to wait for each cluster worker to report its port (and,
@@ -106,10 +114,13 @@ class PartitionedConflictManager:
         #: Routing only — store/scan regions; never armed, never logs.
         self._router = conflict_manager(ds_name, policy, shards=shards,
                                         registry=registry)
-        #: Per-worker record/release frames awaiting that worker's next
-        #: check (order preserved per connection => decision identity).
+        #: Per-worker state/record/release frames awaiting that
+        #: worker's next check (order preserved per connection =>
+        #: decision identity).
         self._pending: list[list[dict[str, Any]]] = \
             [[] for _ in self._clients]
+        #: Whether this run's ``state`` frames are on their way.
+        self._state_sent = False
         self._stats: dict[str, Any] | None = None
         self._closed = False
         self.admission_latencies: list[float] = []
@@ -122,9 +133,19 @@ class PartitionedConflictManager:
         the authoritative scan happens worker-side per slice."""
         return ()
 
+    def _send_state(self, state: Record) -> None:
+        """Ship the first state this manager is handed, the run's
+        initial state, at the head of every worker's pending frames."""
+        if not self._state_sent:
+            self._state_sent = True
+            for worker, pending in enumerate(self._pending):
+                pending.insert(0, protocol.state_frame(
+                    self._domains[worker], state))
+
     def check_many(self, txn_id: int, op_name: str,
-                   args: tuple[Any, ...], current,
+                   args: tuple[Any, ...], current: Record,
                    shard_ids=None) -> tuple[bool, int | None]:
+        self._send_state(current)
         route = self._router.shards_for(op_name, args)
         plan = split_slices(route, self._workers)
         self._stats = None
@@ -134,7 +155,7 @@ class PartitionedConflictManager:
             frames = self._pending[worker]
             self._pending[worker] = []
             frames.append(protocol.check_frame(
-                self._domains[worker], txn_id, op_name, args, current,
+                self._domains[worker], txn_id, op_name, args,
                 shards=plan[worker]))
             verdicts.append(self._clients[worker].call_batch(frames)[-1])
         self.admission_latencies.append(time.perf_counter() - started)
@@ -142,11 +163,17 @@ class PartitionedConflictManager:
         return admitted, holder
 
     def record(self, entry, shard_ids=None) -> tuple[int, ...]:
-        route = self._router.store_regions(entry.op_name, entry.args)
-        for worker, slice_ids in split_slices(route,
-                                              self._workers).items():
+        """Sent to *every* worker, each with its owned slice of the
+        routed shards (possibly empty): every worker advances its kept
+        state, and only the owners store the entry."""
+        self._send_state(entry.before)
+        plan = split_slices(self._router.store_regions(entry.op_name,
+                                                       entry.args),
+                            self._workers)
+        for worker in range(self._workers):
             self._pending[worker].append(protocol.record_frame(
-                self._domains[worker], entry, shards=slice_ids))
+                self._domains[worker], entry.txn_id, entry.op_name,
+                entry.args, entry.result, shards=plan.get(worker, ())))
         self._stats = None
         return ()
 

@@ -10,6 +10,14 @@ byte-agnostic), so the semantic value types of the spec logic
 exactly — admission conditions evaluate over the *decoded* values, so
 a lossy codec would silently change decisions.
 
+The server keeps each domain's abstract state by the spec, the way the
+executor's :class:`~repro.runtime.executor.StructureHandle` does: the
+client ships its run's initial state once, and every later frame
+carries operations only.  A mutator's ``record`` advances the kept
+state by the operation's abstract semantics, and an abort replays the
+transaction's verified inverse calls on it, so at every check the
+server decides against the state the client's executor holds.
+
 Request frames (``t`` field):
 
 - ``hello``   — version handshake; the server refuses mismatches.  The
@@ -19,27 +27,41 @@ Request frames (``t`` field):
 - ``open``    — create a server-side admission *domain* (one manager:
   structure, policy, shards, stable arming) → ``domain`` id.  Every
   domain lowers its conditions into closures (:mod:`repro.compiled`);
-  a ``compiled`` key from an older client is ignored.
+  a ``compiled`` key from an older client is ignored.  The domain
+  belongs to the connection that opened it: every frame below except
+  ``stats`` is refused on any other connection, and when the
+  connection ends the server closes the domain, counting each
+  transaction still outstanding as an abort.
+- ``state``   — the client's abstract state, once per run, ahead of its
+  first ``check`` or ``record``; the domain keeps it from then on.
 - ``check``   — batched admission (:meth:`ConflictManager.check_many`)
-  for one op against the domain's outstanding log → admitted/holder,
-  plus the shard the first conflict was found in (a cluster router
-  merges per-worker verdicts by smallest conflicting shard, which is
-  exactly the single-process first-conflict order).  An explicit
-  ``shards`` list restricts the scan to that slice of the routed set
-  (cluster workers own ``shard_id % workers == worker_id``).
-- ``record``  — log an executed operation (wire LoggedOperation); an
-  explicit ``shards`` list restricts storage to that slice.
-- ``release`` — drop a transaction's outstanding ops (commit/abort).
-- ``reset``   — clear a domain's log/counters/outcomes while keeping
-  its manager (compiled closures, memoized routes) warm:
+  of ``(txn, op, args)`` against the domain's outstanding log and kept
+  state → admitted/holder, plus the shard the first conflict was found
+  in (a cluster router merges per-worker verdicts by smallest
+  conflicting shard, which is exactly the single-process first-conflict
+  order).  An explicit ``shards`` list restricts the scan to that slice
+  of the routed set (cluster workers own
+  ``shard_id % workers == worker_id``).
+- ``record``  — log an executed ``(txn, op, args, result)``; the server
+  derives the logged ``before`` and ``after`` states itself and keeps
+  the undo entry a mutator needs.  An explicit ``shards`` list
+  restricts storage to that slice (possibly empty: every cluster worker
+  sees every record, to keep its state).
+- ``release`` — drop a transaction's outstanding ops; ``reason="abort"``
+  first undoes its mutations on the kept state.
+- ``reset``   — clear a domain's log, kept state, counters and outcomes
+  while keeping its manager (compiled closures, memoized routes) warm:
   the domain-reuse path for repeated workload runs.
 - ``stats``   — the domain's counters + per-shard stats.
 - ``close``   — retire the domain.
 - ``batch``   — a list of the above, answered with a list of results
-  in one round-trip (the client pipelines record/release frames and
-  flushes them with the next check — order preserved, so decisions
-  are identical to the unbatched sequence).
+  in one round-trip (the client pipelines state/record/release frames
+  and flushes them with the next check — order preserved, so
+  decisions are identical to the unbatched sequence).
 - ``ping``    — liveness probe.
+
+A ``check`` or ``record`` on a domain with no kept state (none sent
+since it opened or was reset) is refused.
 
 Responses are ``{"ok": true, ...}`` or ``{"ok": false, "error": msg}``.
 """
@@ -52,7 +74,6 @@ from typing import Any
 
 from ..eval.values import FMap, Record
 from ..eval.values import encode_value as canonical_form
-from ..runtime.gatekeeper import LoggedOperation
 
 #: Bumped on any frame-shape change; ``hello`` carries it and the
 #: server refuses clients it cannot speak to.  v2: cluster map in the
@@ -61,7 +82,10 @@ from ..runtime.gatekeeper import LoggedOperation
 #: v3: the ``stats`` payload's counter keys are the names of
 #: :data:`~repro.runtime.gatekeeper.COUNTERS` (``checks`` became
 #: ``conflict_checks``, ``fallbacks`` became ``drift_fallbacks``).
-PROTOCOL_VERSION = 3
+#: v4: the server keeps each domain's abstract state; a ``state`` frame
+#: sends it once per run, ``check`` and ``record`` carry no states,
+#: and a domain belongs to the connection that opened it.
+PROTOCOL_VERSION = 4
 
 #: Frames above this are refused outright (a corrupt length prefix
 #: must not allocate gigabytes).  Kept under 2**31 so the length
@@ -109,24 +133,6 @@ def decode_value(payload: Any) -> Any:
     raise ProtocolError(f"undecodable payload {payload!r}")
 
 
-def wire_operation(entry: LoggedOperation) -> dict[str, Any]:
-    """The wire form of one logged operation."""
-    return {"txn": entry.txn_id, "op": entry.op_name,
-            "args": encode_value(tuple(entry.args)),
-            "result": encode_value(entry.result),
-            "before": encode_value(entry.before),
-            "after": encode_value(entry.after)}
-
-
-def unwire_operation(payload: dict[str, Any]) -> LoggedOperation:
-    """Inverse of :func:`wire_operation`."""
-    return LoggedOperation(txn_id=payload["txn"], op_name=payload["op"],
-                           args=decode_value(payload["args"]),
-                           result=decode_value(payload["result"]),
-                           before=decode_value(payload["before"]),
-                           after=decode_value(payload["after"]))
-
-
 # -- framing -----------------------------------------------------------------
 
 def pack_frame(frame: dict[str, Any]) -> bytes:
@@ -168,20 +174,26 @@ def open_frame(structure: str, *, policy: str = "commutativity",
             "shards": shards, "stable": stable, "label": label}
 
 
+def state_frame(domain: int, state: Record) -> dict[str, Any]:
+    return {"t": "state", "d": domain, "state": encode_value(state)}
+
+
 def check_frame(domain: int, txn_id: int, op_name: str,
-                args: tuple[Any, ...], current: Record,
+                args: tuple[Any, ...],
                 shards: tuple[int, ...] | None = None) -> dict[str, Any]:
     frame = {"t": "check", "d": domain, "txn": txn_id, "op": op_name,
-             "args": encode_value(tuple(args)),
-             "state": encode_value(current)}
+             "args": encode_value(tuple(args))}
     if shards is not None:
         frame["shards"] = list(shards)
     return frame
 
 
-def record_frame(domain: int, entry: LoggedOperation,
+def record_frame(domain: int, txn_id: int, op_name: str,
+                 args: tuple[Any, ...], result: Any,
                  shards: tuple[int, ...] | None = None) -> dict[str, Any]:
-    frame = {"t": "record", "d": domain, "entry": wire_operation(entry)}
+    frame = {"t": "record", "d": domain, "txn": txn_id, "op": op_name,
+             "args": encode_value(tuple(args)),
+             "result": encode_value(result)}
     if shards is not None:
         frame["shards"] = list(shards)
     return frame

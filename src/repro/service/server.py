@@ -5,16 +5,20 @@ worker processes speculate against it over the frame protocol
 (:mod:`.protocol`).  Each ``open`` frame creates an admission
 *domain* — one :class:`~repro.runtime.gatekeeper.ConflictManager`
 configured like the in-process path (structure, policy, shard count,
-stable arming) — so concurrent clients never share a log
-unless they share a domain.
+stable arming) — and belongs to the connection that opened it, so
+concurrent clients never share a log.  The domain keeps its client's
+abstract state by the spec (see :mod:`.protocol`): the client sends
+the state once, then operations only, and a domain's state is written
+by one connection whose frames are handled one at a time.  When a
+connection ends, the server closes every domain it still holds and
+counts each outstanding transaction as an abort.
 
 Dispatch discipline: on the served path the managers' thread locks are
-uncontended (one event loop); serialization comes from per-domain
-per-shard ``asyncio.Lock``s acquired in ascending shard order around
-every check/record/release, exactly mirroring the in-process sharded
-lock order.  Handlers never await while holding shard locks except on
-the locks themselves, so admission for disjoint regions interleaves
-across connections while same-region traffic serializes.
+uncontended (one event loop), and a domain sees only its owner's frames,
+in order.  Handlers take per-domain per-shard ``asyncio.Lock``s in
+ascending shard order around every check/record/release, mirroring the
+in-process sharded lock order, and never await while holding them
+except on the locks themselves.
 
 The same port speaks plain HTTP for observability: a connection whose
 first four bytes are ``GET `` (impossible as a frame length prefix,
@@ -34,7 +38,10 @@ import contextlib
 import time
 from typing import Any, Callable
 
+from ..eval.values import Record
 from ..reporting.tables import percentile
+from ..runtime.gatekeeper import LoggedOperation
+from ..runtime.transaction import UndoEntry, undo_calls
 from . import protocol
 from .metrics import prometheus_text, snapshot_json
 
@@ -47,18 +54,28 @@ MAX_HTTP_HEAD = 16 * 1024
 
 
 class _Domain:
-    """One served admission domain: a conflict manager plus the
+    """One served admission domain: a conflict manager, the connection
+    that owns it, the abstract state it keeps for that connection's
+    client with one undo log per outstanding transaction, plus the
     asyncio-side lock array and outcome counters."""
 
-    __slots__ = ("domain_id", "manager", "structure", "policy", "shards",
-                 "stable", "label", "locks", "touched_lock", "commits",
-                 "aborts", "closed")
+    __slots__ = ("domain_id", "manager", "owner", "state", "txns",
+                 "structure", "policy", "shards", "stable", "label",
+                 "locks", "touched_lock", "commits", "aborts", "closed")
 
-    def __init__(self, domain_id: int, manager, structure: str,
-                 policy: str, shards: int, stable: bool,
+    def __init__(self, domain_id: int, manager, owner: int,
+                 structure: str, policy: str, shards: int, stable: bool,
                  label: str) -> None:
         self.domain_id = domain_id
         self.manager = manager
+        #: The id of the connection that opened the domain.
+        self.owner = owner
+        #: The client's abstract state, kept by the spec from the last
+        #: ``state`` frame on; ``None`` until one arrives.
+        self.state = None
+        #: txn id -> the undo log of a transaction with recorded,
+        #: unreleased operations (empty when it only read).
+        self.txns: dict[int, list[UndoEntry]] = {}
         self.structure = structure
         self.policy = policy
         self.shards = shards
@@ -71,6 +88,51 @@ class _Domain:
         self.commits = 0
         self.aborts = 0
         self.closed = False
+
+    def kept_state(self) -> Record:
+        """The kept state; refused until a ``state`` frame set one."""
+        if self.state is None:
+            raise protocol.ProtocolError(
+                f"domain {self.domain_id} has no state; send a state "
+                f"frame first")
+        return self.state
+
+    def apply(self, txn_id: int, op, args: tuple[Any, ...]):
+        """Advance the kept state by ``op(args)``, as the executor's
+        structure handle does, and log the undo entry a mutator needs;
+        returns the ``(before, after)`` states."""
+        before = after = self.kept_state()
+        undo_log = self.txns.setdefault(txn_id, [])
+        if op.mutator:
+            after, raw = op.semantics(before, args)
+            if op.base_name is not None:
+                # The undo of a discard variant needs the result its
+                # base operation returns (compare ConflictManager.
+                # _undo_plan).
+                base = self.manager.spec.operations[op.base_name]
+                raw = base.semantics(before, args)[1]
+            undo_log.append(UndoEntry(op.base_name or op.name, args, raw))
+            self.state = after
+        return before, after
+
+    def undo(self, txn_id: int) -> None:
+        """Drop ``txn_id``'s undo log after applying its inverse calls,
+        most recent first, to the kept state."""
+        undo_log = self.txns.pop(txn_id, None)
+        if not undo_log:
+            return
+        operations = self.manager.spec.operations
+        state = self.state
+        for op_name, args in undo_calls(self.manager.ds_name, undo_log,
+                                        self.manager.registry):
+            state = operations[op_name].semantics(state, args)[0]
+        self.state = state
+
+    def close(self) -> None:
+        self.closed = True
+        self.state = None
+        self.txns.clear()
+        self.manager.close()
 
     def released(self) -> int:
         return self.commits + self.aborts
@@ -174,6 +236,7 @@ class AdmissionServer:
             task.add_done_callback(self._conn_tasks.discard)
         self.connections_total += 1
         self.active_connections += 1
+        conn = self.connections_total
         try:
             try:
                 prefix = await reader.readexactly(4)
@@ -182,18 +245,20 @@ class AdmissionServer:
             if prefix == b"GET ":
                 await self._serve_http(reader, writer)
                 return
-            await self._serve_frames(prefix, reader, writer)
+            await self._serve_frames(prefix, reader, writer, conn)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
             self.active_connections -= 1
+            self._abandon(conn)
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
 
     async def _serve_frames(self, first_prefix: bytes,
                             reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter) -> None:
+                            writer: asyncio.StreamWriter,
+                            conn: int) -> None:
         prefix = first_prefix
         while True:
             try:
@@ -208,7 +273,7 @@ class AdmissionServer:
             except asyncio.IncompleteReadError:
                 return
             self.rpcs_total += 1
-            response = await self._dispatch(frame)
+            response = await self._dispatch(frame, conn)
             writer.write(protocol.pack_frame(response))
             await writer.drain()
             try:
@@ -216,7 +281,8 @@ class AdmissionServer:
             except asyncio.IncompleteReadError:
                 return
 
-    async def _dispatch(self, frame: dict[str, Any]) -> dict[str, Any]:
+    async def _dispatch(self, frame: dict[str, Any],
+                        conn: int) -> dict[str, Any]:
         kind = frame.get("t")
         if kind == "batch":
             subframes = frame.get("frames", ())
@@ -226,29 +292,35 @@ class AdmissionServer:
                     results.append(protocol.error_response(
                         "batch frames do not nest"))
                 else:
-                    results.append(await self._handle_one(sub))
+                    results.append(await self._handle_one(sub, conn))
             return {"ok": True, "results": results}
-        return await self._handle_one(frame)
+        return await self._handle_one(frame, conn)
 
-    async def _handle_one(self, frame: dict[str, Any]) -> dict[str, Any]:
+    async def _handle_one(self, frame: dict[str, Any],
+                          conn: int) -> dict[str, Any]:
         self.frames_total += 1
         try:
             handler = getattr(self, f"_frame_{frame.get('t')}", None)
             if handler is None:
                 return protocol.error_response(
                     f"unknown frame type {frame.get('t')!r}")
-            return await handler(frame)
+            return await handler(frame, conn)
         except protocol.ProtocolError as exc:
             return protocol.error_response(str(exc))
         except Exception as exc:  # a bad frame must not kill the server
             return protocol.error_response(
                 f"{type(exc).__name__}: {exc}")
 
-    def _domain(self, frame: dict[str, Any]) -> _Domain:
+    def _domain(self, frame: dict[str, Any], conn: int) -> _Domain:
+        """The open domain ``frame`` names, if connection ``conn``
+        owns it."""
         domain = self._domains.get(frame.get("d"))
         if domain is None or domain.closed:
             raise protocol.ProtocolError(
                 f"unknown or closed domain {frame.get('d')!r}")
+        if domain.owner != conn:
+            raise protocol.ProtocolError(
+                f"domain {domain.domain_id} belongs to another connection")
         return domain
 
     @contextlib.asynccontextmanager
@@ -266,7 +338,8 @@ class AdmissionServer:
 
     # -- frame handlers ------------------------------------------------------
 
-    async def _frame_hello(self, frame: dict[str, Any]) -> dict[str, Any]:
+    async def _frame_hello(self, frame: dict[str, Any],
+                           conn: int) -> dict[str, Any]:
         if frame.get("v") != protocol.PROTOCOL_VERSION:
             return protocol.error_response(
                 f"protocol version mismatch: server speaks "
@@ -280,10 +353,12 @@ class AdmissionServer:
                             "worker_id": self.worker_id,
                             "ports": list(ports)}}
 
-    async def _frame_ping(self, frame: dict[str, Any]) -> dict[str, Any]:
+    async def _frame_ping(self, frame: dict[str, Any],
+                          conn: int) -> dict[str, Any]:
         return {"ok": True}
 
-    async def _frame_open(self, frame: dict[str, Any]) -> dict[str, Any]:
+    async def _frame_open(self, frame: dict[str, Any],
+                          conn: int) -> dict[str, Any]:
         structure = frame["structure"]
         stable = bool(frame.get("stable"))
         if stable:
@@ -297,7 +372,7 @@ class AdmissionServer:
         domain_id = self._next_domain
         self._next_domain += 1
         self._domains[domain_id] = _Domain(
-            domain_id, manager, structure,
+            domain_id, manager, conn, structure,
             frame.get("policy", "commutativity"),
             int(frame.get("shards", 1)), stable,
             str(frame.get("label", "")))
@@ -338,10 +413,22 @@ class AdmissionServer:
                 f"shard slice {ids} outside [0, {manager.num_shards})")
         return tuple(ids)
 
-    async def _frame_check(self, frame: dict[str, Any]) -> dict[str, Any]:
-        domain = self._domain(frame)
+    async def _frame_state(self, frame: dict[str, Any],
+                           conn: int) -> dict[str, Any]:
+        domain = self._domain(frame, conn)
+        state = protocol.decode_value(frame["state"])
+        if not isinstance(state, Record):
+            raise protocol.ProtocolError(
+                f"a state frame carries a record, not "
+                f"{type(state).__name__}")
+        domain.state = state
+        return {"ok": True}
+
+    async def _frame_check(self, frame: dict[str, Any],
+                           conn: int) -> dict[str, Any]:
+        domain = self._domain(frame, conn)
+        current = domain.kept_state()
         args = protocol.decode_value(frame["args"])
-        current = protocol.decode_value(frame["state"])
         manager = domain.manager
         if frame.get("shards") is None:
             shard_ids = manager.shards_for(frame["op"], args)
@@ -354,60 +441,91 @@ class AdmissionServer:
         return {"ok": True, "admitted": admitted, "holder": holder,
                 "shard": shard}
 
-    async def _frame_record(self, frame: dict[str, Any]) -> dict[str, Any]:
-        domain = self._domain(frame)
-        entry = protocol.unwire_operation(frame["entry"])
+    async def _frame_record(self, frame: dict[str, Any],
+                            conn: int) -> dict[str, Any]:
+        domain = self._domain(frame, conn)
         manager = domain.manager
+        op = manager.spec.operations.get(frame["op"])
+        if op is None:
+            raise protocol.ProtocolError(
+                f"{domain.structure} has no operation {frame['op']!r}")
+        args = protocol.decode_value(frame["args"])
+        result = protocol.decode_value(frame["result"])
         if frame.get("shards") is None:
-            shard_ids = manager.store_regions(entry.op_name, entry.args)
+            shard_ids = manager.store_regions(op.name, args)
         else:
             shard_ids = self._shard_slice(manager, frame["shards"])
-        async with self._locked(domain, shard_ids):
-            async with domain.touched_lock:
-                stored = manager.record(entry, shard_ids=shard_ids)
-        return {"ok": True, "shards": list(stored)}
+        before, after = domain.apply(frame["txn"], op, args)
+        if shard_ids:
+            entry = LoggedOperation(txn_id=frame["txn"], op_name=op.name,
+                                    args=args, result=result,
+                                    before=before, after=after)
+            async with self._locked(domain, shard_ids):
+                async with domain.touched_lock:
+                    manager.record(entry, shard_ids=shard_ids)
+        return {"ok": True, "shards": list(shard_ids)}
 
-    async def _frame_release(self, frame: dict[str, Any]) -> dict[str, Any]:
-        domain = self._domain(frame)
+    async def _frame_release(self, frame: dict[str, Any],
+                             conn: int) -> dict[str, Any]:
+        domain = self._domain(frame, conn)
         manager = domain.manager
+        reason = frame.get("reason", "commit")
         async with domain.touched_lock:
             touched = manager.touched(frame["txn"])
             async with self._locked(domain, touched):
-                manager.release(frame["txn"],
-                                reason=frame.get("reason", "commit"))
-        if frame.get("reason", "commit") == "abort":
+                manager.release(frame["txn"], reason=reason)
+        if reason == "abort":
+            domain.undo(frame["txn"])
             domain.aborts += 1
         else:
+            domain.txns.pop(frame["txn"], None)
             domain.commits += 1
         return {"ok": True}
 
-    async def _frame_reset(self, frame: dict[str, Any]) -> dict[str, Any]:
-        """Domain reuse: wipe the log/counters/outcomes but keep the
-        manager — its armed stable conditions and compiled closures
-        stay warm, so a repeated workload run skips the arming cost
-        while starting from a decision-identical empty log."""
-        domain = self._domain(frame)
+    async def _frame_reset(self, frame: dict[str, Any],
+                           conn: int) -> dict[str, Any]:
+        """Domain reuse: wipe the log, kept state, undo logs, counters
+        and outcomes but keep the manager — its armed stable conditions
+        and compiled closures stay warm, so a repeated workload run
+        skips the arming cost while starting from a decision-identical
+        empty log."""
+        domain = self._domain(frame, conn)
         async with self._locked(domain, range(domain.manager.num_shards)):
             async with domain.touched_lock:
                 domain.manager.reset()
+        domain.state = None
+        domain.txns.clear()
         domain.commits = 0
         domain.aborts = 0
         self.domain_reuse_total += 1
         return {"ok": True, "domain": domain.domain_id}
 
-    async def _frame_stats(self, frame: dict[str, Any]) -> dict[str, Any]:
+    async def _frame_stats(self, frame: dict[str, Any],
+                           conn: int) -> dict[str, Any]:
         domain = self._domains.get(frame.get("d"))
         if domain is None:
             raise protocol.ProtocolError(
                 f"unknown domain {frame.get('d')!r}")
         return {"ok": True, "stats": domain.stats_payload()}
 
-    async def _frame_close(self, frame: dict[str, Any]) -> dict[str, Any]:
-        domain = self._domain(frame)
-        domain.closed = True
-        domain.manager.close()
+    async def _frame_close(self, frame: dict[str, Any],
+                           conn: int) -> dict[str, Any]:
+        domain = self._domain(frame, conn)
+        domain.close()
         self._prune_domains()
         return {"ok": True, "stats": domain.stats_payload()}
+
+    def _abandon(self, conn: int) -> None:
+        """Close every domain connection ``conn`` still holds open; each
+        transaction outstanding in one counts as an abort.  Nothing
+        else can touch those domains: they belong to ``conn``."""
+        for domain in self._domains.values():
+            if domain.owner == conn and not domain.closed:
+                for txn_id in domain.txns:
+                    domain.manager.release(txn_id, reason="abort")
+                domain.aborts += len(domain.txns)
+                domain.close()
+        self._prune_domains()
 
     def _prune_domains(self) -> None:
         closed = [d for d in self._domains.values() if d.closed]

@@ -137,25 +137,31 @@ def test_interleaved_batches_across_two_pooled_connections(live_cluster):
                 by_worker.setdefault(route[0] % 2, index)
         assert set(by_worker) == {0, 1}
         i0, i1 = by_worker[0], by_worker[1]
-        state = _seq_state(*["a"] * (SHARDS * 4))
+        elems = ["a"] * (SHARDS * 4)
+        after = _seq_state(*elems)
         for index in (i0, i1):
+            before, elems[index] = after, "b"
+            after = _seq_state(*elems)
             manager.record(LoggedOperation(
                 txn_id=1, op_name="set", args=(index, "b"),
-                result=None, before=state, after=state))
-        # One record is pending on each worker's connection.
-        assert [len(pending) for pending in manager._pending] == [1, 1]
+                result="a", before=before, after=after))
+        # Every worker sees every record, behind the run's state frame,
+        # so that each keeps the client's state.
+        assert [[frame["t"] for frame in pending]
+                for pending in manager._pending] \
+            == [["state", "record", "record"]] * 2
         # A check on i1's worker flushes *that* batch only, and sees
         # the freshly recorded conflicting write in order.
         admitted, holder = manager.check_many(2, "set", (i1, "x"),
-                                              state)
+                                              after)
         assert (admitted, holder) == (False, 1)
         flushed = worker_of(router.shards_for("set", (i1, "x"))[0], 2)
         assert manager._pending[flushed] == []
-        assert len(manager._pending[1 - flushed]) == 1
+        assert len(manager._pending[1 - flushed]) == 3
         # The other worker's batch flushes with its own check, still
         # ahead of it in frame order.
         admitted, holder = manager.check_many(2, "set", (i0, "x"),
-                                              state)
+                                              after)
         assert (admitted, holder) == (False, 1)
         assert [len(pending) for pending in manager._pending] == [0, 0]
         manager.release(1, "abort")
@@ -234,12 +240,11 @@ def test_reset_frame_clears_the_log_and_counters(live_server):
     try:
         domain = client.call(protocol.open_frame(
             "ArrayList", shards=2, label="reset-test"))["domain"]
-        state = _seq_state("a")
-        client.call(protocol.record_frame(domain, LoggedOperation(
-            txn_id=1, op_name="set", args=(0, "b"), result=None,
-            before=state, after=_seq_state("b"))))
+        client.call(protocol.state_frame(domain, _seq_state("a")))
+        client.call(protocol.record_frame(domain, 1, "set", (0, "b"),
+                                          "a"))
         verdict = client.call(protocol.check_frame(
-            domain, 2, "set", (0, "x"), _seq_state("b")))
+            domain, 2, "set", (0, "x")))
         assert verdict["admitted"] is False
         client.call(protocol.reset_frame(domain))
         stats = client.call(protocol.stats_frame(domain))["stats"]
@@ -248,9 +253,11 @@ def test_reset_frame_clears_the_log_and_counters(live_server):
         assert stats["commits"] == 0 and stats["aborts"] == 0
         assert all(shard["outstanding"] == 0
                    for shard in stats["shard_stats"])
-        # The drained log admits what conflicted before the reset.
+        # The drained log admits what conflicted before the reset,
+        # once the next run has sent its state.
+        client.call(protocol.state_frame(domain, _seq_state("b")))
         verdict = client.call(protocol.check_frame(
-            domain, 2, "set", (0, "x"), _seq_state("b")))
+            domain, 2, "set", (0, "x")))
         assert verdict["admitted"] is True
         client.call(protocol.close_frame(domain))
     finally:

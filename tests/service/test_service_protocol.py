@@ -9,7 +9,6 @@ import pytest
 
 from repro.eval import Record
 from repro.eval.values import FMap
-from repro.runtime import LoggedOperation
 from repro.service import protocol
 from repro.service.protocol import (
     MAX_FRAME,
@@ -19,8 +18,6 @@ from repro.service.protocol import (
     encode_value,
     pack_frame,
     unpack_length,
-    unwire_operation,
-    wire_operation,
 )
 
 
@@ -86,31 +83,28 @@ def test_undecodable_payload_is_refused():
         decode_value([1, 2, 3])
 
 
-# -- logged operations on the wire -------------------------------------------
-
-def test_wire_operation_round_trip():
-    before = Record(elems=("a",))
-    after = Record(elems=("a", "b"))
-    entry = LoggedOperation(txn_id=3, op_name="add", args=("b",),
-                            result=True, before=before, after=after)
-    back = unwire_operation(wire_operation(entry))
-    assert back.txn_id == 3
-    assert back.op_name == "add"
-    assert tuple(back.args) == ("b",)
-    assert back.result is True
-    assert back.before == before
-    assert back.after == after
-
-
 # -- framing -----------------------------------------------------------------
 
 def test_frame_round_trip():
-    frame = protocol.check_frame(0, 7, "get", (2,),
-                                 Record(elems=("a", "b", "c")))
-    packed = pack_frame(frame)
-    length = unpack_length(packed[:4])
-    assert length == len(packed) - 4
-    assert decode_body(packed[4:]) == frame
+    for frame in (protocol.state_frame(0, Record(elems=("a", "b", "c"))),
+                  protocol.check_frame(0, 7, "get", (2,)),
+                  protocol.record_frame(0, 7, "get", (2,), "c",
+                                        shards=())):
+        packed = pack_frame(frame)
+        length = unpack_length(packed[:4])
+        assert length == len(packed) - 4
+        assert decode_body(packed[4:]) == frame
+
+
+def test_only_the_state_frame_carries_a_state():
+    """Checks and records name operations; the server keeps the state."""
+    state = protocol.state_frame(3, Record(elems=("a",)))
+    assert decode_value(state["state"]) == Record(elems=("a",))
+    check = protocol.check_frame(3, 1, "add_at", (0, "b"))
+    record = protocol.record_frame(3, 1, "add_at", (0, "b"), None)
+    assert set(check) == {"t", "d", "txn", "op", "args"}
+    assert set(record) == {"t", "d", "txn", "op", "args", "result"}
+    assert decode_value(record["args"]) == (0, "b")
 
 
 def test_truncated_length_prefix_is_refused():

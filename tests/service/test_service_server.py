@@ -2,11 +2,12 @@
 error surfaces, and the HTTP metrics side of the same port."""
 
 import json
+import time
 
 import pytest
 
 from repro.eval import Record
-from repro.runtime import ExecutionReport, LoggedOperation
+from repro.runtime import ExecutionReport
 from repro.service import protocol
 from repro.service.bench import EXPECTED_METRIC_NAMES, scrape_metrics
 from repro.service.client import ServiceClient, ServiceError
@@ -40,8 +41,11 @@ def test_hello_handshake_reports_the_protocol_version(client):
 
 
 def test_version_mismatch_is_refused(client):
-    with pytest.raises(ServiceError, match="version mismatch"):
-        client.call({"t": "hello", "v": protocol.PROTOCOL_VERSION + 1})
+    # A v3 client would ship states the server no longer reads.
+    for version in (3, protocol.PROTOCOL_VERSION + 1):
+        with pytest.raises(ServiceError, match="version mismatch"):
+            client.call({"t": "hello", "v": version})
+    assert client.call(protocol.ping_frame())["ok"] is True
 
 
 def test_ping(client):
@@ -51,27 +55,25 @@ def test_ping(client):
 # -- the admission RPC surface ------------------------------------------------
 
 def test_served_admission_flow(client):
-    """open → record → check (admit and conflict) → release → stats →
-    close, with the same decisions the in-process gatekeeper makes."""
+    """open → state → record → check (admit and conflict) → release →
+    stats → close, with the same decisions the in-process gatekeeper
+    makes."""
     domain = _open_arraylist(client)
-    state = _seq_state("a", "b", "c")
-    client.call(protocol.record_frame(domain, LoggedOperation(
-        txn_id=1, op_name="get", args=(0,), result="a",
-        before=state, after=state)))
+    client.call(protocol.state_frame(domain, _seq_state("a", "b", "c")))
+    client.call(protocol.record_frame(domain, 1, "get", (0,), "a"))
     # Reads commute: a second get is admitted.
-    verdict = client.call(protocol.check_frame(domain, 2, "get", (0,),
-                                               state))
+    verdict = client.call(protocol.check_frame(domain, 2, "get", (0,)))
     assert verdict["admitted"] is True and verdict["holder"] is None
     # A write under the outstanding read conflicts; the holder is the
     # logging transaction (wait-die needs its id).
     verdict = client.call(protocol.check_frame(domain, 2, "set",
-                                               (0, "x"), state))
+                                               (0, "x")))
     assert verdict["admitted"] is False and verdict["holder"] == 1
 
     client.call(protocol.release_frame(domain, 1, "commit"))
     # The log is drained: the write is now admitted.
     verdict = client.call(protocol.check_frame(domain, 2, "set",
-                                               (0, "x"), state))
+                                               (0, "x")))
     assert verdict["admitted"] is True
 
     stats = client.call(protocol.stats_frame(domain))["stats"]
@@ -86,17 +88,15 @@ def test_served_admission_flow(client):
     # Closed domains refuse admission traffic but keep serving stats
     # (scrape continuity after a run).
     with pytest.raises(ServiceError, match="closed domain"):
-        client.call(protocol.check_frame(domain, 3, "get", (0,), state))
+        client.call(protocol.check_frame(domain, 3, "get", (0,)))
     retained = client.call(protocol.stats_frame(domain))["stats"]
     assert retained["counters"] == final["counters"]
 
 
 def test_abort_release_counts_as_abort(client):
     domain = _open_arraylist(client)
-    state = _seq_state("a")
-    client.call(protocol.record_frame(domain, LoggedOperation(
-        txn_id=1, op_name="get", args=(0,), result="a",
-        before=state, after=state)))
+    client.call(protocol.state_frame(domain, _seq_state("a")))
+    client.call(protocol.record_frame(domain, 1, "get", (0,), "a"))
     client.call(protocol.release_frame(domain, 1, "abort"))
     stats = client.call(protocol.stats_frame(domain))["stats"]
     assert stats["aborts"] == 1 and stats["commits"] == 0
@@ -105,19 +105,15 @@ def test_abort_release_counts_as_abort(client):
 
 def test_batch_preserves_order_and_nesting_is_refused(client):
     domain = _open_arraylist(client)
-    state = _seq_state("a")
-    entry = LoggedOperation(txn_id=1, op_name="set", args=(0, "z"),
-                            result=None, before=state,
-                            after=_seq_state("z"))
-    # record-then-check in one round-trip: the check must see the
+    # state-record-check in one round-trip: the check must see the
     # freshly recorded write (order preserved) and conflict.
     results = client.call_batch([
-        protocol.record_frame(domain, entry),
-        protocol.check_frame(domain, 2, "set", (0, "x"),
-                             _seq_state("z")),
+        protocol.state_frame(domain, _seq_state("a")),
+        protocol.record_frame(domain, 1, "set", (0, "z"), "a"),
+        protocol.check_frame(domain, 2, "set", (0, "x")),
     ])
-    assert results[0]["ok"] is True
-    assert results[1]["admitted"] is False and results[1]["holder"] == 1
+    assert results[0]["ok"] is True and results[1]["ok"] is True
+    assert results[2]["admitted"] is False and results[2]["holder"] == 1
 
     nested = client.call(protocol.batch_frame(
         [protocol.batch_frame([protocol.ping_frame()])]))
@@ -125,18 +121,125 @@ def test_batch_preserves_order_and_nesting_is_refused(client):
     assert "nest" in nested["results"][0]["error"]
 
 
+def test_check_and_record_need_a_kept_state(client):
+    """Before a state frame, and again after a reset drops the kept
+    state, checks and records are refused; the connection serves on."""
+    domain = _open_arraylist(client)
+    for frame in (protocol.check_frame(domain, 1, "get", (0,)),
+                  protocol.record_frame(domain, 1, "get", (0,), "a")):
+        with pytest.raises(ServiceError, match="no state"):
+            client.call(frame)
+        assert client.call(protocol.ping_frame())["ok"] is True
+    client.call(protocol.state_frame(domain, _seq_state("a")))
+    assert client.call(protocol.check_frame(domain, 1, "get",
+                                            (0,)))["admitted"] is True
+    client.call(protocol.reset_frame(domain))
+    with pytest.raises(ServiceError, match="no state"):
+        client.call(protocol.check_frame(domain, 1, "get", (0,)))
+    assert client.call(protocol.ping_frame())["ok"] is True
+
+
+def test_record_of_an_unknown_operation_is_refused(client):
+    domain = _open_arraylist(client)
+    client.call(protocol.state_frame(domain, _seq_state("a")))
+    with pytest.raises(ServiceError, match="no operation 'frobnicate'"):
+        client.call(protocol.record_frame(domain, 1, "frobnicate", (0,),
+                                          None))
+    # Nothing was logged: a write to the same index is admitted.
+    assert client.call(protocol.check_frame(
+        domain, 2, "set", (0, "x")))["admitted"] is True
+
+
+def test_an_abort_undoes_its_mutations_on_the_kept_state(client,
+                                                         live_server):
+    """The abort of ``set_`` applies ``set`` with the element its base
+    operation replaced (the spec supplies it; the frame carries only
+    the discarded ``None``) to the state as it is now, not as it was."""
+    domain = _open_arraylist(client)
+    kept = live_server.server._domains[domain]
+    client.call(protocol.state_frame(domain, Record(elems=("a", "b"),
+                                                    size=2)))
+    client.call(protocol.record_frame(domain, 1, "set_", (0, "z"), None))
+    client.call(protocol.record_frame(domain, 2, "add_at", (2, "c"),
+                                      None))
+    assert kept.state == Record(elems=("z", "b", "c"), size=3)
+    client.call(protocol.release_frame(domain, 2, "commit"))
+    client.call(protocol.release_frame(domain, 1, "abort"))
+    assert kept.state == Record(elems=("a", "b", "c"), size=3)
+    assert kept.txns == {}
+
+
 def test_error_surfaces(client):
     with pytest.raises(ServiceError, match="unknown frame type"):
         client.call({"t": "frobnicate"})
     with pytest.raises(ServiceError, match="unknown or closed domain"):
-        client.call(protocol.check_frame(999999, 1, "get", (0,),
-                                         _seq_state("a")))
+        client.call(protocol.check_frame(999999, 1, "get", (0,)))
     with pytest.raises(ServiceError, match="unknown domain"):
         client.call(protocol.stats_frame(999999))
     with pytest.raises(ServiceError):
         client.call(protocol.open_frame("NoSuchStructure"))
     # A failed frame must not poison the connection.
     assert client.call(protocol.ping_frame())["ok"] is True
+
+
+def _snapshot(node):
+    status, body = scrape_metrics(node.host, node.port,
+                                  path="/metrics.json")
+    assert status == 200
+    return json.loads(body)
+
+
+def test_a_domain_belongs_to_the_connection_that_opened_it():
+    """Another connection's state, check, record, release, reset and
+    close frames on a domain are refused, while its stats stay open.
+    When the owner drops its socket mid-transaction, the server closes
+    the domain and counts the outstanding transaction as an abort; the
+    other connection serves on throughout."""
+    server = LiveServer()
+    try:
+        owner = ServiceClient(server.host, server.port)
+        other = ServiceClient(server.host, server.port)
+        try:
+            domain = _open_arraylist(owner)
+            owner.call_batch([
+                protocol.state_frame(domain, _seq_state("a")),
+                protocol.record_frame(domain, 1, "set", (0, "b"), "a")])
+            for frame in (protocol.state_frame(domain, _seq_state("x")),
+                          protocol.check_frame(domain, 2, "get", (0,)),
+                          protocol.record_frame(domain, 2, "get", (0,),
+                                                "b"),
+                          protocol.release_frame(domain, 1, "abort"),
+                          protocol.reset_frame(domain),
+                          protocol.close_frame(domain)):
+                with pytest.raises(ServiceError,
+                                   match="another connection"):
+                    other.call(frame)
+            assert other.call(protocol.stats_frame(domain))["stats"] \
+                ["counters"]["conflict_checks"] == 0
+            # The owner's transaction is untouched and still conflicts.
+            verdict = owner.call(protocol.check_frame(domain, 2, "set",
+                                                      (0, "x")))
+            assert verdict["admitted"] is False and verdict["holder"] == 1
+            assert _snapshot(server)["server"]["domains_open"] == 1
+
+            owner.close()  # no close frame: the socket just goes away
+            deadline = time.monotonic() + 10.0
+            while _snapshot(server)["server"]["domains_open"]:
+                assert time.monotonic() < deadline, "domain left open"
+                time.sleep(0.01)
+            stats = other.call(protocol.stats_frame(domain))["stats"]
+            assert stats["closed"] is True
+            assert (stats["aborts"], stats["commits"]) == (1, 0)
+            assert all(shard["outstanding"] == 0
+                       for shard in stats["shard_stats"])
+            with pytest.raises(ServiceError, match="closed domain"):
+                other.call(protocol.check_frame(domain, 3, "get", (0,)))
+            assert other.call(protocol.ping_frame())["ok"] is True
+        finally:
+            other.close()
+            owner.close()
+    finally:
+        server.stop()
 
 
 def test_malformed_body_gets_an_error_frame(live_server):
@@ -171,12 +274,10 @@ def test_legacy_compiled_false_still_arms_closures(client):
     frame = dict(protocol.open_frame("HashSet", label="legacy"),
                  compiled=False)
     domain = client.call(frame)["domain"]
-    state = Record(contents=frozenset({"a"}), size=1)
-    client.call(protocol.record_frame(domain, LoggedOperation(
-        txn_id=1, op_name="contains", args=("a",), result=True,
-        before=state, after=state)))
-    verdict = client.call(protocol.check_frame(domain, 2, "add", ("b",),
-                                               state))
+    client.call(protocol.state_frame(
+        domain, Record(contents=frozenset({"a"}), size=1)))
+    client.call(protocol.record_frame(domain, 1, "contains", ("a",), True))
+    verdict = client.call(protocol.check_frame(domain, 2, "add", ("b",)))
     assert verdict["admitted"] is True
     stats = client.call(protocol.stats_frame(domain))["stats"]
     assert "compiled" not in stats
@@ -200,11 +301,9 @@ def test_metrics_json_domains_list_no_compiled_flag(client, live_server):
 
 def test_http_metrics_exposes_every_shard_counter(client, live_server):
     domain = _open_arraylist(client)
-    state = _seq_state("a")
-    client.call(protocol.record_frame(domain, LoggedOperation(
-        txn_id=1, op_name="get", args=(0,), result="a",
-        before=state, after=state)))
-    client.call(protocol.check_frame(domain, 2, "get", (0,), state))
+    client.call(protocol.state_frame(domain, _seq_state("a")))
+    client.call(protocol.record_frame(domain, 1, "get", (0,), "a"))
+    client.call(protocol.check_frame(domain, 2, "get", (0,)))
     client.call(protocol.release_frame(domain, 1, "commit"))
 
     status, body = scrape_metrics(live_server.host, live_server.port)
