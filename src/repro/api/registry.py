@@ -132,6 +132,7 @@ class Registry:
             builder = lambda spec, fixed=fixed: fixed  # noqa: E731
         self._condition_builders[family] = builder
         self._condition_cache.pop(family, None)
+        self._disarm(family)
 
     def register_inverses(self, name: str,
                           inverses: Iterable[InverseSpec]) -> None:
@@ -160,6 +161,13 @@ class Registry:
                 f"stable conditions for {family!r} are already "
                 f"registered (pass replace=True to recompile)")
         self._stable_conditions[family] = tuple(conditions)
+        self._disarm(family)
+
+    def _disarm(self, family: str) -> None:
+        """Drop the family's shared admission plans (armed from the
+        catalogs just replaced; see :func:`repro.compiled.armed`)."""
+        from ..compiled.cache import disarm
+        disarm(self, family)
 
     def has_stable_conditions(self, name: str) -> bool:
         return self.family_of(name) in self._stable_conditions

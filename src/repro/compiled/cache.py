@@ -1,4 +1,4 @@
-"""The process-global compiled-pair cache.
+"""The compiled-pair cache and the per-registry armings.
 
 The executor builds a fresh conflict manager per run, but a pair's
 lowered closure depends only on content — the spec fingerprint, the
@@ -18,11 +18,20 @@ design — hit-rate learning carries over — and are decision-neutral
 A pair the lowerer cannot handle is cached as uncompilable, so the
 ``CompileError`` is paid once and every later manager takes the
 interpreted fallback without re-raising.
+
+On top of the closures, each registry keeps one *arming* per structure
+family and stable flag: the pair plans of
+:func:`repro.compiled.admission.armed`, which every conflict manager
+of that family shares instead of re-deriving each pair's cache key
+per run.  Armings are keyed weakly by registry, so they live as long
+as the registry and never keep it alive.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
+from typing import Any, Callable
 
 from ..engine.fingerprint import (compiled_admission_fingerprint,
                                   stable_hash)
@@ -33,6 +42,8 @@ from .lowering import LoweredCheck, lower_pair_condition
 UNCOMPILABLE = None
 
 _PAIR_CACHE: dict[str, LoweredCheck | None] = {}
+#: Registry -> {(family, stable): arming}.
+_ARMINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _CACHE_LOCK = threading.Lock()
 
 
@@ -71,13 +82,44 @@ def compiled_pair(spec, spec_fp, cond, label: str,
         return _PAIR_CACHE.setdefault(key, check)
 
 
+def shared_arming(registry, family: str, stable: bool,
+                  arm: Callable[[], Any]) -> Any:
+    """``registry``'s arming of ``family`` (with its drift-stable
+    conditions when ``stable``), built by ``arm()`` on first use."""
+    key = (family, stable)
+    with _CACHE_LOCK:
+        armings = _ARMINGS.get(registry)
+        if armings is not None and key in armings:
+            return armings[key]
+    # Arm outside the lock, like a lowering: arming the same content
+    # twice is idempotent.
+    arming = arm()
+    with _CACHE_LOCK:
+        return _ARMINGS.setdefault(registry, {}).setdefault(key, arming)
+
+
+def disarm(registry, family: str) -> None:
+    """Drop ``registry``'s armings of ``family``; the registry calls it
+    whenever the family's conditions or stable conditions are
+    registered, so no manager arms from a replaced catalog."""
+    with _CACHE_LOCK:
+        armings = _ARMINGS.get(registry)
+        if armings:
+            armings.pop((family, False), None)
+            armings.pop((family, True), None)
+
+
 def cache_size() -> int:
     with _CACHE_LOCK:
         return len(_PAIR_CACHE)
 
 
 def clear_cache() -> None:
-    """Drop every cached closure (tests; never needed in production —
-    content addressing makes stale entries unreachable, not wrong)."""
+    """Drop every cached closure and every registry's armings, so the
+    next manager arms from scratch as a fresh process would (tests and
+    benchmarks; never needed in production — content addressing makes
+    stale closures unreachable, not wrong, and re-registration drops
+    stale armings)."""
     with _CACHE_LOCK:
         _PAIR_CACHE.clear()
+        _ARMINGS.clear()

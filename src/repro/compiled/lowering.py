@@ -51,8 +51,9 @@ class LoweredCheck:
 
     :meth:`check` is the hot-path entry: it builds the slot list
     directly from the gatekeeper's logged entry and incoming call —
-    no dict, no :class:`~repro.eval.values.Record` wrapper — and
-    returns exactly what the interpreter would."""
+    no dict, no :class:`~repro.eval.values.Record` wrapper, and no
+    list at all for a folded constant — and returns exactly what the
+    interpreter would."""
 
     __slots__ = ("fn", "n1", "n2", "has_r1", "extra", "total", "const")
 
@@ -65,8 +66,7 @@ class LoweredCheck:
 
     @property
     def is_const(self) -> bool:
-        """The whole formula folded to a constant (diagnostics only;
-        ``check`` goes through ``fn`` regardless)."""
+        """The whole formula folded to a constant."""
         return self.const is not NOT_CONST
 
     def check(self, before: Any, current: Any, args1: tuple,
@@ -75,6 +75,8 @@ class LoweredCheck:
             raise SlotMismatch(
                 f"expected {self.n1}/{self.n2} arguments, "
                 f"got {len(args1)}/{len(args2)}")
+        if self.const is not NOT_CONST:
+            return self.const  # what ``fn`` returns on any slot list
         env: Slots = [before, current]
         env.extend(args1)
         env.extend(args2)

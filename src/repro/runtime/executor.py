@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..eval.values import Record, encode_value
-from ..impls import invoke, invoke_concrete
+from ..impls import concrete_method_name, invoke_concrete
 from ..specs.interface import PreconditionError
 from .adaptive import AdaptiveController, make_controller
 from .backend import AdmissionBackend, resolve_backend
@@ -367,8 +367,16 @@ class SpeculativeExecutor:
         from the timed window and the operation counts.
         """
         impl = self.registry.new_instance(self.ds_name)
+        # The load phase calls each concrete method bound once per run;
+        # its results are dropped, so discard variants need no care.
+        methods: dict[str, Any] = {}
         for op_name, args in (setup or ()):
-            invoke(impl, self.spec.operations[op_name], args)
+            method = methods.get(op_name)
+            if method is None:
+                method = methods[op_name] = getattr(
+                    impl,
+                    concrete_method_name(self.spec.operations[op_name]))
+            method(*args)
         structure = StructureHandle(impl, self.ds_name, self.registry)
         initial_state = structure.state()
         start = time.perf_counter()

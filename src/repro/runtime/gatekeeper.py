@@ -46,6 +46,7 @@ from typing import Any, Iterable, Sequence
 
 from ..api.errors import UnknownNameError
 from ..commutativity.conditions import Kind
+from ..compiled.admission import PairPlan, armed
 from ..compiled.lowering import SlotMismatch
 from ..eval.interpreter import EvalContext, EvalError, evaluate
 from ..eval.values import Record
@@ -63,6 +64,9 @@ POLICIES = ("commutativity", "read-write", "mutex")
 #: interesting failure is the one happening now, not the one from
 #: startup — with every eviction counted in ``eval_errors_dropped``).
 EVAL_ERROR_SAMPLE = 5
+
+#: The plans of an incoming operation no between condition names.
+_UNPLANNED: dict[str, PairPlan] = {}
 
 #: The admission counters, declared once: name -> what it counts.  Each
 #: is a :class:`_Shard` slot, incremented under that shard's lock.
@@ -183,32 +187,25 @@ class ConflictManager:
         self._undo_plans: dict[tuple, tuple | None] = {}
         #: txn_id -> shard ids holding at least one of its entries.
         self._touched: dict[int, set[int]] = {}
-        #: (m1, m2) -> compiled drift-stable condition, tried by the
-        #: drift guard before the conservative router-oracle fallback.
+        #: Whether the drift guard tries the registry's drift-stable
+        #: conditions before the conservative router-oracle fallback.
         self.stable = stable
-        self._stable: dict[tuple[str, str], Any] = {}
-        if stable:
-            if not registry.has_stable_conditions(ds_name):
-                raise ValueError(
-                    f"stable=True but no drift-stable conditions are "
-                    f"registered for {ds_name!r}; run "
-                    f"Session.compile_stable() (or `python -m repro "
-                    f"stability`) first")
-            self._stable = {
-                (c.m1, c.m2): c
-                for c in registry.stable_conditions(ds_name)}
+        if stable and not registry.has_stable_conditions(ds_name):
+            raise ValueError(
+                f"stable=True but no drift-stable conditions are "
+                f"registered for {ds_name!r}; run "
+                f"Session.compile_stable() (or `python -m repro "
+                f"stability`) first")
         self._ctx = EvalContext(observe=self.spec.observe)
-        #: (m1, m2) -> catalog between condition.  Memoizes the
-        #: registry's linear catalog scan off the hot path (the
-        #: catalog is immutable for the lifetime of a manager).
-        self._conds: dict[tuple[str, str], Any] = {}
-        #: Arm-time admission compilation (:mod:`repro.compiled`):
-        #: every catalog between condition and registered stable
-        #: condition is lowered into a slot-specialized closure before
-        #: the first check, through the process-global compiled-pair
-        #: cache.  Only the commutativity policy evaluates conditions,
-        #: so only it compiles.
-        self._admission = None
+        #: Incoming operation -> logged operation -> the pair's
+        #: :class:`~repro.compiled.admission.PairPlan`: its catalog
+        #: between condition, compiled closures and armed drift-stable
+        #: condition, resolved once per registry arming and shared by
+        #: every manager of the family.  Only the commutativity policy
+        #: evaluates conditions, so only it arms.
+        self._pair_plans: dict[str, dict[str, PairPlan]] | None = (
+            armed(registry, ds_name, stable)
+            if policy == "commutativity" else None)
         #: The undo-commutation memo: the verdict of
         #: :meth:`_undo_commutes` is a pure function of immutable
         #: values (the logged call, its pre-state, the incoming call,
@@ -218,13 +215,6 @@ class ConflictManager:
         #: Benign races on the dict are fine (concurrent shards compute
         #: identical values), same as the virtual-route memo.
         self._undo_memo: dict[tuple, bool] = {}
-        if policy == "commutativity":
-            from ..compiled import CompiledAdmission
-            self._admission = CompiledAdmission(
-                self.spec, self._ctx,
-                conditions=(registry.conditions(ds_name)
-                            if registry.has_conditions(ds_name) else ()),
-                stable_conditions=tuple(self._stable.values()))
 
     # -- routing (subclass hooks) ----------------------------------------------
 
@@ -313,6 +303,8 @@ class ConflictManager:
         with the smallest shard id across workers."""
         if shard_ids is None:
             shard_ids = self.shards_for(op_name, args)
+        plans = None if self._pair_plans is None \
+            else self._pair_plans.get(op_name, _UNPLANNED)
         seen: set[int] = set()
         multi = len(shard_ids) > 1
         for sid in shard_ids:
@@ -326,8 +318,24 @@ class ConflictManager:
                             continue
                         seen.add(id(logged))
                     shard.conflict_checks += 1
-                    if not self._pair_commutes(shard, logged, op_name,
-                                               args, current):
+                    if plans is None:
+                        commutes = self._policy_commutes(logged.op_name,
+                                                         op_name)
+                    else:
+                        try:
+                            plan = plans[logged.op_name]
+                        except KeyError:
+                            self._unplanned(logged.op_name, op_name)
+                        if plan.reads_true and len(args) == plan.n2 \
+                                and len(logged.args) == plan.n1:
+                            # The closure would return its folded
+                            # ``true`` and the undo guard would pass a
+                            # read: count the compiled check, skip both.
+                            shard.compiled_hits += 1
+                            continue
+                        commutes = self._pair_commutes(shard, plan, logged,
+                                                       args, current)
+                    if not commutes:
                         shard.conflicts += 1
                         return False, logged.txn_id, sid
         return True, None, None
@@ -346,20 +354,24 @@ class ConflictManager:
             self._virtual_routes[key] = route
             return route
 
-    def _condition(self, m1: str, m2: str):
-        """The pair's catalog between condition, memoized (the
-        registry lookup is a linear catalog scan — too slow to re-run
-        per pair check)."""
-        key = (m1, m2)
-        try:
-            return self._conds[key]
-        except KeyError:
-            cond = self.registry.condition(self.ds_name, m1, m2,
-                                           Kind.BETWEEN)
-            self._conds[key] = cond
-            return cond
+    def _unplanned(self, m1: str, m2: str):
+        """A pair without a plan has no between condition in the
+        catalog the manager armed from: raise the registry's lookup
+        error (an unknown operation or pair)."""
+        self.registry.condition(self.ds_name, m1, m2, Kind.BETWEEN)
+        raise UnknownNameError(
+            f"armed {Kind.BETWEEN} condition for {self.ds_name}",
+            f"{m1};{m2}")
 
-    def _pair_env(self, op1, op2, logged: LoggedOperation,
+    def _policy_commutes(self, m1: str, m2: str) -> bool:
+        """The verdict of the policies that evaluate no condition:
+        ``mutex`` never admits, ``read-write`` admits two reads."""
+        if self.policy == "mutex":
+            return False
+        operations = self.spec.operations
+        return not (operations[m1].mutator or operations[m2].mutator)
+
+    def _pair_env(self, plan: PairPlan, logged: LoggedOperation,
                   args: tuple[Any, ...],
                   current: Record) -> dict[str, Any]:
         """The interpreter's environment for one pair check.  The
@@ -368,15 +380,15 @@ class ConflictManager:
         env: dict[str, Any] = {
             "s1": logged.before, "s2": current,
         }
-        for param, value in zip(op1.params, logged.args):
+        for param, value in zip(plan.op1.params, logged.args):
             env[f"{param.name}1"] = value
-        for param, value in zip(op2.params, args):
+        for param, value in zip(plan.op2.params, args):
             env[f"{param.name}2"] = value
-        if op1.result_sort is not None:
+        if plan.op1.result_sort is not None:
             env["r1"] = logged.result
         return env
 
-    def _note_eval_error(self, shard: _Shard, m1: str, m2: str, cond,
+    def _note_eval_error(self, shard: _Shard, plan: PairPlan, cond,
                          exc: EvalError, stable_path: bool) -> None:
         """An unevaluable condition used to count silently as a
         conservative fallback with no trace of *which* condition
@@ -387,23 +399,17 @@ class ConflictManager:
         if len(shard.eval_error_sample) == EVAL_ERROR_SAMPLE:
             shard.eval_errors_dropped += 1  # the ring evicts the oldest
         shard.eval_error_sample.append({
-            "structure": self.ds_name, "m1": m1, "m2": m2,
+            "structure": self.ds_name, "m1": plan.op1.name,
+            "m2": plan.op2.name,
             "condition": (getattr(cond, "dynamic_text", None)
                           or cond.text),
             "error": str(exc), "stable": stable_path,
         })
 
-    def _pair_commutes(self, shard: _Shard, logged: LoggedOperation,
-                       op_name: str, args: tuple[Any, ...],
+    def _pair_commutes(self, shard: _Shard, plan: PairPlan,
+                       logged: LoggedOperation, args: tuple[Any, ...],
                        current: Record) -> bool:
-        if self.policy == "mutex":
-            return False
-        op1 = self.spec.operations[logged.op_name]
-        op2 = self.spec.operations[op_name]
-        if self.policy == "read-write":
-            return not (op1.mutator or op2.mutator)
-        cond = self._condition(logged.op_name, op_name)
-        if cond.drift_fragile and current != logged.after:
+        if plan.drift_fragile and current != logged.after:
             # Drift guard.  The between conditions are verified in the
             # environment where ``s2`` is the state *immediately after*
             # the logged operation ran; once other operations have
@@ -426,25 +432,22 @@ class ConflictManager:
             # conservative conflict — possibly an unnecessary abort,
             # never an unsound admission.
             shard.drift_checks += 1
-            stable = self._stable.get((logged.op_name, op_name))
-            if stable is not None and self._stable_holds(
-                    shard, stable, op1, logged, op_name, args, current):
-                if self._undo_guard(shard, logged, op2, args, current):
+            if plan.stable is not None and self._stable_holds(
+                    shard, plan, logged, args, current):
+                if self._undo_guard(shard, plan, logged, args, current):
                     # An *effective* admission, counted by certificate
                     # tier (proved conditions carry an unbounded
                     # symbolic proof, synthesized ones an abduced
                     # candidate; tier never changes the decision).
-                    tier = getattr(stable, "tier", "weakened")
-                    if tier == "proved":
+                    if plan.tier == "proved":
                         shard.proved_hits += 1
-                    elif tier == "synthesized":
+                    elif plan.tier == "synthesized":
                         shard.synthesized_hits += 1
                     else:
                         shard.stable_hits += 1
                     return True
                 return False
-            return self._fallback(shard, logged, op_name, args,
-                                  current)
+            return self._fallback(shard, plan, logged, args, current)
         # The arm-time closure decides; it raises EvalError in exactly
         # the cases the interpreter would (same messages), so neither
         # the decision nor the eval_errors sample depends on which one
@@ -452,7 +455,7 @@ class ConflictManager:
         # (CompileError at arm time: no closure) and a call whose
         # arity drifted from the operation signature (SlotMismatch:
         # the dict env tolerates it by zip truncation).
-        checker = self._admission.between_checker(logged.op_name, op_name)
+        checker = plan.between
         try:
             if checker is not None:
                 try:
@@ -464,11 +467,11 @@ class ConflictManager:
                 else:
                     shard.compiled_hits += 1
             if checker is None:
-                env = self._pair_env(op1, op2, logged, args, current)
-                holds = evaluate(cond.dynamic_formula, env, self._ctx)
+                env = self._pair_env(plan, logged, args, current)
+                holds = evaluate(plan.cond.dynamic_formula, env, self._ctx)
             if not holds:
                 return False
-            return self._undo_guard(shard, logged, op2, args, current)
+            return self._undo_guard(shard, plan, logged, args, current)
         except EvalError as exc:
             # The condition's vocabulary is partial: e.g. an ArrayList
             # between condition may index the *logged* operation's older
@@ -478,27 +481,26 @@ class ConflictManager:
             # fall back to the router oracle, then report a conflict —
             # conservative (possibly an unnecessary abort) but never an
             # unsound admission.
-            self._note_eval_error(shard, logged.op_name, op_name, cond,
-                                  exc, stable_path=False)
-            return self._fallback(shard, logged, op_name, args, current)
+            self._note_eval_error(shard, plan, plan.cond, exc,
+                                  stable_path=False)
+            return self._fallback(shard, plan, logged, args, current)
 
-    def _fallback(self, shard: _Shard, logged: LoggedOperation,
-                  op_name: str, args: tuple[Any, ...],
+    def _fallback(self, shard: _Shard, plan: PairPlan,
+                  logged: LoggedOperation, args: tuple[Any, ...],
                   current: Record) -> bool:
         """The conservative path: consult the router oracle, keeping
         the fallback counters exact (mutated under the shard's lock,
         like every other admission counter)."""
         shard.drift_fallbacks += 1
-        admitted = self._virtually_disjoint(logged, op_name, args)
+        admitted = self._virtually_disjoint(logged, plan.op2.name, args)
         if not admitted:
             return False
         shard.fallback_admits += 1
-        return self._undo_guard(shard, logged,
-                                self.spec.operations[op_name], args,
-                                current)
+        return self._undo_guard(shard, plan, logged, args, current)
 
-    def _undo_guard(self, shard: _Shard, logged: LoggedOperation,
-                    op2, args2: tuple[Any, ...], current: Record) -> bool:
+    def _undo_guard(self, shard: _Shard, plan: PairPlan,
+                    logged: LoggedOperation, args2: tuple[Any, ...],
+                    current: Record) -> bool:
         """The inverse side of admission: ``op2`` must also commute
         with the logged operation's *pending undo*.
 
@@ -517,14 +519,14 @@ class ConflictManager:
         the admission when they disagree (counted per shard, under the
         shard's lock, like every other admission counter).
         """
-        if not self._undo_commutes(logged, op2, args2, current):
+        if not self._undo_commutes(plan, logged, args2, current):
             shard.undo_refusals += 1
             return False
         return True
 
-    def _undo_commutes(self, logged: LoggedOperation, op2,
+    def _undo_commutes(self, plan: PairPlan, logged: LoggedOperation,
                        args2: tuple[Any, ...], current: Record) -> bool:
-        op1 = self.spec.operations[logged.op_name]
+        op1, op2 = plan.op1, plan.op2
         if not op1.mutator or logged.before == logged.after:
             # Nothing to undo: reads are never rolled back, and
             # Property 3 makes the inverse of an effect-free execution
@@ -621,16 +623,16 @@ class ConflictManager:
             state, _ = op.semantics(state, args)
         return state
 
-    def _stable_holds(self, shard: _Shard, stable, op1,
-                      logged: LoggedOperation, op_name: str,
-                      args: tuple[Any, ...], current: Record) -> bool:
+    def _stable_holds(self, shard: _Shard, plan: PairPlan,
+                      logged: LoggedOperation, args: tuple[Any, ...],
+                      current: Record) -> bool:
         """Evaluate a compiled drift-stable condition; unevaluable means
         no certificate (the caller falls through to the oracle) —
         counted and sampled per shard, so the silent fallback is
         diagnosable.  The arm-time closure decides; the interpreter
         only where the pair did not lower or the call's arity does not
         fit the closure (decisions are identical either way)."""
-        checker = self._admission.stable_checker(logged.op_name, op_name)
+        checker = plan.stable_check
         try:
             if checker is not None:
                 try:
@@ -642,12 +644,12 @@ class ConflictManager:
                 else:
                     shard.compiled_hits += 1
                     return bool(verdict)
-            env = self._pair_env(op1, self.spec.operations[op_name],
-                                 logged, args, current)
-            return bool(evaluate(stable.dynamic_formula, env, self._ctx))
+            env = self._pair_env(plan, logged, args, current)
+            return bool(evaluate(plan.stable.dynamic_formula, env,
+                                 self._ctx))
         except EvalError as exc:
-            self._note_eval_error(shard, logged.op_name, op_name,
-                                  stable, exc, stable_path=True)
+            self._note_eval_error(shard, plan, plan.stable, exc,
+                                  stable_path=True)
             return False
 
     def _virtually_disjoint(self, logged: LoggedOperation, op_name: str,
@@ -701,11 +703,10 @@ class ConflictManager:
 
     def reset(self) -> None:
         """Back to an empty log with zeroed counters, keeping the
-        expensive admission machinery warm (memoized conditions and
-        routes, armed stable conditions, compiled closures).  Decisions
-        after a reset are identical to a freshly constructed manager's
-        — that equivalence is what makes server-side domain reuse
-        sound."""
+        expensive admission machinery warm (the armed pair plans, the
+        memoized routes and undo verdicts).  Decisions after a reset
+        are identical to a freshly constructed manager's — that
+        equivalence is what makes server-side domain reuse sound."""
         for shard in self._shards:
             with shard.lock:
                 shard.clear()

@@ -32,10 +32,14 @@ ShardRouter = Callable[[str, tuple, int], Optional[Sequence[int]]]
 
 #: The granularity at which routers act as a *universal-commutation
 #: oracle* inside the pair check itself: two operations whose routes at
-#: this granularity are disjoint commute in every state, so their pair
-#: check is skipped without evaluating the condition.  Physical shard
-#: counts are restricted to powers of two (dividing this), which makes
-#: physical scan-pruning a refinement of the virtual test — the
+#: this granularity are disjoint commute in every state.  The pair
+#: check still evaluates the condition; it consults the oracle only
+#: where the condition cannot decide (a drifted state-reading condition
+#: that no stable condition admitted, or an unevaluable one: the
+#: conservative fallback admits region-disjoint pairs) and in the undo
+#: guard, which skips re-executing the pending undo for them.  Physical
+#: shard counts are restricted to powers of two (dividing this), which
+#: makes physical scan-pruning a refinement of the virtual test — the
 #: property behind flat-vs-sharded decision equivalence.
 VIRTUAL_REGIONS = 64
 

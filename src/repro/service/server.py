@@ -13,12 +13,12 @@ by one connection whose frames are handled one at a time.  When a
 connection ends, the server closes every domain it still holds and
 counts each outstanding transaction as an abort.
 
-Dispatch discipline: on the served path the managers' thread locks are
-uncontended (one event loop), and a domain sees only its owner's frames,
-in order.  Handlers take per-domain per-shard ``asyncio.Lock``s in
-ascending shard order around every check/record/release, mirroring the
-in-process sharded lock order, and never await while holding them
-except on the locks themselves.
+Dispatch discipline: a domain takes frames only from the connection
+that owns it, and that connection's frames are handled one at a time,
+each to completion before the next is read.  The check, record,
+release and reset handlers never await, so no other frame can reach a
+domain while one of them runs, and they need no locks of their own;
+the managers' thread locks are uncontended (one event loop).
 
 The same port speaks plain HTTP for observability: a connection whose
 first four bytes are ``GET `` (impossible as a frame length prefix,
@@ -56,12 +56,12 @@ MAX_HTTP_HEAD = 16 * 1024
 class _Domain:
     """One served admission domain: a conflict manager, the connection
     that owns it, the abstract state it keeps for that connection's
-    client with one undo log per outstanding transaction, plus the
-    asyncio-side lock array and outcome counters."""
+    client with one undo log per outstanding transaction, plus outcome
+    counters."""
 
     __slots__ = ("domain_id", "manager", "owner", "state", "txns",
                  "structure", "policy", "shards", "stable", "label",
-                 "locks", "touched_lock", "commits", "aborts", "closed")
+                 "commits", "aborts", "closed")
 
     def __init__(self, domain_id: int, manager, owner: int,
                  structure: str, policy: str, shards: int, stable: bool,
@@ -81,10 +81,6 @@ class _Domain:
         self.shards = shards
         self.stable = stable
         self.label = label
-        self.locks = [asyncio.Lock() for _ in range(manager.num_shards)]
-        #: Guards the manager's touched-map mutations (record/release
-        #: span shards; their bookkeeping must not interleave).
-        self.touched_lock = asyncio.Lock()
         self.commits = 0
         self.aborts = 0
         self.closed = False
@@ -323,19 +319,6 @@ class AdmissionServer:
                 f"domain {domain.domain_id} belongs to another connection")
         return domain
 
-    @contextlib.asynccontextmanager
-    async def _locked(self, domain: _Domain, shard_ids):
-        """Hold the domain's asyncio shard locks in ascending order —
-        the same no-cycle discipline as the in-process sharded mode."""
-        ids = sorted(set(shard_ids))
-        for sid in ids:
-            await domain.locks[sid].acquire()
-        try:
-            yield
-        finally:
-            for sid in reversed(ids):
-                domain.locks[sid].release()
-
     # -- frame handlers ------------------------------------------------------
 
     async def _frame_hello(self, frame: dict[str, Any],
@@ -434,10 +417,8 @@ class AdmissionServer:
             shard_ids = manager.shards_for(frame["op"], args)
         else:
             shard_ids = self._shard_slice(manager, frame["shards"])
-        async with self._locked(domain, shard_ids):
-            admitted, holder, shard = manager.check_detail(
-                frame["txn"], frame["op"], args, current,
-                shard_ids=shard_ids)
+        admitted, holder, shard = manager.check_detail(
+            frame["txn"], frame["op"], args, current, shard_ids=shard_ids)
         return {"ok": True, "admitted": admitted, "holder": holder,
                 "shard": shard}
 
@@ -460,20 +441,14 @@ class AdmissionServer:
             entry = LoggedOperation(txn_id=frame["txn"], op_name=op.name,
                                     args=args, result=result,
                                     before=before, after=after)
-            async with self._locked(domain, shard_ids):
-                async with domain.touched_lock:
-                    manager.record(entry, shard_ids=shard_ids)
+            manager.record(entry, shard_ids=shard_ids)
         return {"ok": True, "shards": list(shard_ids)}
 
     async def _frame_release(self, frame: dict[str, Any],
                              conn: int) -> dict[str, Any]:
         domain = self._domain(frame, conn)
-        manager = domain.manager
         reason = frame.get("reason", "commit")
-        async with domain.touched_lock:
-            touched = manager.touched(frame["txn"])
-            async with self._locked(domain, touched):
-                manager.release(frame["txn"], reason=reason)
+        domain.manager.release(frame["txn"], reason=reason)
         if reason == "abort":
             domain.undo(frame["txn"])
             domain.aborts += 1
@@ -485,14 +460,11 @@ class AdmissionServer:
     async def _frame_reset(self, frame: dict[str, Any],
                            conn: int) -> dict[str, Any]:
         """Domain reuse: wipe the log, kept state, undo logs, counters
-        and outcomes but keep the manager — its armed stable conditions
-        and compiled closures stay warm, so a repeated workload run
-        skips the arming cost while starting from a decision-identical
-        empty log."""
+        and outcomes but keep the manager — its memoized routes and
+        undo verdicts stay warm, so a repeated workload run starts
+        from a decision-identical empty log without re-deriving them."""
         domain = self._domain(frame, conn)
-        async with self._locked(domain, range(domain.manager.num_shards)):
-            async with domain.touched_lock:
-                domain.manager.reset()
+        domain.manager.reset()
         domain.state = None
         domain.txns.clear()
         domain.commits = 0

@@ -5,6 +5,7 @@ part, so it is module-scoped), and the interpreter as the reference
 every compiled decision is compared against."""
 
 import sys
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -17,7 +18,7 @@ sys.path.insert(0,
 from stability_fixture import make_runnable_register_registry  # noqa: E402
 
 from repro.api import Session  # noqa: E402
-from repro.compiled import CompiledAdmission  # noqa: E402
+from repro.compiled import admission, cache  # noqa: E402
 from repro.eval import Scope  # noqa: E402
 
 
@@ -36,23 +37,24 @@ def stable_session():
     return session
 
 
-def _no_closure(self, m1, m2):
+def _no_closure(spec, spec_fp, cond, label, ctx):
     return None
 
 
 @pytest.fixture
 def interpreted():
     """A context manager under which every admission check is decided
-    by the interpreter: the armed closures are hidden, so each check
-    takes the per-check fallback to ``evaluate`` that a pair the
-    lowerer refused would take.  Runs outside the ``with`` block use
-    the closures as usual."""
+    by the interpreter: managers built inside the ``with`` block arm
+    plans whose closures are hidden, as if the lowerer had refused
+    every pair, so each check takes the per-check fallback to
+    ``evaluate`` (constant pairs included: a plan without a closure
+    never admits straight from the plan).  The block arms into its own
+    empty map, so it neither reuses nor leaves behind a shared arming;
+    runs outside it use the closures as usual."""
     @contextmanager
     def patched():
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CompiledAdmission, "between_checker",
-                          _no_closure)
-            patch.setattr(CompiledAdmission, "stable_checker",
-                          _no_closure)
+            patch.setattr(admission, "compiled_pair", _no_closure)
+            patch.setattr(cache, "_ARMINGS", weakref.WeakKeyDictionary())
             yield
     return patched

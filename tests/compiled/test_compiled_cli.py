@@ -63,8 +63,10 @@ def test_run_output_matches_the_interpreter(capsys, interpreted):
 def test_bench_nogil_suite(tmp_path, capsys):
     output = tmp_path / "BENCH_nogil.json"
     code = main(["bench", "--suite", "nogil", "--output", str(output)])
-    out = capsys.readouterr().out
-    assert code == 0
+    captured = capsys.readouterr()
+    out = captured.out
+    # The CLI names the cells that failed their check on stderr.
+    assert code == 0, captured.err
     payload = json.loads(output.read_text())
     assert payload["suite"] == "nogil"
     assert "compiled" not in payload

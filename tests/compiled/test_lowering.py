@@ -11,7 +11,7 @@ import pytest
 from repro.api import DEFAULT_REGISTRY
 from repro.commutativity.bounded import enumerate_cases
 from repro.commutativity.conditions import Kind
-from repro.compiled import (CompiledAdmission, CompileError, SlotMismatch,
+from repro.compiled import (CompileError, SlotMismatch, armed,
                             lower_pair_condition, pair_scope)
 from repro.logic.compile import _AdaptiveOr
 from repro.eval import Scope
@@ -88,24 +88,19 @@ def test_every_builtin_pair_lowers():
     """No catalog condition falls back to the interpreter at arm time:
     the vocabulary of the six builtins is fully lowerable."""
     for name in BUILTINS:
-        spec = DEFAULT_REGISTRY.spec(name)
-        ctx = EvalContext(observe=spec.observe)
-        admission = CompiledAdmission(
-            spec, ctx, conditions=DEFAULT_REGISTRY.conditions(name))
-        assert admission.between, name
-        assert all(c is not None for c in admission.between.values()), name
+        plans = [plan for row in armed(DEFAULT_REGISTRY, name,
+                                       False).values()
+                 for plan in row.values()]
+        assert plans, name
+        assert all(plan.between is not None for plan in plans), name
 
 
 def test_constant_conditions_fold():
     """Accumulator's increase;increase condition is literally true:
     the lowerer folds it to a constant at arm time."""
-    spec = DEFAULT_REGISTRY.spec("Accumulator")
-    ctx = EvalContext(observe=spec.observe)
-    admission = CompiledAdmission(
-        spec, ctx, conditions=DEFAULT_REGISTRY.conditions("Accumulator"))
-    check = admission.between_checker("increase", "increase")
+    plans = armed(DEFAULT_REGISTRY, "Accumulator", False)
+    check = plans["increase"]["increase"].between
     assert check.is_const and check.const is True
-    assert admission.folded_count > 0
 
 
 def _slot_op(name, nparams, result=None):
