@@ -12,7 +12,7 @@ Commands:
   when ``--policy`` is omitted); ``--arm weakened|proved|synthesized``
   compiles that tier's drift-stable conditions first and arms the
   gatekeeper's drift guard with them (see :data:`ARM_TIERS`).
-  Admission always runs through closures compiled at arm time
+  Admission always runs through compiled formulas
   (:mod:`repro.compiled`), with the interpreter as the per-check
   fallback;
 - ``stability [--name NAME] [--arm TIER]`` — compile every between
@@ -925,7 +925,7 @@ NOGIL_STRUCTURES = ("HashSet", "ArrayList")
 def _cmd_bench_nogil(args: argparse.Namespace, registry: Registry) -> int:
     """Free-threaded scaling sweep -> ``BENCH_nogil.json``.
 
-    Runs admission (compiled closures, as everywhere) under blocking
+    Runs admission (compiled checks, as everywhere) under blocking
     conflict resolution across worker-thread and shard axes and
     records committed-operation throughput plus whether the
     interpreter actually ran free-threaded (``sys._is_gil_enabled()``,

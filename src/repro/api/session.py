@@ -202,7 +202,7 @@ class Session:
         ``"hybrid"``, or ``None``); ``stable=True`` arms the drift
         guard with the conditions a prior :meth:`compile_stable`
         registered.  Every admission condition is lowered into a
-        closure at arm time (:mod:`repro.compiled`), with the
+        compiled check at arm time (:mod:`repro.compiled`), with the
         interpreter as the per-check fallback.
 
         ``backend`` selects where admission decisions come from:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from ..eval.enumeration import Scope
 from ..eval.interpreter import EvalContext
@@ -28,9 +28,12 @@ from ..specs.interface import DataStructureSpec, Operation
 from .conditions import CommutativityCondition, pair_layout
 
 
-@dataclass(frozen=True)
-class Case:
-    """One first-order execution of ``m1(args1); m2(args2)`` (Figure 4-1)."""
+class Case(NamedTuple):
+    """One first-order execution of ``m1(args1); m2(args2)`` (Figure 4-1).
+
+    A named tuple, not a frozen dataclass: a verification pass builds
+    about a hundred thousand of them, and a frozen dataclass's
+    ``__init__`` sets each field through ``object.__setattr__``."""
 
     state: Record
     args1: tuple[Any, ...]

@@ -1,8 +1,9 @@
-"""repro.compiled — the closure-compiled admission hot path.
+"""repro.compiled — the compiled admission hot path.
 
-Compiles admission formulas (catalog between conditions and armed
+Lowers admission formulas (catalog between conditions and armed
 drift-stable conditions) at arm time over the gatekeeper's pair slot
-layout, caches the closures process-wide by content fingerprint,
+layout into generated Python functions, each compiled on its first
+evaluation, caches the checks process-wide by content fingerprint,
 resolves each ordered operation pair into one plan per registry arming
 (:mod:`repro.compiled.admission`), and keeps an interpreted fallback so
 decisions stay byte-identical.  The compiler itself is

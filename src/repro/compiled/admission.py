@@ -5,8 +5,8 @@ The gatekeeper checks a between condition "just before executing" each
 operation against every outstanding one.  Apart from the two calls'
 values, everything such a check needs is fixed per ordered operation
 pair: both operations and their arities, the catalog between condition
-and whether it reads abstract state, its compiled closure, and the
-drift-stable condition armed for the pair with its closure and
+and whether it reads abstract state, its compiled check, and the
+drift-stable condition armed for the pair with its check and
 certificate tier.  :func:`armed` resolves all of it into one
 :class:`PairPlan` per pair, once per (registry, structure family,
 arming), so a pair check costs one dict lookup before its decision.
@@ -16,20 +16,23 @@ state and follows a read (no undo can be pending) decides outright:
 :attr:`PairPlan.reads_true` lets the gatekeeper admit the pair without
 evaluating anything, counting it as the compiled check it is.
 
-Closures come from the process-global content-addressed pair cache
-(:mod:`.cache`), so registries with the same content share them.  A
-pair the compiler refused holds ``None`` and is interpreted, one check
-at a time, as is a call whose arity does not fit the closure's slot
-layout (:class:`~repro.compiled.lowering.SlotMismatch`).  The
-interpreter stays the reference: closures decide exactly as it does,
-and the tests compare the two.
+Checks come from the process-global content-addressed pair cache
+(:mod:`.cache`), so registries with the same content share them; each
+compiles its generated function on its first evaluation
+(:class:`~repro.compiled.lowering.LoweredCheck`), so arming compiles
+nothing.  A pair the compiler refused holds ``None`` and is
+interpreted, one check at a time, as is a call whose arity does not
+fit the check's slot layout
+(:class:`~repro.compiled.lowering.SlotMismatch`).  The interpreter
+stays the reference: compiled checks decide exactly as it does, and
+the tests compare the two.
 
 An arming lives as long as its registry (:func:`.cache.shared_arming`
 keys armings weakly by registry, so it never keeps one alive), the
 registry drops a family's armings whenever that family's conditions or
 stable conditions are registered (:func:`.cache.disarm`), and
 :func:`repro.compiled.clear_cache` drops every arming with the
-closures.
+checks.
 
 Shard-router predicates need no lowering: they are already plain
 Python closures (:mod:`repro.runtime.sharding`), memoized per
@@ -64,10 +67,10 @@ class PairPlan:
         self.cond = cond
         #: Whether it reads abstract state (the drift guard's test).
         self.drift_fragile: bool = cond.drift_fragile
-        #: Its compiled closure; ``None``: the interpreter decides.
+        #: Its compiled check; ``None``: the interpreter decides.
         self.between = between
         #: The drift-stable condition armed for the pair, or ``None``,
-        #: with its compiled closure and certificate tier.
+        #: with its compiled check and certificate tier.
         self.stable = stable
         self.stable_check = stable_check
         self.tier: str = getattr(stable, "tier", "weakened")

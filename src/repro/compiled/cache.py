@@ -1,25 +1,24 @@
 """The compiled-pair cache and the per-registry armings.
 
 The executor builds a fresh conflict manager per run, but a pair's
-lowered closure depends only on content — the spec fingerprint, the
+lowered check depends only on content — the spec fingerprint, the
 formula text, the compiler versions (see
 :func:`repro.engine.fingerprint.compiled_admission_fingerprint`) — so
-closures are shared process-wide under a content-addressed key.  A
+checks are shared process-wide under a content-addressed key.  A
 bench sweep that runs the same structure hundreds of times lowers each
-pair exactly once.
+pair exactly once, and compiles it at most once, on its first
+evaluation.
 
 Sharing is sound for the same reason the ``.repro-cache`` result cache
 is: identical fingerprints mean identical lowering inputs, so the
-cached closure behaves identically to a fresh one.  The adaptive
-disjunct counters inside a shared closure are cross-run state by
-design — hit-rate learning carries over — and are decision-neutral
-(see :class:`~repro.logic.compile._AdaptiveOr`).
+cached check behaves identically to a fresh one.  A compiled check
+keeps no state between evaluations.
 
 A pair the lowerer cannot handle is cached as uncompilable, so the
 ``CompileError`` is paid once and every later manager takes the
 interpreted fallback without re-raising.
 
-On top of the closures, each registry keeps one *arming* per structure
+On top of the checks, each registry keeps one *arming* per structure
 family and stable flag: the pair plans of
 :func:`repro.compiled.admission.armed`, which every conflict manager
 of that family shares instead of re-deriving each pair's cache key
@@ -115,10 +114,10 @@ def cache_size() -> int:
 
 
 def clear_cache() -> None:
-    """Drop every cached closure and every registry's armings, so the
+    """Drop every cached check and every registry's armings, so the
     next manager arms from scratch as a fresh process would (tests and
     benchmarks; never needed in production — content addressing makes
-    stale closures unreachable, not wrong, and re-registration drops
+    stale checks unreachable, not wrong, and re-registration drops
     stale armings)."""
     with _CACHE_LOCK:
         _PAIR_CACHE.clear()

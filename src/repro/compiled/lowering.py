@@ -4,12 +4,13 @@ The gatekeeper's hot loop evaluates one between (or drift-stable)
 condition per (logged op, incoming op) pair.  A pair's environment
 layout is known at arm time: ``s1``, ``s2``, the suffixed parameters of
 both operations, and ``r1`` when the first operation returns.  This
-module declares that layout (:func:`pair_scope`) and compiles a pair
+module declares that layout (:func:`pair_scope`) and lowers a pair
 condition over it with :func:`repro.logic.compile.lower_term`, the
-repository's one formula compiler.  :meth:`LoweredCheck.check` then
-builds the slot list straight from the gatekeeper's logged entry and
-incoming call, so the hot loop never builds a dict or a ``Record``
-view.
+repository's one formula compiler, into a :class:`LoweredCheck` that
+compiles the generated function on its first evaluation.
+:meth:`LoweredCheck.check` builds the slot list straight from the
+gatekeeper's logged entry and incoming call, so the hot loop never
+builds a dict or a ``Record`` view.
 
 Compiled checks decide *exactly* as
 :func:`repro.eval.interpreter.evaluate` does, including which
@@ -29,12 +30,12 @@ from typing import Any
 from ..commutativity.conditions import pair_layout
 from ..eval.interpreter import EvalContext
 from ..logic import terms as t
-from ..logic.compile import NOT_CONST, Lowered, Slots, lower_term
+from ..logic.compile import NOT_CONST, Compiled, Lowered, lower_term
 
 #: Bump whenever a lowering change could alter a compiled check's
 #: observable behaviour — part of every compiled-pair cache key (see
 #: :func:`repro.engine.fingerprint.compiled_admission_fingerprint`),
-#: so stale closures are never served across versions.
+#: so stale checks are never served across versions.
 ADMISSION_COMPILER_VERSION = 1
 
 
@@ -47,19 +48,28 @@ class SlotMismatch(Exception):
 
 class LoweredCheck:
     """One pair's compiled admission check over the slot layout
-    ``[s1, s2, *params1, *params2, r1?]`` (+ quantifier scratch slots).
+    ``[s1, s2, *params1, *params2, r1?]``.
 
     :meth:`check` is the hot-path entry: it builds the slot list
     directly from the gatekeeper's logged entry and incoming call —
     no dict, no :class:`~repro.eval.values.Record` wrapper, and no
     list at all for a folded constant — and returns exactly what the
-    interpreter would."""
+    interpreter would.  The generated function is compiled on the
+    check's first evaluation: an arming holds many checks that never
+    evaluate (constant ones, pairs the traffic never meets), and
+    compiling one costs about as much as a hundred evaluations."""
 
-    __slots__ = ("fn", "n1", "n2", "has_r1", "extra", "total", "const")
+    __slots__ = ("fn", "lowered", "n1", "n2", "has_r1", "total", "const")
 
     def __init__(self, lowered: Lowered, n1: int, n2: int,
                  has_r1: bool) -> None:
-        self.fn, self.extra, self.total, self.const = lowered
+        #: The compiled function; ``None`` until the first evaluation
+        #: compiles :attr:`lowered`, which it then drops.
+        self.fn: Compiled | None = None
+        self.lowered: Lowered | None = (
+            lowered if lowered.const is NOT_CONST else None)
+        self.total = lowered.total
+        self.const = lowered.const
         self.n1 = n1
         self.n2 = n2
         self.has_r1 = has_r1
@@ -76,15 +86,23 @@ class LoweredCheck:
                 f"expected {self.n1}/{self.n2} arguments, "
                 f"got {len(args1)}/{len(args2)}")
         if self.const is not NOT_CONST:
-            return self.const  # what ``fn`` returns on any slot list
-        env: Slots = [before, current]
-        env.extend(args1)
-        env.extend(args2)
+            return self.const  # what the function returns on any slots
+        fn = self.fn
+        if fn is None:
+            fn = self._compile()
         if self.has_r1:
-            env.append(result1)
-        if self.extra:
-            env.extend([None] * self.extra)
-        return self.fn(env)
+            return fn([before, current, *args1, *args2, result1])
+        return fn([before, current, *args1, *args2])
+
+    def _compile(self) -> Compiled:
+        lowered = self.lowered
+        if lowered is None:
+            return self.fn  # another thread compiled it first
+        # Set the function before dropping the source, so a racing
+        # thread that finds no source finds the function.
+        self.fn = fn = lowered.function()
+        self.lowered = None
+        return fn
 
 
 def pair_scope(op1, op2) -> dict[str, int]:

@@ -85,9 +85,13 @@ class ResultCache:
             return
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_suffix(".json.tmp")
+        # One ``dumps`` call without indent runs the C encoder; ``dump``
+        # always runs the pure-Python one, and every public offline
+        # call rewrites the whole file.
+        text = json.dumps({"schema": SCHEMA, "entries": self._entries},
+                          sort_keys=True, separators=(",", ":"))
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump({"schema": SCHEMA, "entries": self._entries},
-                      handle, indent=1, sort_keys=True)
+            handle.write(text)
         os.replace(tmp, self.path)
         self._dirty = False
 

@@ -175,7 +175,7 @@ def compiled_admission_fingerprint(spec_fp: dict[str, Any] | str, cond,
                                    label: str,
                                    ctx) -> dict[str, Any]:
     """The content address of one compiled admission check (the
-    per-pair closure cache in :mod:`repro.compiled.cache`).
+    per-pair check cache in :mod:`repro.compiled.cache`).
 
     ``spec_fp`` is the spec's fingerprint dict or its
     :func:`stable_hash` — arm time passes the pre-computed hash so the
@@ -190,7 +190,7 @@ def compiled_admission_fingerprint(spec_fp: dict[str, Any] | str, cond,
     pair, a tier/kind label, any explicit quantifier domains on the
     evaluation context, and the compiler versions.  Bumping
     :data:`~repro.compiled.lowering.ADMISSION_COMPILER_VERSION` (or
-    :data:`ENGINE_VERSION`) retires every cached closure at once.
+    :data:`ENGINE_VERSION`) retires every cached check at once.
     """
     from ..compiled.lowering import ADMISSION_COMPILER_VERSION
     return {

@@ -1,4 +1,5 @@
-"""The formula compiler: terms to closures over slot lists.
+"""The formula compiler: terms to generated Python functions over slot
+lists.
 
 Every compiled evaluation of a formula in the repository goes through
 this module.  Offline, that is the bounded verifier, the drift-stability
@@ -7,16 +8,24 @@ precondition; online, the gatekeeper's admission checks
 (:mod:`repro.compiled.lowering` declares their pair layout).
 
 A caller declares a *slot layout*, the ordered names its environment
-binds, and :func:`compile_term` returns a closure over a list holding
-one value per name, in that order:
+binds, and :func:`compile_term` returns a function over a list holding
+one value per name, in that order.  The compiler writes that function's
+Python source and compiles it once with :func:`compile`:
 
-- **slot specialization** — variables lower to list indexing, so an
-  evaluation never builds or indexes a dict;
+- **slot specialization** — a variable reads ``env[i]`` inline, and
+  operators and comparisons are inline too, so an evaluation builds no
+  dict and ``x1 == x2`` costs no Python call;
 - **constant folding** — subterms with no free slots evaluate once at
-  compile time (many catalog conditions are literally ``true``);
-- **adaptive disjunct ordering** — a disjunction of total (non-raising)
-  disjuncts re-sorts itself by observed hit rate, so the disjunct that
-  admits the current traffic is tried first.
+  compile time (many catalog conditions are literally ``true``), and a
+  formula that folds whole needs no source at all;
+- **quantifiers** — each is a loop over
+  :meth:`~repro.eval.interpreter.EvalContext.domains_for` in a generated
+  helper function, its bound variable a local of the helper.
+
+The source takes a value from a term only as the ``repr`` of an ``int``,
+``bool``, ``None`` or ``str``; every other value, the observer and the
+runtime helpers are bound by name in the function's globals, never
+spliced into the text.
 
 Compiled semantics match :func:`repro.eval.interpreter.evaluate` over
 the dict that binds the layout's names to the list's values *exactly*,
@@ -24,17 +33,17 @@ including which environments raise
 :class:`~repro.eval.interpreter.EvalError` and with which message; the
 tests compare the two.  So a layout carries every binding the
 interpreter's environment would, also the ones the formula never
-mentions: quantifier domains are derived
-(:meth:`~repro.eval.interpreter.EvalContext.domains_for`) from every
-binding in scope.  A term the compiler does not understand raises
-:class:`CompileError` at compile time, and the caller interprets it.
-Admission caches its closures under
-:data:`repro.compiled.lowering.ADMISSION_COMPILER_VERSION`: bump it
-with any change here that could alter a compiled result.
+mentions: quantifier domains are derived from every binding in scope.
+A term the compiler does not understand raises :class:`CompileError` at
+compile time, and the caller interprets it.  Admission caches its
+checks under :data:`repro.compiled.lowering.ADMISSION_COMPILER_VERSION`:
+bump it with any change here that could alter a compiled result.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from typing import Any, Callable, NamedTuple, Sequence
 
 from ..eval.interpreter import EvalContext, EvalError
@@ -43,11 +52,14 @@ from ..eval.values import (seq_index_of, seq_insert, seq_last_index_of,
 from . import terms as t
 from .sorts import Sort
 
-#: Re-sort an adaptive disjunction every this-many evaluations.
-ADAPTIVE_REORDER_PERIOD = 64
-
 #: The ``const`` of a term that did not fold to a constant.
 NOT_CONST = object()
+
+#: Nesting depth of terms one generated function holds; a deeper
+#: subterm moves into a helper function.  A node puts its children at
+#: most three brackets deeper, and the tokenizer refuses source nested
+#: 200 brackets deep.
+MAX_NESTING = 40
 
 Slots = list  # runtime environment: a plain list indexed by slot
 Compiled = Callable[[Slots], Any]
@@ -58,448 +70,451 @@ class CompileError(Exception):
 
 
 class Lowered(NamedTuple):
-    """A term lowered over a slot layout."""
+    """A term lowered over a slot layout: the source of its function,
+    compiled by :meth:`function`."""
 
-    #: The closure over ``[*one value per name, *scratch]``.
-    fn: Compiled
-    #: Quantifier scratch slots the list must end with (any values).
-    scratch: int
+    #: Module source defining ``formula(env)``; empty for a constant.
+    source: str
+    #: The names the source reads: constants, helpers, the observer.
+    namespace: dict
+    #: Proven never to raise :class:`EvalError`.
+    total: bool
+    #: The folded value, or :data:`NOT_CONST`.
+    const: Any
+
+    def function(self) -> Compiled:
+        """Compile the source and return its ``formula``; a folded
+        constant needs no compiling."""
+        if self.const is not NOT_CONST:
+            value = self.const
+            return lambda env: value
+        namespace = dict(self.namespace)
+        exec(compile(self.source, "<formula>", "exec", dont_inherit=True),
+             namespace)
+        return namespace["formula"]
+
+
+def lower_term(term: t.Term, names: Sequence[str],
+               ctx: EvalContext | None = None) -> Lowered:
+    """Lower ``term`` over the layout ``names``, for callers that compile
+    it later or never.  A name listed twice reads its last slot, as a
+    dict built from the same pairs keeps the last binding."""
+    scope = {name: f"env[{slot}]" for slot, name in enumerate(names)}
+    gen = _Generator(ctx or EvalContext())
+    node = gen.lower(term, scope, 0)
+    if node.const is not NOT_CONST:
+        return Lowered("", {}, True, node.const)
+    source = "".join(gen.helpers) + \
+        f"def formula(env):\n    return {gen.text(node)}\n"
+    return Lowered(source, gen.namespace, node.total, NOT_CONST)
+
+
+def compile_term(term: t.Term, names: Sequence[str],
+                 ctx: EvalContext | None = None) -> Compiled:
+    """Compile ``term`` into a function over a list holding one value
+    per name in ``names``, in order.  The function keeps no state
+    between calls, so threads may share it."""
+    return lower_term(term, names, ctx).function()
+
+
+# -- runtime helpers ---------------------------------------------------------
+
+def _fail(message: str):
+    """A node that deterministically raises: the interpreter raises the
+    same :class:`EvalError`, with the same message, on every
+    evaluation."""
+    raise EvalError(message)
+
+
+def _get_out_of_range(seq, index):
+    raise EvalError(f"sequence index {index} out of range "
+                    f"0..{len(seq) - 1}")
+
+
+def _insert_out_of_range(seq, index):
+    raise EvalError(f"insert index {index} out of range 0..{len(seq)}")
+
+
+def _remove_out_of_range(seq, index):
+    raise EvalError(f"remove index {index} out of range")
+
+
+def _update_out_of_range(seq, index):
+    raise EvalError(f"update index {index} out of range")
+
+
+#: Every generated function's namespace starts with these, by name.
+_RUNTIME = {fn.__name__: fn for fn in (
+    _fail, _get_out_of_range, _insert_out_of_range, _remove_out_of_range,
+    _update_out_of_range, seq_insert, seq_remove, seq_update,
+    seq_index_of, seq_last_index_of)}
+
+# -- the node tables ---------------------------------------------------------
+#
+# Each row: the child fields in the interpreter's evaluation order, the
+# source template over the children's sources, and the fold over the
+# children's constant values.
+
+_UNARY = {
+    t.Not: ("arg", "(not {})", operator.not_),
+    t.Neg: ("arg", "(-{})", operator.neg),
+    t.Card: ("set_", "len({})", len),
+    t.MapSize: ("map_", "len({})", len),
+    t.MapKeys: ("map_", "frozenset({})", frozenset),
+    t.SeqLen: ("seq", "len({})", len),
+}
+
+_BINARY = {
+    t.Implies: ("lhs", "rhs", "((not {}) or {})",
+                lambda lhs, rhs: (not lhs) or rhs),
+    t.Iff: ("lhs", "rhs", "({} == {})", operator.eq),
+    t.Eq: ("lhs", "rhs", "({} == {})", operator.eq),
+    t.Lt: ("lhs", "rhs", "({} < {})", operator.lt),
+    t.Le: ("lhs", "rhs", "({} <= {})", operator.le),
+    t.Sub: ("lhs", "rhs", "({} - {})", operator.sub),
+    t.Member: ("elem", "set_", "({} in {})", lambda e, s: e in s),
+    t.Union: ("lhs", "rhs", "({} | {})", operator.or_),
+    t.Inter: ("lhs", "rhs", "({} & {})", operator.and_),
+    t.Diff: ("lhs", "rhs", "({} - {})", operator.sub),
+    t.SubsetEq: ("lhs", "rhs", "({} <= {})", operator.le),
+    # FMap.lookup is total (missing keys yield None).
+    t.MapGet: ("map_", "key", "({}).lookup({})", lambda m, k: m.lookup(k)),
+    t.MapHasKey: ("key", "map_", "({} in {})", lambda k, m: k in m),
+    t.MapRemoveKey: ("map_", "key", "({}).remove({})",
+                     lambda m, k: m.remove(k)),
+    t.SeqIndexOf: ("seq", "value", "seq_index_of({}, {})", seq_index_of),
+    t.SeqLastIndexOf: ("seq", "value", "seq_last_index_of({}, {})",
+                       seq_last_index_of),
+    t.SeqContains: ("value", "seq", "({} in {})", lambda v, s: v in s),
+}
+
+
+#: The bounds-checked sequence operations, the only nodes that raise
+#: :class:`EvalError` at runtime: whether they take a value, the upper
+#: bound's comparison, the operation over ``{s}``, ``{i}`` and ``{v}``,
+#: the helper raising the interpreter's message, and the operation
+#: itself for folding.
+_INDEXED = {
+    t.SeqGet: (False, "<", "{s}[{i}]", _get_out_of_range,
+               lambda seq, index: seq[index]),
+    t.SeqInsert: (True, "<=", "seq_insert({s}, {i}, {v})",
+                  _insert_out_of_range, seq_insert),
+    t.SeqRemove: (False, "<", "seq_remove({s}, {i})",
+                  _remove_out_of_range, seq_remove),
+    t.SeqUpdate: (True, "<", "seq_update({s}, {i}, {v})",
+                  _update_out_of_range, seq_update),
+}
+
+#: Sources that read a slot, a local or a bound constant, or spell a
+#: literal: evaluating one twice costs nothing and never raises.
+_ATOM = re.compile(r"env\[\d+\]|_[kv]\d+|\d+|\(-\d+\)|True|False|None")
+
+
+class _Node(NamedTuple):
+    #: The source, or ``None`` for a constant not yet spelled.
+    text: str | None
     #: Proven never to raise :class:`EvalError`.
     total: bool
     #: The folded value, or :data:`NOT_CONST`.
     const: Any
 
 
-def lower_term(term: t.Term, names: Sequence[str],
-               ctx: EvalContext | None = None) -> Lowered:
-    """Lower ``term`` over the layout ``names``; for callers that build
-    the slot list, scratch slots included, themselves.  A name listed
-    twice reads its last slot, as a dict built from the same pairs keeps
-    the last binding, and scratch slots follow every listed slot."""
-    scope = {name: slot for slot, name in enumerate(names)}
-    lowerer = _Lowerer(ctx or EvalContext(), len(names))
-    fn, total, const = lowerer.lower(term, scope)
-    return Lowered(fn, lowerer.nslots - len(names), total, const)
+class _Generator:
+    """One formula's source generation.  :meth:`lower` returns a
+    :class:`_Node` per term; quantifiers add helper functions to
+    :attr:`helpers`, and every value the source reads by name lands in
+    :attr:`namespace`."""
 
-
-def compile_term(term: t.Term, names: Sequence[str],
-                 ctx: EvalContext | None = None) -> Compiled:
-    """Compile ``term`` into a closure over a list holding one value per
-    name in ``names``, in order.  The closure appends its quantifier
-    scratch slots to a copy of that list on each call, so no
-    evaluation state is shared between calls or threads."""
-    lowered = lower_term(term, names, ctx)
-    if not lowered.scratch:
-        return lowered.fn
-    fn, pad = lowered.fn, [None] * lowered.scratch
-    return lambda env: fn(env + pad)
-
-
-class _AdaptiveOr:
-    """A disjunction over *total* boolean disjuncts that reorders
-    itself by observed hit rate.
-
-    Soundness: every disjunct is total (never raises) and boolean, so
-    disjunct order cannot change the result — only how fast the common
-    case short-circuits.  The counters are racy under free-threaded
-    execution; a lost increment merely delays a re-sort, it never
-    changes a decision.
-    """
-
-    __slots__ = ("parts", "hits", "calls")
-
-    def __init__(self, parts: list[Callable[[Slots], Any]]) -> None:
-        self.parts = list(parts)
-        self.hits = [0] * len(parts)
-        self.calls = 0
-
-    def __call__(self, env: Slots) -> bool:
-        self.calls += 1
-        if self.calls % ADAPTIVE_REORDER_PERIOD == 0:
-            order = sorted(range(len(self.parts)),
-                           key=lambda i: -self.hits[i])
-            self.parts = [self.parts[i] for i in order]
-            self.hits = [self.hits[i] for i in order]
-        for i, part in enumerate(self.parts):
-            if part(env):
-                self.hits[i] += 1
-                return True
-        return False
-
-
-def _const_node(value: Any):
-    return (lambda env: value), True, value
-
-
-def _raiser(message: str):
-    """A node that deterministically raises: the interpreter would
-    raise the same :class:`EvalError` (same message) on every
-    evaluation, so fold the raise itself."""
-    def fail(env: Slots):
-        raise EvalError(message)
-    return fail, False, NOT_CONST
-
-
-class _Lowerer:
-    """Recursive lowering with a slot allocator for quantifier
-    bindings.  Each ``lower`` call returns ``(fn, total, const)``:
-
-    - ``fn`` — the closure over the slot list;
-    - ``total`` — proven never to raise :class:`EvalError` (used to
-      justify dropping dead code in short-circuit folds and to gate
-      adaptive reordering);
-    - ``const`` — the folded value, or ``NOT_CONST``.
-    """
-
-    def __init__(self, ctx: EvalContext, nslots: int) -> None:
+    def __init__(self, ctx: EvalContext) -> None:
         self.ctx = ctx
-        self.nslots = nslots
+        self.namespace: dict[str, Any] = dict(_RUNTIME)
+        self.helpers: list[str] = []
+        self.count = 0
 
-    # -- folding helpers ------------------------------------------------------
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
 
-    def _fold(self, fn, total, children_const: bool):
-        """Generic fold: a total node over constant children computes
-        once now.  A node that deterministically raises ``EvalError``
-        folds to a raiser with the interpreter's message; any other
-        compile-time exception leaves the node unfolded (it will raise
-        identically at runtime)."""
-        if not children_const:
-            return fn, total, NOT_CONST
+    def literal(self, value: Any) -> str:
+        """Source for ``value``: the ``repr`` of an ``int``, ``bool``,
+        ``None`` or ``str``, else a name bound to it."""
+        kind = type(value)
+        if value is None or kind is bool or kind is str \
+                or (kind is int and -2**62 < value < 2**62):
+            text = repr(value)
+            return f"({text})" if text.startswith("-") else text
+        name = self.fresh("_k")
+        self.namespace[name] = value
+        return name
+
+    def text(self, node: _Node) -> str:
+        return node.text if node.text is not None \
+            else self.literal(node.const)
+
+    @staticmethod
+    def constant(value: Any) -> _Node:
+        return _Node(None, True, value)
+
+    def raiser(self, message: str) -> _Node:
+        return _Node(f"_fail({self.literal(message)})", False, NOT_CONST)
+
+    def fold(self, children: list[_Node], op) -> _Node | None:
+        """The node over ``children`` folded, when they all are
+        constant: to its value, or to a raiser when it raises
+        ``EvalError``.  ``None`` when a child is not constant, or when
+        any other exception leaves the node to raise identically when
+        evaluated."""
+        if any(child.const is NOT_CONST for child in children):
+            return None
         try:
-            value = fn([])
+            return self.constant(op(*(child.const for child in children)))
         except EvalError as exc:
-            return _raiser(str(exc))
+            return self.raiser(str(exc))
         except Exception:
-            return fn, total, NOT_CONST
-        return _const_node(value)
+            return None
 
-    def _lower_all(self, terms, scope):
-        return [self.lower(sub, scope) for sub in terms]
+    def node(self, template: str, children: list[_Node], op) -> _Node:
+        """A node over ``children``: folded, or ``template`` over their
+        sources."""
+        return self.fold(children, op) or _Node(
+            template.format(*map(self.text, children)),
+            all(child.total for child in children), NOT_CONST)
 
     # -- the dispatcher -------------------------------------------------------
 
-    def lower(self, term: t.Term, scope: dict[str, int]):
-        if isinstance(term, t.Var):
-            try:
-                slot = scope[term.name]
-            except KeyError:
-                # The interpreter raises on every evaluation; preserve
-                # the exact message.
-                return _raiser(f"unbound variable {term.name!r}")
-            return (lambda env: env[slot]), True, NOT_CONST
-        if isinstance(term, t.BoolConst):
-            return _const_node(term.value)
-        if isinstance(term, t.IntConst):
-            return _const_node(term.value)
-        if isinstance(term, t.ObjConst):
-            return _const_node(term.name)
-        if isinstance(term, t.Null):
-            return _const_node(None)
-        if isinstance(term, t.Not):
-            fn, total, const = self.lower(term.arg, scope)
-            if const is not NOT_CONST:
-                return _const_node(not const)
-            return (lambda env: not fn(env)), total, NOT_CONST
-        if isinstance(term, t.And):
-            return self._lower_and(term, scope)
-        if isinstance(term, t.Or):
-            return self._lower_or(term, scope)
-        if isinstance(term, t.Implies):
-            lhs, lt, lc = self.lower(term.lhs, scope)
-            rhs, rt, rc = self.lower(term.rhs, scope)
-            fn = lambda env: (not lhs(env)) or rhs(env)  # noqa: E731
-            return self._fold(fn, lt and rt,
-                              lc is not NOT_CONST and rc is not NOT_CONST)
-        if isinstance(term, t.Iff):
-            return self._binop(term.lhs, term.rhs, scope,
-                               lambda a, b: a == b)
-        if isinstance(term, t.Ite):
-            return self._lower_ite(term, scope)
-        if isinstance(term, t.Eq):
-            return self._binop(term.lhs, term.rhs, scope,
-                               lambda a, b: a == b)
-        if isinstance(term, t.Lt):
-            return self._binop(term.lhs, term.rhs, scope,
-                               lambda a, b: a < b)
-        if isinstance(term, t.Le):
-            return self._binop(term.lhs, term.rhs, scope,
-                               lambda a, b: a <= b)
-        if isinstance(term, t.Add):
-            nodes = self._lower_all(term.args, scope)
-            parts = [fn for fn, _, _ in nodes]
-            fn = lambda env: sum(p(env) for p in parts)  # noqa: E731
-            return self._fold(fn, all(tt for _, tt, _ in nodes),
-                              all(c is not NOT_CONST for _, _, c in nodes))
-        if isinstance(term, t.Sub):
-            return self._binop(term.lhs, term.rhs, scope,
-                               lambda a, b: a - b)
-        if isinstance(term, t.Neg):
-            fn, total, const = self.lower(term.arg, scope)
-            return self._fold(lambda env: -fn(env), total,
-                              const is not NOT_CONST)
-        if isinstance(term, t.Member):
-            return self._binop(term.elem, term.set_, scope,
-                               lambda a, b: a in b)
-        if isinstance(term, t.Union):
-            return self._binop(term.lhs, term.rhs, scope,
-                               lambda a, b: a | b)
-        if isinstance(term, t.Inter):
-            return self._binop(term.lhs, term.rhs, scope,
-                               lambda a, b: a & b)
-        if isinstance(term, t.Diff):
-            return self._binop(term.lhs, term.rhs, scope,
-                               lambda a, b: a - b)
-        if isinstance(term, t.FiniteSet):
-            nodes = self._lower_all(term.elems, scope)
-            parts = [fn for fn, _, _ in nodes]
-            fn = lambda env: frozenset(p(env) for p in parts)  # noqa: E731
-            return self._fold(fn, all(tt for _, tt, _ in nodes),
-                              all(c is not NOT_CONST for _, _, c in nodes))
-        if isinstance(term, t.Card):
-            fn, total, const = self.lower(term.set_, scope)
-            return self._fold(lambda env: len(fn(env)), total,
-                              const is not NOT_CONST)
-        if isinstance(term, t.SubsetEq):
-            return self._binop(term.lhs, term.rhs, scope,
-                               lambda a, b: a <= b)
-        if isinstance(term, t.MapGet):
-            # FMap.lookup is total (missing keys yield None).
-            return self._binop(term.map_, term.key, scope,
-                               lambda m, k: m.lookup(k))
-        if isinstance(term, t.MapHasKey):
-            return self._binop(term.map_, term.key, scope,
-                               lambda m, k: k in m)
-        if isinstance(term, t.MapPut):
-            nodes = self._lower_all((term.map_, term.key, term.value),
-                                    scope)
-            (mf, _, _), (kf, _, _), (vf, _, _) = nodes
-            fn = lambda env: mf(env).put(kf(env), vf(env))  # noqa: E731
-            return self._fold(fn, all(tt for _, tt, _ in nodes),
-                              all(c is not NOT_CONST for _, _, c in nodes))
-        if isinstance(term, t.MapRemoveKey):
-            return self._binop(term.map_, term.key, scope,
-                               lambda m, k: m.remove(k))
-        if isinstance(term, t.MapSize):
-            fn, total, const = self.lower(term.map_, scope)
-            return self._fold(lambda env: len(fn(env)), total,
-                              const is not NOT_CONST)
-        if isinstance(term, t.MapKeys):
-            fn, total, const = self.lower(term.map_, scope)
-            return self._fold(lambda env: frozenset(fn(env)), total,
-                              const is not NOT_CONST)
-        if isinstance(term, t.SeqLen):
-            fn, total, const = self.lower(term.seq, scope)
-            return self._fold(lambda env: len(fn(env)), total,
-                              const is not NOT_CONST)
-        if isinstance(term, t.SeqGet):
-            return self._lower_indexed(
-                term.seq, term.index, None, scope,
-                strict=True,
-                apply=lambda s, i, _v: s[i],
-                message=lambda s, i: (f"sequence index {i} out of range "
-                                      f"0..{len(s) - 1}"))
-        if isinstance(term, t.SeqInsert):
-            return self._lower_indexed(
-                term.seq, term.index, term.value, scope,
-                strict=False,
-                apply=lambda s, i, v: seq_insert(s, i, v),
-                message=lambda s, i: (f"insert index {i} out of range "
-                                      f"0..{len(s)}"))
-        if isinstance(term, t.SeqRemove):
-            return self._lower_indexed(
-                term.seq, term.index, None, scope,
-                strict=True,
-                apply=lambda s, i, _v: seq_remove(s, i),
-                message=lambda s, i: f"remove index {i} out of range")
-        if isinstance(term, t.SeqUpdate):
-            return self._lower_indexed(
-                term.seq, term.index, term.value, scope,
-                strict=True,
-                apply=lambda s, i, v: seq_update(s, i, v),
-                message=lambda s, i: f"update index {i} out of range")
-        if isinstance(term, t.SeqIndexOf):
-            return self._binop(term.seq, term.value, scope,
-                               seq_index_of)
-        if isinstance(term, t.SeqLastIndexOf):
-            return self._binop(term.seq, term.value, scope,
-                               seq_last_index_of)
-        if isinstance(term, t.SeqContains):
-            return self._binop(term.seq, term.value, scope,
-                               lambda s, v: v in s)
-        if isinstance(term, t.Field):
-            fn, total, const = self.lower(term.state, scope)
-            name = term.name
-            return self._fold(lambda env: fn(env)[name], total,
-                              const is not NOT_CONST)
-        if isinstance(term, t.ObserverCall):
-            return self._lower_observer(term, scope)
-        if isinstance(term, (t.Forall, t.Exists)):
-            return self._lower_quantifier(term, scope)
-        raise CompileError(f"cannot lower {type(term).__name__}")
+    def lower(self, term: t.Term, scope: dict[str, str],
+              depth: int) -> _Node:
+        if depth > MAX_NESTING:
+            return self._split(term, scope)
+        depth += 1
+        kind = type(term)
+        if kind not in _KINDS:
+            kind = next((k for k in _KINDS if isinstance(term, k)), None)
+            if kind is None:
+                raise CompileError(f"cannot lower {type(term).__name__}")
+        if kind in _UNARY:
+            name, template, op = _UNARY[kind]
+            return self.node(template,
+                             [self.lower(getattr(term, name), scope, depth)],
+                             op)
+        if kind in _BINARY:
+            left, right, template, op = _BINARY[kind]
+            return self.node(template,
+                             [self.lower(getattr(term, left), scope, depth),
+                              self.lower(getattr(term, right), scope,
+                                         depth)],
+                             op)
+        if kind in _INDEXED:
+            return self._indexed(term, _INDEXED[kind], scope, depth)
+        return _KINDS[kind](self, term, scope, depth)
 
-    # -- composite nodes ------------------------------------------------------
+    # -- atoms ----------------------------------------------------------------
 
-    def _binop(self, left: t.Term, right: t.Term, scope, op):
-        lhs, lt, lc = self.lower(left, scope)
-        rhs, rt, rc = self.lower(right, scope)
-        fn = lambda env: op(lhs(env), rhs(env))  # noqa: E731
-        return self._fold(fn, lt and rt,
-                          lc is not NOT_CONST and rc is not NOT_CONST)
+    def _var(self, term: t.Var, scope, depth) -> _Node:
+        text = scope.get(term.name)
+        if text is None:
+            # The interpreter raises on every evaluation; keep its
+            # exact message.
+            return self.raiser(f"unbound variable {term.name!r}")
+        return _Node(text, True, NOT_CONST)
 
-    def _lower_and(self, term: t.And, scope):
-        """Short-circuit-aware fold.  ``all()`` stops at the first
-        falsy argument, so conjuncts after a constant-false one are
-        dead; constant-true conjuncts are no-ops; total conjuncts
-        before a constant false evaluate for nothing (no effects, no
-        raises) and drop too."""
-        kept: list = []
-        kept_total = True
+    def _value(self, term, scope, depth) -> _Node:
+        return self.constant(term.value)
+
+    def _obj(self, term: t.ObjConst, scope, depth) -> _Node:
+        return self.constant(term.name)
+
+    def _null(self, term, scope, depth) -> _Node:
+        return self.constant(None)
+
+    # -- connectives ----------------------------------------------------------
+
+    def _junction(self, term, scope, depth) -> _Node:
+        """``and``/``or`` with the interpreter's ``all()``/``any()``
+        short-circuit.  A constant that decides the junction (``false``
+        in a conjunction, ``true`` in a disjunction) ends it: the parts
+        before it still run, stopping where they decide, in case one
+        raises; a constant that does not decide drops out."""
+        conjunction = isinstance(term, t.And)
+        joiner = " and " if conjunction else " or "
+        kept: list[_Node] = []
         for sub in term.args:
-            fn, total, const = self.lower(sub, scope)
-            if const is not NOT_CONST:
-                if const:
-                    continue  # true conjunct: drop
-                # Constant false: everything after is dead; only the
-                # non-total prefix must still run (it may raise first).
-                prefix = [p for p, pt in kept if not pt]
-                if not prefix:
-                    return _const_node(False)
-
-                def short(env, _prefix=prefix):
-                    for p in _prefix:
-                        p(env)
-                    return False
-                return short, False, NOT_CONST
-            kept.append((fn, total))
-            kept_total = kept_total and total
+            node = self.lower(sub, scope, depth)
+            if node.const is NOT_CONST:
+                kept.append(node)
+            elif bool(node.const) is not conjunction:
+                if all(part.total for part in kept):
+                    return self.constant(not conjunction)
+                parts = joiner.join(map(self.text, kept))
+                decided = not conjunction
+                return _Node(f"({decided} if {parts} else {decided})",
+                             False, NOT_CONST)
         if not kept:
-            return _const_node(True)
-        if len(kept) == 1:
-            fn, total = kept[0]
-            return (lambda env: bool(fn(env))), total, NOT_CONST
-        parts = [p for p, _ in kept]
-        return (lambda env: all(p(env) for p in parts)), kept_total, \
-            NOT_CONST
+            return self.constant(conjunction)
+        parts = joiner.join(map(self.text, kept))
+        return _Node(f"(True if {parts} else False)",
+                     all(part.total for part in kept), NOT_CONST)
 
-    def _lower_or(self, term: t.Or, scope):
-        """The dual fold, plus the adaptive hot-disjunct reorder: when
-        every surviving disjunct is total, evaluation order cannot
-        change the outcome, so the disjunction re-sorts itself by
-        observed hit rate."""
-        kept: list = []
-        kept_total = True
-        for sub in term.args:
-            fn, total, const = self.lower(sub, scope)
-            if const is not NOT_CONST:
-                if not const:
-                    continue  # false disjunct: drop
-                prefix = [p for p, pt in kept if not pt]
-                if not prefix:
-                    return _const_node(True)
-
-                def short(env, _prefix=prefix):
-                    for p in _prefix:
-                        p(env)
-                    return True
-                return short, False, NOT_CONST
-            kept.append((fn, total))
-            kept_total = kept_total and total
-        if not kept:
-            return _const_node(False)
-        if len(kept) == 1:
-            fn, total = kept[0]
-            return (lambda env: bool(fn(env))), total, NOT_CONST
-        parts = [p for p, _ in kept]
-        if kept_total and len(parts) >= 2:
-            return _AdaptiveOr(parts), True, NOT_CONST
-        return (lambda env: any(p(env) for p in parts)), kept_total, \
-            NOT_CONST
-
-    def _lower_ite(self, term: t.Ite, scope):
-        cond, ct, cc = self.lower(term.cond, scope)
-        if cc is not NOT_CONST:
+    def _ite(self, term: t.Ite, scope, depth) -> _Node:
+        cond = self.lower(term.cond, scope, depth)
+        if cond.const is not NOT_CONST:
             # The interpreter evaluates only the chosen branch.
-            return self.lower(term.then if cc else term.els, scope)
-        then, tt, _tc = self.lower(term.then, scope)
-        els, et, _ec = self.lower(term.els, scope)
-        fn = lambda env: then(env) if cond(env) else els(env)  # noqa: E731
-        return fn, ct and tt and et, NOT_CONST
+            return self.lower(term.then if cond.const else term.els,
+                              scope, depth)
+        then = self.lower(term.then, scope, depth)
+        els = self.lower(term.els, scope, depth)
+        return _Node(f"({self.text(then)} if {self.text(cond)} "
+                     f"else {self.text(els)})",
+                     cond.total and then.total and els.total, NOT_CONST)
 
-    def _lower_indexed(self, seq_t, index_t, value_t, scope, *,
-                       strict: bool, apply, message):
-        """The bounds-checked sequence operations — the only lowered
-        nodes that can raise :class:`EvalError` at runtime, with the
-        interpreter's exact messages."""
-        seq, _st, sc = self.lower(seq_t, scope)
-        index, _it, ic = self.lower(index_t, scope)
-        if value_t is not None:
-            value, _vt, vc = self.lower(value_t, scope)
+    # -- n-ary nodes ----------------------------------------------------------
+
+    def _add(self, term: t.Add, scope, depth) -> _Node:
+        args = [self.lower(arg, scope, depth) for arg in term.args]
+        # The interpreter's ``sum`` starts from 0.
+        return self.node("(0" + " + {}" * len(args) + ")", args,
+                         lambda *values: sum(values))
+
+    def _finite_set(self, term: t.FiniteSet, scope, depth) -> _Node:
+        elems = [self.lower(elem, scope, depth) for elem in term.elems]
+        return self.node("frozenset((" + "{}, " * len(elems) + "))",
+                         elems, lambda *values: frozenset(values))
+
+    def _map_put(self, term: t.MapPut, scope, depth) -> _Node:
+        return self.node("({}).put({}, {})",
+                         [self.lower(term.map_, scope, depth),
+                          self.lower(term.key, scope, depth),
+                          self.lower(term.value, scope, depth)],
+                         lambda m, k, v: m.put(k, v))
+
+    def _field(self, term: t.Field, scope, depth) -> _Node:
+        return self.node("({})[{}]",
+                         [self.lower(term.state, scope, depth),
+                          self.constant(term.name)],
+                         lambda state, name: state[name])
+
+    def _indexed(self, term, row, scope, depth) -> _Node:
+        """The bounds check, then the operation, evaluating the sequence,
+        the index, the check and (after it) the value in the
+        interpreter's order; out of range raises its exact message."""
+        has_value, upper, template, failure, apply = row
+        children = [self.lower(term.seq, scope, depth),
+                    self.lower(term.index, scope, depth)]
+        if has_value:
+            children.append(self.lower(term.value, scope, depth))
+
+        def checked(seq, index, *value):
+            if not 0 <= index < len(seq) + (upper == "<="):
+                failure(seq, index)
+            return apply(seq, index, *value)
+        folded = self.fold(children, checked)
+        if folded:
+            return folded
+        seq, index = map(self.text, children[:2])
+        if not _ATOM.fullmatch(seq):
+            # The sequence may raise: evaluate it, then the index.
+            s, i = self.fresh("_s"), self.fresh("_i")
+            check = (f"(({s} := {seq}), ({i} := {index})) "
+                     f"and 0 <= {i} {upper} len({s})")
+            seq, index = s, i
+        elif not _ATOM.fullmatch(index):
+            i = self.fresh("_i")
+            check = f"0 <= ({i} := {index}) {upper} len({seq})"
+            index = i
         else:
-            value, vc = (lambda env: None), None
-        upper_shift = 0 if strict else 1
+            check = f"0 <= {index} {upper} len({seq})"
+        value = self.text(children[2]) if has_value else ""
+        operation = template.format(s=seq, i=index, v=value)
+        return _Node(f"({operation} if {check} else "
+                     f"{failure.__name__}({seq}, {index}))",
+                     False, NOT_CONST)
 
-        def indexed(env):
-            s = seq(env)
-            i = index(env)
-            if not 0 <= i < len(s) + upper_shift:
-                raise EvalError(message(s, i))
-            return apply(s, i, value(env))
-        return self._fold(indexed, False,
-                          sc is not NOT_CONST and ic is not NOT_CONST
-                          and vc is not NOT_CONST)
+    # -- helper functions ---------------------------------------------------
 
-    def _lower_observer(self, term: t.ObserverCall, scope):
-        state, _st, _sc = self.lower(term.state, scope)
-        nodes = self._lower_all(term.args, scope)
-        args = [fn for fn, _, _ in nodes]
-        method = term.method
-        observe = self.ctx.observe
-        if observe is None:
-            return _raiser(
-                f"observer {method!r} used without a dispatcher")
+    @staticmethod
+    def _params(scope: dict[str, str]) -> str:
+        """A helper's parameters: the slot list and every visible
+        quantified variable, a local of an enclosing helper."""
+        return ", ".join(["env", *(text for text in scope.values()
+                                   if not text.startswith("env["))])
 
-        def call(env):
-            return observe(state(env), method,
-                           tuple(a(env) for a in args))
+    def _split(self, term: t.Term, scope) -> _Node:
+        """``term`` in a helper function of its own, which returns its
+        value."""
+        node = self.lower(term, scope, 0)
+        if node.text is None:
+            return node
+        helper, params = self.fresh("_h"), self._params(scope)
+        self.helpers.append(
+            f"def {helper}({params}):\n    return {node.text}\n")
+        return _Node(f"{helper}({params})", node.total, NOT_CONST)
+
+    # -- observers and quantifiers -------------------------------------------
+
+    def _observer(self, term: t.ObserverCall, scope, depth) -> _Node:
+        if self.ctx.observe is None:
+            return self.raiser(
+                f"observer {term.method!r} used without a dispatcher")
         # Dispatch runs arbitrary spec semantics: never total, never
         # folded (the observer may depend on structure state).
-        return call, False, NOT_CONST
+        self.namespace["_observe"] = self.ctx.observe
+        state = self.text(self.lower(term.state, scope, depth))
+        args = [self.text(self.lower(arg, scope, depth))
+                for arg in term.args]
+        packed = "".join(f"{arg}, " for arg in args)
+        return _Node(f"_observe({state}, {self.literal(term.method)}, "
+                     f"({packed}))", False, NOT_CONST)
 
-    def _lower_quantifier(self, term, scope):
-        """Quantifiers reconstruct the interpreter's environment view
-        for domain derivation: :meth:`EvalContext.domains_for` is
-        called on a dict of *every* visible binding (captured before
-        this variable binds, so a shadowed outer value is visited,
-        exactly like the interpreter's pre-loop ``domains_for(env)``).
-        The bound variable gets a fresh scratch slot, so outer slots
-        are never mutated and no save/restore is needed."""
-        visible = tuple(scope.items())
-        slot = self.nslots
-        self.nslots += 1
-        inner_scope = dict(scope)
-        inner_scope[term.var.name] = slot
-        body, body_total, body_const = self.lower(term.body, inner_scope)
-        is_int = term.var.var_sort is Sort.INT
-        is_forall = isinstance(term, t.Forall)
+    def _quantifier(self, term, scope, depth) -> _Node:
+        """A helper function loops over the domains
+        :meth:`EvalContext.domains_for` derives from a dict of *every*
+        visible binding, taken before the variable binds (so a shadowed
+        outer value is visited, as in the interpreter).  The bound
+        variable is a local of the helper, which takes the enclosing
+        quantifiers' variables as arguments."""
+        var = self.fresh("_v")
+        inner = dict(scope)
+        inner[term.var.name] = var
+        body = self.lower(term.body, inner, 0)
+        forall = isinstance(term, t.Forall)
         ctx = self.ctx
-        derived = ctx.int_domain is None or ctx.obj_domain is None
-        if body_const is not NOT_CONST and derived:
+        if body.const is not NOT_CONST \
+                and (ctx.int_domain is None or ctx.obj_domain is None):
             # Derived domains are never empty (ints always contain
             # {-1, 0}, objects always contain None), so a constant body
             # decides the quantifier outright.  With explicit domains
             # an empty domain would flip the vacuous case, so no fold.
-            return _const_node(bool(body_const))
+            return self.constant(bool(body.const))
+        self.namespace["_domains"] = ctx.domains_for
+        helper, params = self.fresh("_q"), self._params(scope)
+        visible = ", ".join(f"{self.literal(name)}: {text}"
+                            for name, text in scope.items())
+        domain = 0 if term.var.var_sort is Sort.INT else 1
+        test = f"not {self.text(body)}" if forall else self.text(body)
+        self.helpers.append(
+            f"def {helper}({params}):\n"
+            f"    for {var} in _domains({{{visible}}})[{domain}]:\n"
+            f"        if {test}:\n"
+            f"            return {not forall}\n"
+            f"    return {forall}\n")
+        return _Node(f"{helper}({params})", body.total, NOT_CONST)
 
-        def quantified(env):
-            ints, objs = ctx.domains_for(
-                {name: env[s] for name, s in visible})
-            domain = ints if is_int else objs
-            for value in domain:
-                env[slot] = value
-                truth = body(env)
-                if is_forall and not truth:
-                    return False
-                if not is_forall and truth:
-                    return True
-            return is_forall
-        return quantified, body_total, NOT_CONST
+
+_KINDS: dict[type, Any] = {
+    **dict.fromkeys((*_UNARY, *_BINARY, *_INDEXED)),
+    t.Var: _Generator._var,
+    t.BoolConst: _Generator._value,
+    t.IntConst: _Generator._value,
+    t.ObjConst: _Generator._obj,
+    t.Null: _Generator._null,
+    t.And: _Generator._junction,
+    t.Or: _Generator._junction,
+    t.Ite: _Generator._ite,
+    t.Add: _Generator._add,
+    t.FiniteSet: _Generator._finite_set,
+    t.MapPut: _Generator._map_put,
+    t.Field: _Generator._field,
+    t.ObserverCall: _Generator._observer,
+    t.Forall: _Generator._quantifier,
+    t.Exists: _Generator._quantifier,
+}

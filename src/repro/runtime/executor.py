@@ -217,7 +217,7 @@ class ExecutionReport:
         counts (flat and sharded managers scan different volumes),
         ``compiled_hits``, wall time — so the digest is the equality
         the invariants demand: flat == sharded, local == served, and
-        closure == interpreter fallback must produce byte-identical
+        compiled == interpreter fallback must produce byte-identical
         digests for the same (structure, workload, policy, seed) at
         ``workers=1``.
         States are hashed in their canonical encoding

@@ -99,7 +99,7 @@ COUNTERS: dict[str, str] = {
                      "operation does not commute with a logged "
                      "operation's pending undo.",
     "compiled_hits": "Condition evaluations decided by a compiled "
-                     "closure rather than the interpreter fallback.",
+                     "function rather than the interpreter fallback.",
     "eval_errors": "Condition evaluations (between or stable path) that "
                    "raised EvalError and resolved conservatively.",
     "eval_errors_dropped": "EvalError diagnostics evicted from the "
@@ -199,7 +199,7 @@ class ConflictManager:
         self._ctx = EvalContext(observe=self.spec.observe)
         #: Incoming operation -> logged operation -> the pair's
         #: :class:`~repro.compiled.admission.PairPlan`: its catalog
-        #: between condition, compiled closures and armed drift-stable
+        #: between condition, compiled checks and armed drift-stable
         #: condition, resolved once per registry arming and shared by
         #: every manager of the family.  Only the commutativity policy
         #: evaluates conditions, so only it arms.
@@ -328,7 +328,7 @@ class ConflictManager:
                             self._unplanned(logged.op_name, op_name)
                         if plan.reads_true and len(args) == plan.n2 \
                                 and len(logged.args) == plan.n1:
-                            # The closure would return its folded
+                            # The check would return its folded
                             # ``true`` and the undo guard would pass a
                             # read: count the compiled check, skip both.
                             shard.compiled_hits += 1
@@ -448,11 +448,11 @@ class ConflictManager:
                     return True
                 return False
             return self._fallback(shard, plan, logged, args, current)
-        # The arm-time closure decides; it raises EvalError in exactly
+        # The compiled check decides; it raises EvalError in exactly
         # the cases the interpreter would (same messages), so neither
         # the decision nor the eval_errors sample depends on which one
         # ran.  The interpreter decides a pair the lowerer refused
-        # (CompileError at arm time: no closure) and a call whose
+        # (CompileError at arm time: no check) and a call whose
         # arity drifted from the operation signature (SlotMismatch:
         # the dict env tolerates it by zip truncation).
         checker = plan.between
@@ -629,9 +629,9 @@ class ConflictManager:
         """Evaluate a compiled drift-stable condition; unevaluable means
         no certificate (the caller falls through to the oracle) —
         counted and sampled per shard, so the silent fallback is
-        diagnosable.  The arm-time closure decides; the interpreter
+        diagnosable.  The compiled check decides; the interpreter
         only where the pair did not lower or the call's arity does not
-        fit the closure (decisions are identical either way)."""
+        fit the check (decisions are identical either way)."""
         checker = plan.stable_check
         try:
             if checker is not None:
@@ -843,7 +843,7 @@ def conflict_manager(ds_name: str, policy: str = "commutativity",
     arms the drift guard with the registry's compiled drift-stable
     conditions (both managers consult the same compiled set, so flat
     and sharded decisions stay identical).  Every armed condition is
-    lowered into a slot-specialized closure at arm time
+    lowered into a slot-specialized check at arm time
     (:mod:`repro.compiled`)."""
     if shards == 1 and router is None:
         return Gatekeeper(ds_name, policy, registry=registry,

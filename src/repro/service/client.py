@@ -266,7 +266,7 @@ class ServiceBackend(AdmissionBackend):
     ``hello`` partition map) and server-side domains are cached by
     (structure, policy, shards, stable): a repeated execution sends a
     ``reset`` frame instead of re-opening, so the server's armed
-    stable conditions and compiled closures stay warm.
+    stable conditions and compiled checks stay warm.
     ``bump_epoch()`` invalidates the cache.  Serial per process, like
     the managers it hands out."""
 

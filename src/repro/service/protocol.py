@@ -26,7 +26,7 @@ Request frames (``t`` field):
   from it and opens one pooled connection per worker.
 - ``open``    — create a server-side admission *domain* (one manager:
   structure, policy, shards, stable arming) → ``domain`` id.  Every
-  domain lowers its conditions into closures (:mod:`repro.compiled`);
+  domain lowers its conditions into compiled checks (:mod:`repro.compiled`);
   a ``compiled`` key from an older client is ignored.  The domain
   belongs to the connection that opened it: every frame below except
   ``stats`` is refused on any other connection, and when the
@@ -50,7 +50,7 @@ Request frames (``t`` field):
 - ``release`` — drop a transaction's outstanding ops; ``reason="abort"``
   first undoes its mutations on the kept state.
 - ``reset``   — clear a domain's log, kept state, counters and outcomes
-  while keeping its manager (compiled closures, memoized routes) warm:
+  while keeping its manager (compiled checks, memoized routes) warm:
   the domain-reuse path for repeated workload runs.
 - ``stats``   — the domain's counters + per-shard stats.
 - ``close``   — retire the domain.

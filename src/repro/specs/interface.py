@@ -109,7 +109,7 @@ class DataStructureSpec:
     def precondition_holds(self, op: Operation, state: Record,
                            args: tuple[Any, ...]) -> bool:
         """Evaluate ``op``'s precondition on ``state`` and ``args``
-        through a closure compiled once per operation over the layout
+        through a function compiled once per operation over the layout
         ``s`` then the parameters, which decides (and raises
         ``EvalError``) exactly as the interpreter does.  A call whose
         arity does not fit the layout is interpreted instead, which
@@ -122,7 +122,7 @@ class DataStructureSpec:
         entry = self._preconditions.get(op.name)
         if entry is None or entry[0] is not op \
                 or entry[1] is not op.precondition:
-            # Racing threads store equivalent closures: benign.
+            # Racing threads store equivalent functions: benign.
             names = ("s", *(param.name for param in op.params))
             entry = (op, op.precondition,
                      compile_term(op.precondition, names,

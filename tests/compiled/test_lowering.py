@@ -1,8 +1,8 @@
-"""The lowering's semantics contract: a lowered closure returns exactly
+"""The lowering's semantics contract: a lowered check returns exactly
 what the interpreter returns — same verdicts, same ``EvalError``s, same
 messages — across every builtin between condition and every enumerable
-environment, plus the arm-time behaviors (constant folding, adaptive
-disjunct reordering, ``CompileError`` refusal, ``SlotMismatch``)."""
+environment, plus the arm-time behaviors (constant folding, ``CompileError``
+refusal, ``SlotMismatch``)."""
 
 import itertools
 
@@ -13,7 +13,6 @@ from repro.commutativity.bounded import enumerate_cases
 from repro.commutativity.conditions import Kind
 from repro.compiled import (CompileError, SlotMismatch, armed,
                             lower_pair_condition, pair_scope)
-from repro.logic.compile import _AdaptiveOr
 from repro.eval import Scope
 from repro.eval.interpreter import EvalContext, EvalError, evaluate
 from repro.logic import terms as t
@@ -124,7 +123,7 @@ def test_colliding_names_decide_as_the_interpreter():
     to ``r1``, and one named ``s`` to ``s1`` or ``s2``.  The gatekeeper's
     interpreted environment (``ConflictManager._pair_env``) keeps the
     last binding of each name, and the compiled check must read the same
-    slots, with its quantifier scratch slot past all of them."""
+    slots, inside quantifiers too."""
     from repro.specs.interface import Operation, Param
 
     def op(name, params, result=None):
@@ -150,6 +149,27 @@ def test_colliding_names_decide_as_the_interpreter():
         check = lower_pair_condition(term, op1, op2, ctx)
         assert check.check(before, current, args1, result1, args2) \
             == evaluate(term, env, ctx), term
+
+
+def test_checks_compile_on_first_evaluation():
+    """Arming lowers a check without compiling it: the first evaluation
+    compiles the generated function and drops the source, later ones
+    reuse the function, and a folded constant never compiles."""
+    op1 = _slot_op("f", 1)
+    op2 = _slot_op("g", 1)
+    check = lower_pair_condition(
+        t.Eq(t.Var("p01", Sort.INT), t.Var("p02", Sort.INT)), op1, op2,
+        EvalContext())
+    assert check.fn is None and check.lowered is not None
+    assert check.check(None, None, (3,), None, (3,)) is True
+    fn = check.fn
+    assert fn is not None and check.lowered is None
+    assert check.check(None, None, (3,), None, (4,)) is False
+    assert check.fn is fn
+    constant = lower_pair_condition(t.BoolConst(True), op1, op2,
+                                    EvalContext())
+    assert constant.check(None, None, (3,), None, (4,)) is True
+    assert constant.fn is None and constant.lowered is None
 
 
 def test_slot_mismatch_on_arity_drift():
@@ -186,42 +206,3 @@ def test_unbound_variable_matches_interpreter_message():
     with pytest.raises(EvalError) as interp_exc:
         evaluate(formula, {}, EvalContext())
     assert str(compiled_exc.value) == str(interp_exc.value)
-
-
-def test_adaptive_or_reorders_by_hit_rate():
-    """A disjunction of total disjuncts re-sorts itself: after enough
-    calls in which only the *last* disjunct admits, it is tried first."""
-    op1 = _slot_op("f", 1)
-    op2 = _slot_op("g", 1)
-    formula = t.Or((t.Eq(t.Var("p01", Sort.INT), t.IntConst(7)),
-                    t.Lt(t.Var("p02", Sort.INT), t.IntConst(0)),
-                    t.Eq(t.Var("p01", Sort.INT),
-                         t.Var("p02", Sort.INT))))
-    check = lower_pair_condition(formula, op1, op2, EvalContext())
-    adaptive = check.fn
-    assert isinstance(adaptive, _AdaptiveOr)
-    first = adaptive.parts[0]
-    last = adaptive.parts[-1]
-    # Only the equality disjunct (lowered last) ever hits.
-    for _ in range(200):
-        assert check.check(None, None, (3,), None, (3,)) is True
-    assert adaptive.parts[0] is last
-    assert first in adaptive.parts  # reordered, never dropped
-    # Reordering is decision-neutral: misses still miss.
-    assert check.check(None, None, (3,), None, (4,)) is False
-
-
-def test_adaptive_or_never_wraps_partial_disjuncts():
-    """Reordering is only sound when no disjunct can raise: a partial
-    disjunct (map lookup on an absent key can yield null comparisons,
-    sequence indexing can raise) pins the written order."""
-    spec = DEFAULT_REGISTRY.spec("ArrayList")
-    ctx = EvalContext(observe=spec.observe)
-    for cond in _between_conditions("ArrayList"):
-        op1 = spec.operations[cond.m1]
-        op2 = spec.operations[cond.m2]
-        check = lower_pair_condition(cond.dynamic_formula, op1, op2, ctx)
-        if isinstance(check.fn, _AdaptiveOr):
-            assert check.total, (
-                f"{cond.m1};{cond.m2}: adaptive Or wrapping a partial "
-                f"disjunction would reorder which EvalError surfaces")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api import Registry
-from repro.commutativity.conditions import Kind
 from repro.eval import Scope
 
 
@@ -17,10 +16,3 @@ def scope() -> Scope:
     """The full paper scope: the prover's drift enumeration is symbolic
     over values, so it stays fast even here."""
     return Scope()
-
-
-def fragile_condition(registry, name, m1, m2):
-    """The drift-fragile between condition of one operation pair."""
-    return next(c for c in registry.conditions(name)
-                if c.kind is Kind.BETWEEN and (c.m1, c.m2) == (m1, m2)
-                and c.drift_fragile)

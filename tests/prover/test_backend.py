@@ -1,7 +1,7 @@
 """Backend packaging: fingerprints, payload round-trips, proof
 merging, and the cache-key sensitivity the satellites demand."""
 
-from conftest import fragile_condition
+from prover_fixture import fragile_condition
 
 from repro.engine import TaskPlanner
 from repro.engine.fingerprint import (stability_fingerprint,

@@ -1,7 +1,7 @@
 """The native backend: unbounded proofs, EUF-certified refutations,
 and the bounded-length ArrayList regime."""
 
-from conftest import fragile_condition
+from prover_fixture import fragile_condition
 
 from repro.prover import prove_pair
 from repro.prover.obligations import (REGIME_BOUNDED_LENGTH,

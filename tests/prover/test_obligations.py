@@ -1,6 +1,6 @@
 """Lowering: candidate texts -> classified proof obligations."""
 
-from conftest import fragile_condition
+from prover_fixture import fragile_condition
 
 from repro.prover import lower_pair
 from repro.prover.obligations import (REGIME_BOUNDED_LENGTH,

@@ -7,7 +7,7 @@ CI matrix leg that installs ``z3-solver``.
 
 import pytest
 
-from conftest import fragile_condition
+from prover_fixture import fragile_condition
 
 from repro.prover import (check_smtlib, emit_obligation, lower_pair,
                           prove_pair, z3_available)

@@ -17,7 +17,7 @@ from repro.service.cluster import (PartitionedConflictManager,
                                    worker_of)
 from repro.workloads import ThroughputHarness, WorkloadSpec
 
-from conftest import LiveCluster
+from service_fixture import LiveCluster
 
 SHARDS = 4
 

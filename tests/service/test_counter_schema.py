@@ -23,7 +23,7 @@ from repro.service.bench import scrape_metrics
 from repro.service.client import ServiceBackend
 from repro.workloads import ThroughputHarness, WorkloadSpec
 
-from conftest import LiveCluster, LiveServer
+from service_fixture import LiveCluster, LiveServer
 
 #: A stable-armed ArrayList run whose seeded serial schedule trips the
 #: drift guard, the conservative fallback and an EvalError, with pair

@@ -18,7 +18,7 @@ from repro.service.client import ServiceBackend
 from repro.service.cluster import PartitionedConflictManager
 from repro.workloads import WorkloadGenerator, WorkloadSpec
 
-from conftest import LiveCluster, LiveServer
+from service_fixture import LiveCluster, LiveServer
 
 STRUCTURES = ("Accumulator", "ListSet", "HashSet", "AssociationList",
               "HashTable", "ArrayList", DEMO_FAMILY)

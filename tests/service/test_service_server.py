@@ -13,7 +13,7 @@ from repro.service.bench import EXPECTED_METRIC_NAMES, scrape_metrics
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.metrics import prometheus_text
 
-from conftest import LiveServer
+from service_fixture import LiveServer
 
 
 def _seq_state(*elems):
