@@ -2,9 +2,10 @@
 
 A downstream user brings their own abstract specification — here a
 single-cell ``Register`` with ``write(v)`` (returns the previous value)
-and ``read()`` — registers it on a :class:`repro.api.Registry` next to
-the paper's six built-ins, then drives the whole pipeline through a
-:class:`repro.api.Session`:
+and ``read()``, each specified by its postcondition, from which the
+executable semantics is generated — registers it on a
+:class:`repro.api.Registry` next to the paper's six built-ins, then
+drives the whole pipeline through a :class:`repro.api.Session`:
 
 1. *synthesize* sound-and-complete commutativity conditions directly
    from the executable semantics,
@@ -29,18 +30,9 @@ from repro.eval import Record, Scope
 from repro.inverses import Arg, Guard, InverseCall, InverseSpec
 from repro.logic.sorts import Sort
 from repro.specs.interface import (DataStructureSpec, Operation, Param,
-                                   parse_pre)
+                                   parse_post, parse_pre)
 
 STATE_FIELDS = {"value": Sort.OBJ}
-
-
-def _write(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (v,) = args
-    return Record(value=v), state["value"]
-
-
-def _read(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    return state, state["value"]
 
 
 def _states(scope: Scope) -> Iterator[Record]:
@@ -63,11 +55,17 @@ def make_register_spec() -> DataStructureSpec:
             name="write", params=params, result_sort=Sort.OBJ,
             precondition=parse_pre("v ~= null", STATE_FIELDS, params,
                                    {}, None),
-            semantics=_write, mutator=True),
+            mutator=True,
+            postcondition=parse_post("value = v & result = old_value",
+                                     STATE_FIELDS, params, Sort.OBJ,
+                                     {}, None)),
         "read": Operation(
             name="read", params=(), result_sort=Sort.OBJ,
             precondition=parse_pre("true", STATE_FIELDS, (), {}, None),
-            semantics=_read, mutator=False),
+            mutator=False,
+            postcondition=parse_post("value = old_value & result = "
+                                     "old_value", STATE_FIELDS, (),
+                                     Sort.OBJ, {}, None)),
     }
     return DataStructureSpec(
         name="Register", state_fields=dict(STATE_FIELDS),

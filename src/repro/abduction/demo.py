@@ -33,7 +33,7 @@ from ..eval import Record
 from ..eval.enumeration import Scope
 from ..logic.sorts import Sort
 from ..specs.interface import (DataStructureSpec, Operation, Param,
-                               parse_pre)
+                               parse_post, parse_pre)
 
 #: The family name the demo registers under.
 DEMO_FAMILY = "RegisterCell"
@@ -48,15 +48,6 @@ DEMO_CONDITIONS = {
     ("read", "write"): "s1.value = v2",
     ("read", "read"): "true",
 }
-
-
-def _write(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (v,) = args
-    return Record(value=v), state["value"]
-
-
-def _read(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    return state, state["value"]
 
 
 def _states(scope: Scope) -> Iterator[Record]:
@@ -79,11 +70,17 @@ def make_demo_spec() -> DataStructureSpec:
             name="write", params=params, result_sort=Sort.OBJ,
             precondition=parse_pre("v ~= null", _STATE_FIELDS, params,
                                    {}, None),
-            semantics=_write, mutator=True),
+            mutator=True,
+            postcondition=parse_post("value = v & result = old_value",
+                                     _STATE_FIELDS, params, Sort.OBJ,
+                                     {}, None)),
         "read": Operation(
             name="read", params=(), result_sort=Sort.OBJ,
             precondition=parse_pre("true", _STATE_FIELDS, (), {}, None),
-            semantics=_read, mutator=False),
+            mutator=False,
+            postcondition=parse_post("value = old_value & result = "
+                                     "old_value", _STATE_FIELDS, (),
+                                     Sort.OBJ, {}, None)),
     }
     return DataStructureSpec(
         name=DEMO_FAMILY, state_fields=dict(_STATE_FIELDS),

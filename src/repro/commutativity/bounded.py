@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from ..eval.enumeration import Scope
 from ..eval.interpreter import EvalContext
@@ -98,6 +98,21 @@ def enumerate_cases(spec: DataStructureSpec, op1: Operation, op2: Operation,
                 yield Case(state, args1, args2, mid, fin, r1, r2)
 
 
+def executions(spec: DataStructureSpec, op1: Operation, op2: Operation,
+               starts: Iterable[tuple[Record, tuple, tuple]]) \
+        -> Iterator[Case]:
+    """The first-order execution from each ``(state, args1, args2)`` of
+    ``starts`` where both operations are defined."""
+    for state, args1, args2 in starts:
+        if not spec.precondition_holds(op1, state, args1):
+            continue
+        mid, r1 = op1.semantics(state, args1)
+        if not spec.precondition_holds(op2, mid, args2):
+            continue
+        fin, r2 = op2.semantics(mid, args2)
+        yield Case(state, args1, args2, mid, fin, r1, r2)
+
+
 def commutes(spec: DataStructureSpec, op1: Operation, op2: Operation,
              case: Case) -> bool:
     """Ground-truth semantic commutativity for one case.
@@ -148,8 +163,12 @@ def check_conditions(spec: DataStructureSpec,
                      conditions: list[CommutativityCondition],
                      scope: Scope,
                      max_counterexamples: int = 3,
-                     use_dynamic: bool = False) -> list[CheckResult]:
-    """Check several conditions for the *same* operation pair at once.
+                     use_dynamic: bool = False,
+                     cases: Iterable[Case] | None = None) \
+        -> list[CheckResult]:
+    """Check several conditions for the *same* operation pair at once,
+    over ``cases`` (the scope's :func:`enumerate_cases` by default; the
+    symbolic engine passes its own).
 
     Sharing the case enumeration across the pair's before/between/after
     conditions triples throughput, which matters for the ArrayList sweep.
@@ -165,8 +184,10 @@ def check_conditions(spec: DataStructureSpec,
         c.dynamic_formula if use_dynamic else c.formula, names, ctx)
         for c in conditions]
     results = [CheckResult(condition=c) for c in conditions]
+    if cases is None:
+        cases = enumerate_cases(spec, op1, op2, scope)
     start = time.perf_counter()
-    for case in enumerate_cases(spec, op1, op2, scope):
+    for case in cases:
         truth = commutes(spec, op1, op2, case)
         env = case_slots(op1, op2, case)
         for formula, result in zip(formulas, results):

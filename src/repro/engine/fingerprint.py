@@ -2,11 +2,11 @@
 
 The result cache is *content-addressed*: a task's key is a stable hash
 of everything its outcome depends on — the specification (signatures,
-formulas, and the source of the executable semantics), the condition
-formulas or inverse program, the enumeration scope, the backend, and
-the engine version.  Editing any ingredient changes the key; bumping
-:data:`ENGINE_VERSION` retires every previously persisted entry at
-once.
+formulas, and the source of the executable semantics, generated or
+hand-written), the condition formulas or inverse program, the
+enumeration scope, the backend, and the engine version.  Editing any
+ingredient changes the key; bumping :data:`ENGINE_VERSION` retires
+every previously persisted entry at once.
 
 Two deliberate limits.  Semantics callables are fingerprinted by
 *source text*: values they close over are invisible, so factories that
@@ -41,7 +41,8 @@ def stable_hash(payload: Any) -> str:
 
 
 def _callable_source(fn: Any) -> str:
-    """Source text of a semantics function, or a stable module-qualified
+    """Source text of a semantics function — for one generated from a
+    postcondition, the generated source — or a stable module-qualified
     name when source is unavailable (builtins, C extensions, partials,
     REPL definitions).  Never anything embedding a memory address: that
     would change every process and make the cache silently never hit.
@@ -51,6 +52,9 @@ def _callable_source(fn: Any) -> str:
     into byte-identical function bodies must be distinguished some
     other way (different source, or a cache-disabling run).
     """
+    generated = getattr(fn, "generated_source", None)
+    if generated is not None:
+        return generated()
     try:
         return inspect.getsource(fn)
     except (OSError, TypeError):

@@ -38,18 +38,25 @@ A term the compiler does not understand raises :class:`CompileError` at
 compile time, and the caller interprets it.  Admission caches its
 checks under :data:`repro.compiled.lowering.ADMISSION_COMPILER_VERSION`:
 bump it with any change here that could alter a compiled result.
+
+The same lowering writes every operation's executable semantics from
+its postcondition (:func:`compile_semantics`), a function over the
+state and the arguments rather than a slot list.
 """
 
 from __future__ import annotations
 
+import keyword
 import operator
 import re
+import types
 from typing import Any, Callable, NamedTuple, Sequence
 
 from ..eval.interpreter import EvalContext, EvalError
 from ..eval.values import (seq_index_of, seq_insert, seq_last_index_of,
                            seq_remove, seq_update)
 from . import terms as t
+from .free_vars import free_vars
 from .sorts import Sort
 
 #: The ``const`` of a term that did not fold to a constant.
@@ -433,10 +440,13 @@ class _Generator:
 
     @staticmethod
     def _params(scope: dict[str, str]) -> str:
-        """A helper's parameters: the slot list and every visible
-        quantified variable, a local of an enclosing helper."""
-        return ", ".join(["env", *(text for text in scope.values()
-                                   if not text.startswith("env["))])
+        """A helper's parameters: the slot list, when the scope reads
+        one, and every other visible name, a local of the enclosing
+        function."""
+        slots = any(text.startswith("env[") for text in scope.values())
+        return ", ".join([*(["env"] if slots else []),
+                          *(text for text in scope.values()
+                            if not text.startswith("env["))])
 
     def _split(self, term: t.Term, scope) -> _Node:
         """``term`` in a helper function of its own, which returns its
@@ -518,3 +528,171 @@ _KINDS: dict[type, Any] = {
     t.Forall: _Generator._quantifier,
     t.Exists: _Generator._quantifier,
 }
+
+
+# -- operation semantics ------------------------------------------------------
+#
+# A postcondition in guarded explicit-update form defines each state
+# field and the result as ``x = expr`` over the ``old_`` fields and the
+# parameters (a boolean name may be asserted or denied instead), either
+# unguarded or once under a guard ``g --> ...`` and once under ``~g``.
+# Conjuncts that define nothing, such as ``lookup(contents, k) = v``,
+# are implied by the definitions and skipped.
+
+def _conjuncts(term: t.Term):
+    if isinstance(term, t.And):
+        for arg in term.args:
+            yield from _conjuncts(arg)
+    else:
+        yield term
+
+
+def _definition(term: t.Term, post_names: frozenset[str]):
+    """``(name, rhs)`` when ``term`` defines a post-state name."""
+    if isinstance(term, (t.Eq, t.Iff)) and isinstance(term.lhs, t.Var) \
+            and term.lhs.name in post_names \
+            and free_vars(term.rhs).isdisjoint(post_names):
+        return term.lhs.name, term.rhs
+    atom = term.arg if isinstance(term, t.Not) else term
+    if isinstance(atom, t.Var) and atom.name in post_names \
+            and atom.sort is Sort.BOOL:
+        return atom.name, t.BoolConst(atom is term)
+    return None
+
+
+def explicit_updates(post: t.Term, fields: Sequence[str],
+                     returns: bool) -> dict[str, tuple]:
+    """Each field's (and, when ``returns``, the result's) definition in
+    ``post``: ``(guard, rhs where it holds, rhs where it does not)``,
+    the guard ``None`` when unguarded.  Raises :class:`ValueError`
+    naming the first name ``post`` does not define in that form."""
+    post_names = frozenset((*fields, "result"))
+    found: dict[str, list] = {}
+    for conjunct in _conjuncts(post):
+        guard, holds, body = None, True, conjunct
+        if isinstance(conjunct, t.Implies) \
+                and free_vars(conjunct.lhs).isdisjoint(post_names):
+            guard, body = conjunct.lhs, conjunct.rhs
+            if isinstance(guard, t.Not):
+                guard, holds = guard.arg, False
+        for part in _conjuncts(body):
+            definition = _definition(part, post_names)
+            if definition is not None:
+                name, rhs = definition
+                found.setdefault(name, []).append((guard, holds, rhs))
+    updates = {}
+    for name in (*fields, *(("result",) if returns else ())):
+        entries = found.get(name, [])
+        guards = {guard for guard, _, _ in entries}
+        if not entries:
+            raise ValueError(f"the postcondition does not define {name!r}")
+        if None in guards and len(entries) > 1:
+            raise ValueError(
+                f"the postcondition defines {name!r} more than once")
+        if None not in guards and (len(entries) != 2 or len(guards) != 1
+                                   or entries[0][1] == entries[1][1]):
+            raise ValueError(f"the postcondition defines {name!r} under "
+                             f"guards that are not complementary")
+        (guard, holds, rhs), (_, _, other) = entries[0], entries[-1]
+        updates[name] = (guard, rhs, other) if holds else (guard, other, rhs)
+    return updates
+
+
+def _semantics_body(state, args):
+    """A generated semantics function's body until its first call:
+    ``_first_call`` is bound in each function's own namespace."""
+    return _first_call(state, args)  # noqa: F821
+
+
+def compile_semantics(post: t.Term, fields: Sequence[str],
+                      params: Sequence[str], returns: bool,
+                      ctx: EvalContext | None = None) -> Callable:
+    """The semantics ``(state, args) -> (state', result)`` that ``post``
+    defines (see :func:`explicit_updates`, which checks the form now);
+    the result is ``None`` unless ``returns``.
+
+    The function tests each guard once, reads a field of the ``Record``
+    ``state`` only where a guard or a changed field needs it, and
+    returns ``state`` itself where every field keeps its old value.
+    Right-hand sides evaluate as :func:`compile_term` would, so outside
+    the precondition a bounds-checked sequence operation raises the
+    interpreter's :class:`EvalError`; a quantifier's domains come from
+    the parameters and the fields read so far.  The source is written
+    when first needed, by the first call or by the function's
+    ``generated_source()``; the first call compiles it and swaps the
+    compiled body into the function, for every holder."""
+    updates = explicit_updates(post, fields, returns)
+    namespace: dict[str, Any] = {}
+    written: list[str] = []
+
+    def source() -> str:
+        if not written:
+            text, names = _write_semantics(updates, fields, params,
+                                           returns, ctx or EvalContext())
+            namespace.update(names)
+            written.append(text)
+        return written[0]
+
+    def first_call(state, args):
+        exec(compile(source(), "<semantics>", "exec", dont_inherit=True),
+             namespace)
+        function.__code__ = namespace["semantics"].__code__
+        return function(state, args)
+
+    namespace["_first_call"] = first_call
+    function = types.FunctionType(_semantics_body.__code__, namespace,
+                                  "semantics")
+    function.generated_source = source
+    return function
+
+
+def _write_semantics(updates: dict[str, tuple], fields: Sequence[str],
+                     params: Sequence[str], returns: bool,
+                     ctx: EvalContext) -> tuple[str, dict]:
+    """The source of :func:`compile_semantics`'s function and the names
+    it reads."""
+    gen = _Generator(ctx)
+    lines = ["def semantics(state, args):"]
+    scope = {name: gen.fresh("_v") for name in params}
+    if params:
+        lines.append(f"    {', '.join(scope.values())}, = args")
+
+    def lower(terms, scope, pad) -> list[str]:
+        """The sources of ``terms``, after reading the fields they
+        need that ``scope`` lacks."""
+        needed = set().union(*map(free_vars, terms))
+        for name in fields:
+            if f"old_{name}" in needed and f"old_{name}" not in scope:
+                scope[f"old_{name}"] = local = gen.fresh("_v")
+                lines.append(f"{pad}{local} = state[{gen.literal(name)}]")
+        return [gen.text(gen.lower(term, scope, 0)) for term in terms]
+
+    def branch(guards, choice, scope, pad) -> None:
+        if guards:
+            guard, rest = guards[0], guards[1:]
+            (test,) = lower([guard], scope, pad)
+            lines.append(f"{pad}if {test}:")
+            branch(rest, {**choice, guard: True}, dict(scope), pad + "    ")
+            branch(rest, {**choice, guard: False}, scope, pad)
+            return
+        chosen = {name: then if guard is None or choice[guard] else els
+                  for name, (guard, then, els) in updates.items()}
+        changed = [name for name in fields
+                   if chosen[name] != t.Var(f"old_{name}", chosen[name].sort)]
+        texts = lower([chosen[name] for name in changed]
+                      + ([chosen["result"]] if returns else []), scope, pad)
+        value = texts.pop() if returns else "None"
+        if not changed:
+            lines.append(f"{pad}return state, {value}")
+        elif all(name.isidentifier() and not keyword.iskeyword(name)
+                 for name in changed):
+            pairs = ", ".join(map("{}={}".format, changed, texts))
+            lines.append(f"{pad}return state.replace({pairs}), {value}")
+        else:
+            pairs = ", ".join(map("{}: {}".format,
+                                  map(gen.literal, changed), texts))
+            lines.append(f"{pad}return state.replace(**{{{pairs}}}), {value}")
+
+    branch(list(dict.fromkeys(guard for guard, _, _ in updates.values()
+                              if guard is not None)), {}, scope, "    ")
+    return "".join(gen.helpers) + "\n".join(lines) + "\n", gen.namespace

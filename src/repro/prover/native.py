@@ -43,15 +43,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from ..commutativity.bounded import Case, commutes
 from ..commutativity.conditions import CommutativityCondition, pair_layout
 from ..eval.enumeration import Scope
 from ..eval.interpreter import EvalContext, EvalError
 from ..eval.values import FMap, Record
 from ..logic.compile import compile_term
-from ..solver.engine import (ACCUMULATOR_SEMANTICS, MAP_SEMANTICS,
-                             SET_SEMANTICS, _commutes_symbolic,
-                             _obj_symbols, _symbolic_observe,
-                             accumulator_cases, map_cases, set_cases)
+from ..solver.engine import (_obj_symbols, accumulator_cases, map_cases,
+                             set_cases)
 from ..solver.euf import CongruenceClosure
 from ..solver.partition import partitions
 from ..solver.symbolic import SymInt, SymMap, SymSet
@@ -329,11 +328,7 @@ def prove_pair(spec: DataStructureSpec, cond: CommutativityCondition,
     proof = PairProof(m1=cond.m1, m2=cond.m2)
     supported = [o for o in obligations if o.supported]
     if supported:
-        semantics = {"Set": SET_SEMANTICS, "Map": MAP_SEMANTICS,
-                     "Accumulator": ACCUMULATOR_SEMANTICS}.get(spec.name)
-        ctx = EvalContext(observe=_symbolic_observe(semantics, spec))
-        apply1 = semantics[op1.name] if semantics else op1.semantics
-        apply2 = semantics[op2.name] if semantics else op2.semantics
+        ctx = EvalContext(observe=spec.observe)
         # Slot 0 (``s2``) is rebound per drift.
         names = pair_layout(op1, op2, "s2")
         # Live work lists: state-free candidates are evaluated once per
@@ -380,17 +375,16 @@ def prove_pair(spec: DataStructureSpec, cond: CommutativityCondition,
                 break
             if not spec.precondition_holds(op1, w, args1):
                 continue
-            mid, r1 = apply1(w, args1)
+            mid, r1 = op1.semantics(w, args1)
             case_key = (w, args1, args2)
             truth = commute_cache.get(case_key)
             if truth is None:
                 if not spec.precondition_holds(op2, mid, args2):
                     truth = "outside"
                 else:
-                    fin, r2 = apply2(mid, args2)
-                    truth = _commutes_symbolic(
-                        spec, op1, op2, apply1, apply2, w, args1,
-                        args2, fin, r1, r2)
+                    fin, r2 = op2.semantics(mid, args2)
+                    truth = commutes(spec, op1, op2, Case(
+                        w, args1, args2, mid, fin, r1, r2))
                 commute_cache[case_key] = truth
             if truth == "outside":
                 continue

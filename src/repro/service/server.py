@@ -38,6 +38,7 @@ import contextlib
 import time
 from typing import Any, Callable
 
+from ..eval.interpreter import EvalError
 from ..eval.values import Record
 from ..reporting.tables import percentile
 from ..runtime.gatekeeper import LoggedOperation
@@ -93,6 +94,17 @@ class _Domain:
                 f"frame first")
         return self.state
 
+    def defined(self, op, args: tuple[Any, ...]) -> bool:
+        """Whether ``op(args)`` may be recorded on the kept state: false
+        only where its precondition is.  A precondition that cannot be
+        evaluated there (a state frame without a field it reads) leaves
+        the decision to the spec step."""
+        try:
+            return self.manager.spec.precondition_holds(
+                op, self.kept_state(), args)
+        except (EvalError, LookupError, TypeError):
+            return True
+
     def apply(self, txn_id: int, op, args: tuple[Any, ...]):
         """Advance the kept state by ``op(args)``, as the executor's
         structure handle does, and log the undo entry a mutator needs;
@@ -100,14 +112,12 @@ class _Domain:
         before = after = self.kept_state()
         undo_log = self.txns.setdefault(txn_id, [])
         if op.mutator:
-            after, raw = op.semantics(before, args)
-            if op.base_name is not None:
-                # The undo of a discard variant needs the result its
-                # base operation returns (compare ConflictManager.
-                # _undo_plan).
-                base = self.manager.spec.operations[op.base_name]
-                raw = base.semantics(before, args)[1]
-            undo_log.append(UndoEntry(op.base_name or op.name, args, raw))
+            # A discard variant steps as its base operation, whose
+            # result its undo needs (compare ConflictManager._undo_plan).
+            base_name = op.base_name or op.name
+            after, raw = self.manager.spec.operations[base_name].semantics(
+                before, args)
+            undo_log.append(UndoEntry(base_name, args, raw))
             self.state = after
         return before, after
 
@@ -432,6 +442,14 @@ class AdmissionServer:
                 f"{domain.structure} has no operation {frame['op']!r}")
         args = protocol.decode_value(frame["args"])
         result = protocol.decode_value(frame["result"])
+        if not isinstance(args, tuple) or len(args) != len(op.params):
+            raise protocol.ProtocolError(
+                f"{op.name} takes {len(op.params)} arguments, not "
+                f"{args!r}")
+        if not domain.defined(op, args):
+            raise protocol.ProtocolError(
+                f"{op.name}{args!r} is outside its precondition on the "
+                f"kept state")
         if frame.get("shards") is None:
             shard_ids = manager.store_regions(op.name, args)
         else:

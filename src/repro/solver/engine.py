@@ -12,9 +12,12 @@ enumeration:
 - the base collection is a symbolic region: only the membership/binding
   of the mentioned classes plus a symbolic size ``N + delta`` are tracked
   (:mod:`repro.solver.symbolic`);
-- both operation orders are executed with symbolic semantics and the
-  condition is evaluated per case; soundness and completeness reduce to
-  per-case boolean checks (Properties 1-2).
+- both operation orders are executed by the operations' own semantics,
+  the functions generated from their postconditions, over these
+  symbolic states, and the bounded checker
+  (:func:`repro.commutativity.bounded.check_conditions`) evaluates the
+  conditions per case; soundness and completeness reduce to per-case
+  boolean checks (Properties 1-2).
 
 For the ArrayList, element universes are handled by the same partition
 argument (exact for unbounded universes) while sequence *length* is
@@ -25,13 +28,11 @@ DESIGN.md and EXPERIMENTS.md.
 from __future__ import annotations
 
 import itertools
-import time
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
-from ..commutativity.bounded import CheckResult, Counterexample
+from ..commutativity.bounded import CheckResult, check_conditions, executions
 from ..commutativity.conditions import CommutativityCondition
 from ..eval.enumeration import Scope
-from ..eval.interpreter import EvalContext, evaluate
 from ..eval.values import FMap, Record
 from ..specs.interface import DataStructureSpec, Operation
 from .partition import partitions
@@ -39,81 +40,6 @@ from .symbolic import SymInt, SymMap, SymSet
 
 #: Canonical integer arguments: cover zero / positive / negative cases.
 CANONICAL_INTS = (-1, 0, 1, 2)
-
-Semantics = Callable[[Record, tuple[Any, ...]], tuple[Record, Any]]
-
-
-# ---------------------------------------------------------------------------
-# Symbolic operation semantics
-# ---------------------------------------------------------------------------
-
-def _set_add(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (v,) = args
-    contents: SymSet = state["contents"]
-    if v in contents:
-        return state, False
-    return Record(contents=contents.add(v),
-                  size=state["size"].plus(1)), True
-
-
-def _set_remove(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (v,) = args
-    contents: SymSet = state["contents"]
-    if v not in contents:
-        return state, False
-    return Record(contents=contents.remove(v),
-                  size=state["size"].plus(-1)), True
-
-
-def _discard(semantics: Semantics) -> Semantics:
-    def wrapped(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-        new_state, _ = semantics(state, args)
-        return new_state, None
-    return wrapped
-
-
-SET_SEMANTICS: dict[str, Semantics] = {
-    "add": _set_add,
-    "add_": _discard(_set_add),
-    "contains": lambda s, a: (s, a[0] in s["contents"]),
-    "remove": _set_remove,
-    "remove_": _discard(_set_remove),
-    "size": lambda s, a: (s, s["size"]),
-}
-
-
-def _map_put(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    k, v = args
-    contents: SymMap = state["contents"]
-    previous = contents.lookup(k)
-    delta = 0 if k in contents else 1
-    return Record(contents=contents.put(k, v),
-                  size=state["size"].plus(delta)), previous
-
-
-def _map_remove(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (k,) = args
-    contents: SymMap = state["contents"]
-    previous = contents.lookup(k)
-    delta = -1 if k in contents else 0
-    return Record(contents=contents.remove(k),
-                  size=state["size"].plus(delta)), previous
-
-
-MAP_SEMANTICS: dict[str, Semantics] = {
-    "containsKey": lambda s, a: (s, a[0] in s["contents"]),
-    "get": lambda s, a: (s, s["contents"].lookup(a[0])),
-    "put": _map_put,
-    "put_": _discard(_map_put),
-    "remove": _map_remove,
-    "remove_": _discard(_map_remove),
-    "size": lambda s, a: (s, s["size"]),
-}
-
-ACCUMULATOR_SEMANTICS: dict[str, Semantics] = {
-    "increase": lambda s, a: (Record(value=s["value"].plus(a[0])), None),
-    "read": lambda s, a: (s, s["value"]),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +162,19 @@ def arraylist_cases(op1: Operation, op2: Operation, max_len: int) \
 # The engine
 # ---------------------------------------------------------------------------
 
-def _family_tooling(spec: DataStructureSpec, scope: Scope):
-    """(case iterator factory, symbolic semantics or None)."""
+def _family_cases(spec: DataStructureSpec, scope: Scope):
+    """The family's symbolic case generator over an operation pair."""
     if spec.name == "Set":
-        return set_cases, SET_SEMANTICS
+        return set_cases
     if spec.name == "Map":
-        return map_cases, MAP_SEMANTICS
+        return map_cases
     if spec.name == "Accumulator":
-        return accumulator_cases, ACCUMULATOR_SEMANTICS
+        return accumulator_cases
     if spec.name == "ArrayList":
         def cases(op1: Operation, op2: Operation):
             return arraylist_cases(op1, op2, scope.max_seq_len)
-        return cases, None  # concrete semantics are exact per partition
+        return cases
     raise ValueError(f"no symbolic tooling for family {spec.name!r}")
-
-
-def _symbolic_observe(semantics: dict[str, Semantics] | None,
-                      spec: DataStructureSpec):
-    def observe(state: Record, method: str, args: tuple[Any, ...]) -> Any:
-        if semantics is not None:
-            _, result = semantics[method](state, args)
-            return result
-        return spec.observe(state, method, args)
-    return observe
 
 
 def check_condition_symbolic(spec: DataStructureSpec,
@@ -275,66 +191,11 @@ def check_conditions_symbolic(spec: DataStructureSpec,
                               scope: Scope | None = None,
                               max_counterexamples: int = 3) \
         -> list[CheckResult]:
-    """Verify several conditions of one pair, sharing case enumeration."""
+    """Verify several conditions of one pair: the bounded checker over
+    the family's symbolic cases, executed by the operations' own
+    semantics."""
     scope = scope or Scope()
-    pairs = {(c.m1, c.m2) for c in conditions}
-    if len(pairs) != 1:
-        raise ValueError("expected conditions for a single operation pair")
     op1, op2 = conditions[0].op1, conditions[0].op2
-    cases, semantics = _family_tooling(spec, scope)
-    apply1 = semantics[op1.name] if semantics else op1.semantics
-    apply2 = semantics[op2.name] if semantics else op2.semantics
-    ctx = EvalContext(observe=_symbolic_observe(semantics, spec))
-    results = [CheckResult(condition=c) for c in conditions]
-    formulas = [c.formula for c in conditions]
-    start = time.perf_counter()
-    for state, args1, args2 in cases(op1, op2):
-        if not spec.precondition_holds(op1, state, args1):
-            continue
-        mid, r1 = apply1(state, args1)
-        if not spec.precondition_holds(op2, mid, args2):
-            continue
-        fin, r2 = apply2(mid, args2)
-        truth = _commutes_symbolic(spec, op1, op2, apply1, apply2,
-                                   state, args1, args2, fin, r1, r2)
-        env: dict[str, Any] = {"s1": state, "s2": mid, "s3": fin}
-        for p, v in zip(op1.params, args1):
-            env[f"{p.name}1"] = v
-        for p, v in zip(op2.params, args2):
-            env[f"{p.name}2"] = v
-        if op1.result_sort is not None:
-            env["r1"] = r1
-        if op2.result_sort is not None:
-            env["r2"] = r2
-        for formula, result in zip(formulas, results):
-            result.cases += 1
-            phi = bool(evaluate(formula, env, ctx))
-            if phi == truth:
-                continue
-            direction = "soundness" if phi else "completeness"
-            if len(result.counterexamples) < max_counterexamples:
-                result.counterexamples.append(Counterexample(
-                    direction=direction, state=state, args1=args1,
-                    args2=args2, condition_value=phi, commuted=truth))
-    elapsed = time.perf_counter() - start
-    for result in results:
-        result.elapsed = elapsed
-    return results
-
-
-def _commutes_symbolic(spec: DataStructureSpec, op1: Operation,
-                       op2: Operation, apply1: Semantics, apply2: Semantics,
-                       state: Record, args1: tuple[Any, ...],
-                       args2: tuple[Any, ...], fin: Record,
-                       r1: Any, r2: Any) -> bool:
-    if not spec.precondition_holds(op2, state, args2):
-        return False
-    mid_b, r2_b = apply2(state, args2)
-    if not spec.precondition_holds(op1, mid_b, args1):
-        return False
-    fin_b, r1_b = apply1(mid_b, args1)
-    if op1.result_sort is not None and r1 != r1_b:
-        return False
-    if op2.result_sort is not None and r2 != r2_b:
-        return False
-    return fin == fin_b
+    starts = _family_cases(spec, scope)(op1, op2)
+    return check_conditions(spec, conditions, scope, max_counterexamples,
+                            cases=executions(spec, op1, op2, starts))

@@ -14,6 +14,13 @@ states, of any size, over any object universe — the same unbounded
 guarantee Jahob's provers give the paper (the ArrayList case is handled
 separately by canonical-partition enumeration, exact for unbounded
 element universes at each bounded length).
+
+The operations' semantics, generated from their postconditions
+(:func:`repro.logic.compile.compile_semantics`), run over these values
+as over concrete ones: they support the operators that code applies,
+``in`` and ``|``/``-`` with a ``frozenset`` of tokens on a
+:class:`SymSet`, ``in``/``lookup``/``put``/``remove`` on a
+:class:`SymMap`, and ``+``/``-`` with an ``int`` on a :class:`SymInt`.
 """
 
 from __future__ import annotations
@@ -31,8 +38,15 @@ class SymInt:
     base: str | None
     delta: int
 
-    def plus(self, k: int) -> "SymInt":
-        return SymInt(self.base, self.delta + k)
+    def __add__(self, k: object) -> "SymInt":
+        if isinstance(k, int):
+            return SymInt(self.base, self.delta + k)
+        return NotImplemented
+
+    __radd__ = plus = __add__
+
+    def __sub__(self, k: object) -> "SymInt":
+        return self + -k if isinstance(k, int) else NotImplemented
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SymInt):
@@ -75,6 +89,14 @@ class SymSet:
 
     def remove(self, token: str) -> "SymSet":
         return SymSet(self.membership.put(token, False))
+
+    def __or__(self, tokens: frozenset) -> "SymSet":
+        return SymSet(FMap({**self.membership,
+                            **dict.fromkeys(tokens, True)}))
+
+    def __sub__(self, tokens: frozenset) -> "SymSet":
+        return SymSet(FMap({**self.membership,
+                            **dict.fromkeys(tokens, False)}))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(f"{k}{'∈' if v else '∉'}"

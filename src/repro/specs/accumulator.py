@@ -19,15 +19,6 @@ STATE_FIELDS = {"value": Sort.INT}
 _OBSERVERS = {"read": ((), Sort.INT)}
 
 
-def _increase(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (v,) = args
-    return state.replace(value=state["value"] + v), None
-
-
-def _read(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    return state, state["value"]
-
-
 def _pre(text: str, params: tuple[Param, ...]):
     return parse_pre(text, STATE_FIELDS, params, _OBSERVERS, None)
 
@@ -58,7 +49,6 @@ def make_spec() -> DataStructureSpec:
             params=increase_params,
             result_sort=None,
             precondition=_pre("true", increase_params),
-            semantics=_increase,
             mutator=True,
             postcondition=_post("value = old_value + v",
                                 increase_params, None),
@@ -68,7 +58,6 @@ def make_spec() -> DataStructureSpec:
             params=(),
             result_sort=Sort.INT,
             precondition=_pre("true", ()),
-            semantics=_read,
             mutator=False,
             postcondition=_post("value = old_value & result = old_value",
                                 (), Sort.INT),

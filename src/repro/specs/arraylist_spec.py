@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from ..eval.enumeration import Scope, sequences
-from ..eval.values import (Record, seq_index_of, seq_insert,
-                           seq_last_index_of, seq_remove, seq_update)
+from ..eval.values import Record
 from ..logic.sorts import Sort
 from .interface import (DataStructureSpec, Operation, Param, parse_post,
                         parse_pre)
@@ -32,55 +31,6 @@ _OBSERVERS = {
     "lastIndexOf": ((Sort.OBJ,), Sort.INT),
     "size": ((), Sort.INT),
 }
-
-
-def _add_at(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    i, v = args
-    return state.replace(elems=seq_insert(state["elems"], i, v),
-                         size=state["size"] + 1), None
-
-
-def _get(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (i,) = args
-    return state, state["elems"][i]
-
-
-def _index_of(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (v,) = args
-    return state, seq_index_of(state["elems"], v)
-
-
-def _last_index_of(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (v,) = args
-    return state, seq_last_index_of(state["elems"], v)
-
-
-def _remove_at(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (i,) = args
-    removed = state["elems"][i]
-    return state.replace(elems=seq_remove(state["elems"], i),
-                         size=state["size"] - 1), removed
-
-
-def _remove_at_discard(state: Record,
-                       args: tuple[Any, ...]) -> tuple[Record, Any]:
-    new_state, _ = _remove_at(state, args)
-    return new_state, None
-
-
-def _set(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    i, v = args
-    replaced = state["elems"][i]
-    return state.replace(elems=seq_update(state["elems"], i, v)), replaced
-
-
-def _set_discard(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    new_state, _ = _set(state, args)
-    return new_state, None
-
-
-def _size(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    return state, state["size"]
 
 
 def _pre(text: str, params: tuple[Param, ...]):
@@ -128,7 +78,7 @@ def make_spec(name: str = "ArrayList") -> DataStructureSpec:
         "add_at": Operation(
             name="add_at", params=_IV, result_sort=None,
             precondition=_pre("0 <= i & i <= s.size & v ~= null", _IV),
-            semantics=_add_at, mutator=True,
+            mutator=True,
             postcondition=_post(
                 "elems = ins(old_elems, i, v) & size = old_size + 1",
                 _IV, None),
@@ -136,7 +86,7 @@ def make_spec(name: str = "ArrayList") -> DataStructureSpec:
         "get": Operation(
             name="get", params=_I, result_sort=Sort.OBJ,
             precondition=_pre("0 <= i & i < s.size", _I),
-            semantics=_get, mutator=False,
+            mutator=False,
             postcondition=_post(
                 "elems = old_elems & size = old_size & "
                 "result = at(old_elems, i)", _I, Sort.OBJ),
@@ -144,7 +94,7 @@ def make_spec(name: str = "ArrayList") -> DataStructureSpec:
         "indexOf": Operation(
             name="indexOf", params=_V, result_sort=Sort.INT,
             precondition=_pre("v ~= null", _V),
-            semantics=_index_of, mutator=False,
+            mutator=False,
             postcondition=_post(
                 "elems = old_elems & size = old_size & "
                 "result = idx(old_elems, v)", _V, Sort.INT),
@@ -152,7 +102,7 @@ def make_spec(name: str = "ArrayList") -> DataStructureSpec:
         "lastIndexOf": Operation(
             name="lastIndexOf", params=_V, result_sort=Sort.INT,
             precondition=_pre("v ~= null", _V),
-            semantics=_last_index_of, mutator=False,
+            mutator=False,
             postcondition=_post(
                 "elems = old_elems & size = old_size & "
                 "result = lidx(old_elems, v)", _V, Sort.INT),
@@ -160,7 +110,7 @@ def make_spec(name: str = "ArrayList") -> DataStructureSpec:
         "remove_at": Operation(
             name="remove_at", params=_I, result_sort=Sort.OBJ,
             precondition=_pre("0 <= i & i < s.size", _I),
-            semantics=_remove_at, mutator=True,
+            mutator=True,
             postcondition=_post(
                 "elems = del_(old_elems, i) & size = old_size - 1 & "
                 "result = at(old_elems, i)", _I, Sort.OBJ),
@@ -168,13 +118,13 @@ def make_spec(name: str = "ArrayList") -> DataStructureSpec:
         "remove_at_": Operation(
             name="remove_at_", params=_I, result_sort=None,
             precondition=_pre("0 <= i & i < s.size", _I),
-            semantics=_remove_at_discard, mutator=True,
+            mutator=True,
             base_name="remove_at",
         ),
         "set": Operation(
             name="set", params=_IV, result_sort=Sort.OBJ,
             precondition=_pre("0 <= i & i < s.size & v ~= null", _IV),
-            semantics=_set, mutator=True,
+            mutator=True,
             postcondition=_post(
                 "elems = upd(old_elems, i, v) & size = old_size & "
                 "result = at(old_elems, i)", _IV, Sort.OBJ),
@@ -182,13 +132,13 @@ def make_spec(name: str = "ArrayList") -> DataStructureSpec:
         "set_": Operation(
             name="set_", params=_IV, result_sort=None,
             precondition=_pre("0 <= i & i < s.size & v ~= null", _IV),
-            semantics=_set_discard, mutator=True,
+            mutator=True,
             base_name="set",
         ),
         "size": Operation(
             name="size", params=(), result_sort=Sort.INT,
             precondition=_pre("true", ()),
-            semantics=_size, mutator=False,
+            mutator=False,
             postcondition=_post(
                 "elems = old_elems & size = old_size & result = old_size",
                 (), Sort.INT),

@@ -2,13 +2,20 @@
 
 A :class:`DataStructureSpec` is the Python analogue of a Jahob interface
 (Figure 2-1): named abstract state fields, and operations with a
-precondition formula, an executable abstract semantics, and a
-postcondition formula relating old state, new state, and result.
+precondition formula and a postcondition formula relating old state, new
+state, and result.
 
-The executable semantics is the ground truth used by the bounded
-verification backend; the postcondition formulas are checked against the
-semantics (and against the concrete linked implementations) by the test
-suite, mirroring the paper's reliance on *verified* implementations.
+The postcondition is the ground truth.  Spec construction generates
+each operation's executable semantics from it
+(:func:`repro.logic.compile.compile_semantics`), and a discard variant's
+from its base operation's, so the verifiers, the runtime's kept states
+and the serial replay all run what the postconditions say; the same
+functions run over the symbolic states of :mod:`repro.solver`.  An
+operation without a postcondition passes hand-written ``semantics``
+instead.  The test suite checks each postcondition against the
+semantics through the interpreter, and the concrete linked
+implementations against the semantics, mirroring the paper's reliance
+on *verified* implementations.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from ..eval.enumeration import Scope
 from ..eval.interpreter import EvalContext, evaluate
 from ..eval.values import Record
 from ..logic import parse_formula
-from ..logic.compile import compile_term
+from ..logic.compile import compile_semantics, compile_term
 from ..logic.sorts import Sort
 from ..logic.symbols import SymbolTable
 from ..logic import terms as t
@@ -47,9 +54,12 @@ class Operation:
     params: tuple[Param, ...]
     result_sort: Sort | None
     precondition: t.Term
-    semantics: Semantics
     mutator: bool
     postcondition: t.Term | None = None
+    #: ``(state, args) -> (new_state, result)``.  Given only for an
+    #: operation without a postcondition; spec construction generates
+    #: it from the postcondition otherwise.
+    semantics: Semantics | None = None
     #: The operation this one is the discard variant of (``add_`` -> ``add``).
     base_name: str | None = None
 
@@ -83,6 +93,35 @@ class DataStructureSpec:
     #: ``__init__``, ``repr``, equality and every fingerprint.
     _preconditions: dict[str, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        """Generate each operation's semantics from its postcondition, a
+        discard variant's from its base operation's; an operation
+        without either keeps the semantics it passes."""
+        for op in self.operations.values():
+            where = f"{self.name}.{op.name}"
+            # A function generated for a spec built earlier is not given.
+            given = None if hasattr(op.semantics, "generated_source") \
+                else op.semantics
+            post = op.postcondition
+            base = self.operations.get(op.base_name)
+            if post is None and given is None and base is not None:
+                post = base.postcondition
+            if post is not None and given is not None:
+                raise ValueError(
+                    f"{where} passes both a postcondition and semantics")
+            if post is None and given is None:
+                raise ValueError(
+                    f"{where} has neither a postcondition nor semantics")
+            if post is not None:
+                try:
+                    op.semantics = compile_semantics(
+                        post, tuple(self.state_fields),
+                        tuple(param.name for param in op.params),
+                        op.result_sort is not None,
+                        EvalContext(observe=self.observe))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
 
     # -- symbol tables -------------------------------------------------------
 

@@ -32,46 +32,6 @@ _OBSERVERS = {
 }
 
 
-def _contains_key(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (k,) = args
-    return state, k in state["contents"]
-
-
-def _get(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (k,) = args
-    return state, state["contents"].lookup(k)
-
-
-def _put(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    k, v = args
-    contents: FMap = state["contents"]
-    previous = contents.lookup(k)
-    new_size = state["size"] + (0 if k in contents else 1)
-    return state.replace(contents=contents.put(k, v), size=new_size), previous
-
-
-def _put_discard(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    new_state, _ = _put(state, args)
-    return new_state, None
-
-
-def _remove(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (k,) = args
-    contents: FMap = state["contents"]
-    previous = contents.lookup(k)
-    new_size = state["size"] - (1 if k in contents else 0)
-    return state.replace(contents=contents.remove(k), size=new_size), previous
-
-
-def _remove_discard(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    new_state, _ = _remove(state, args)
-    return new_state, None
-
-
-def _size(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    return state, state["size"]
-
-
 def _pre(text: str, params: tuple[Param, ...]):
     return parse_pre(text, STATE_FIELDS, params, _OBSERVERS, PRINCIPAL)
 
@@ -120,7 +80,7 @@ def make_spec(name: str = "Map") -> DataStructureSpec:
         "containsKey": Operation(
             name="containsKey", params=_K, result_sort=Sort.BOOL,
             precondition=_pre("k ~= null", _K),
-            semantics=_contains_key, mutator=False,
+            mutator=False,
             postcondition=_post(
                 "contents = old_contents & size = old_size & "
                 "(result <-> haskey(old_contents, k))", _K, Sort.BOOL),
@@ -128,7 +88,7 @@ def make_spec(name: str = "Map") -> DataStructureSpec:
         "get": Operation(
             name="get", params=_K, result_sort=Sort.OBJ,
             precondition=_pre("k ~= null", _K),
-            semantics=_get, mutator=False,
+            mutator=False,
             postcondition=_post(
                 "contents = old_contents & size = old_size & "
                 "result = lookup(old_contents, k)", _K, Sort.OBJ),
@@ -136,31 +96,31 @@ def make_spec(name: str = "Map") -> DataStructureSpec:
         "put": Operation(
             name="put", params=_KV, result_sort=Sort.OBJ,
             precondition=_pre("k ~= null & v ~= null", _KV),
-            semantics=_put, mutator=True,
+            mutator=True,
             postcondition=_post(_PUT_POST, _KV, Sort.OBJ),
         ),
         "put_": Operation(
             name="put_", params=_KV, result_sort=None,
             precondition=_pre("k ~= null & v ~= null", _KV),
-            semantics=_put_discard, mutator=True,
+            mutator=True,
             base_name="put",
         ),
         "remove": Operation(
             name="remove", params=_K, result_sort=Sort.OBJ,
             precondition=_pre("k ~= null", _K),
-            semantics=_remove, mutator=True,
+            mutator=True,
             postcondition=_post(_REMOVE_POST, _K, Sort.OBJ),
         ),
         "remove_": Operation(
             name="remove_", params=_K, result_sort=None,
             precondition=_pre("k ~= null", _K),
-            semantics=_remove_discard, mutator=True,
+            mutator=True,
             base_name="remove",
         ),
         "size": Operation(
             name="size", params=(), result_sort=Sort.INT,
             precondition=_pre("true", ()),
-            semantics=_size, mutator=False,
+            mutator=False,
             postcondition=_post(
                 "contents = old_contents & size = old_size & "
                 "result = old_size", (), Sort.INT),

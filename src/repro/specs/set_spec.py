@@ -26,43 +26,6 @@ _OBSERVERS = {
 }
 
 
-def _add(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (v,) = args
-    contents = state["contents"]
-    if v in contents:
-        return state, False
-    return state.replace(contents=contents | {v},
-                         size=state["size"] + 1), True
-
-
-def _add_discard(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    new_state, _ = _add(state, args)
-    return new_state, None
-
-
-def _contains(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (v,) = args
-    return state, v in state["contents"]
-
-
-def _remove(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    (v,) = args
-    contents = state["contents"]
-    if v not in contents:
-        return state, False
-    return state.replace(contents=contents - {v},
-                         size=state["size"] - 1), True
-
-
-def _remove_discard(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    new_state, _ = _remove(state, args)
-    return new_state, None
-
-
-def _size(state: Record, args: tuple[Any, ...]) -> tuple[Record, Any]:
-    return state, state["size"]
-
-
 def _pre(text: str, params: tuple[Param, ...]):
     return parse_pre(text, STATE_FIELDS, params, _OBSERVERS, PRINCIPAL)
 
@@ -107,19 +70,19 @@ def make_spec(name: str = "Set") -> DataStructureSpec:
         "add": Operation(
             name="add", params=_V, result_sort=Sort.BOOL,
             precondition=_pre("v ~= null", _V),
-            semantics=_add, mutator=True,
+            mutator=True,
             postcondition=_post(_ADD_POST, _V, Sort.BOOL),
         ),
         "add_": Operation(
             name="add_", params=_V, result_sort=None,
             precondition=_pre("v ~= null", _V),
-            semantics=_add_discard, mutator=True,
+            mutator=True,
             base_name="add",
         ),
         "contains": Operation(
             name="contains", params=_V, result_sort=Sort.BOOL,
             precondition=_pre("v ~= null", _V),
-            semantics=_contains, mutator=False,
+            mutator=False,
             postcondition=_post(
                 "contents = old_contents & size = old_size & "
                 "(result <-> v : old_contents)", _V, Sort.BOOL),
@@ -127,19 +90,19 @@ def make_spec(name: str = "Set") -> DataStructureSpec:
         "remove": Operation(
             name="remove", params=_V, result_sort=Sort.BOOL,
             precondition=_pre("v ~= null", _V),
-            semantics=_remove, mutator=True,
+            mutator=True,
             postcondition=_post(_REMOVE_POST, _V, Sort.BOOL),
         ),
         "remove_": Operation(
             name="remove_", params=_V, result_sort=None,
             precondition=_pre("v ~= null", _V),
-            semantics=_remove_discard, mutator=True,
+            mutator=True,
             base_name="remove",
         ),
         "size": Operation(
             name="size", params=(), result_sort=Sort.INT,
             precondition=_pre("true", ()),
-            semantics=_size, mutator=False,
+            mutator=False,
             postcondition=_post(
                 "contents = old_contents & size = old_size & "
                 "result = old_size", (), Sort.INT),
