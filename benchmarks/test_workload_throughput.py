@@ -47,7 +47,7 @@ def _aborts(runs, structure, workload, policy):
 
 
 def test_multi_worker_throughput(benchmark):
-    """Batched multi-worker execution of the same generated programs:
+    """Multi-worker execution of the same generated programs:
     correctness (serializability) at every worker count, throughput
     reported for the curious."""
     workload = WorkloadSpec(name="bench-threads", profile="mixed",
@@ -57,7 +57,7 @@ def test_multi_worker_throughput(benchmark):
     def run_all():
         results = {}
         for workers in (1, 2, 4):
-            harness = ThroughputHarness(workers=workers, batch=4)
+            harness = ThroughputHarness(workers=workers)
             run = harness.run_one("HashSet", workload)
             assert run.serializable
             assert run.commits == workload.transactions

@@ -222,8 +222,8 @@ def _cmd_run(args: argparse.Namespace, registry: Registry) -> int:
     if stable:
         _compile_stable(registry, (args.name,), tier=args.arm)
     harness = ThroughputHarness(registry=registry, workers=args.workers,
-                                batch=args.batch, shards=args.shards,
-                                adaptive=args.adaptive, stable=stable)
+                                shards=args.shards, adaptive=args.adaptive,
+                                stable=stable)
     policies = (args.policy,) if args.policy else POLICIES
     runs = [harness.run_one(args.name, workload, policy=policy,
                             conflict_mode=args.conflict_mode)
@@ -1272,15 +1272,15 @@ def _cmd_list(args: argparse.Namespace, registry: Registry) -> int:
 def _shard_count(text: str) -> int:
     """argparse type for ``--shards``: a power of two in [1, 64], with
     the CLI's friendly-error convention instead of a traceback."""
-    from .runtime.sharding import VIRTUAL_REGIONS
+    from .runtime.sharding import check_shard_count
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1 or value > VIRTUAL_REGIONS or value & (value - 1):
-        raise argparse.ArgumentTypeError(
-            f"shards must be a power of two in [1, {VIRTUAL_REGIONS}], "
-            f"got {value}")
+    try:
+        check_shard_count(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return value
 
 
@@ -1338,9 +1338,6 @@ def build_parser(registry: Registry | None = None) -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--workers", type=int, default=1,
                      help="executor worker threads (1 = deterministic)")
-    run.add_argument("--batch", type=int, default=1,
-                     help="ops per gatekeeper lock hold (workers > 1, "
-                          "flat log only)")
     run.add_argument("--shards", type=_shard_count, default=1,
                      help="conflict-manager log shards (1 = flat log; "
                           "powers of two)")

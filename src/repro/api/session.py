@@ -179,7 +179,7 @@ class Session:
     def run_workload(self, name: str, workload=None, *,
                      policy: str = "commutativity",
                      conflict_mode: str = "abort",
-                     workers: int | None = None, batch: int = 1,
+                     workers: int | None = None,
                      shards: int | None = None,
                      adaptive: str | None = None,
                      stable: bool = False,
@@ -211,22 +211,16 @@ class Session:
         decision to a remote admission server — byte-identical
         ``decision_digest()`` either way.
         """
-        from ..runtime.executor import SpeculativeExecutor
-        from ..workloads import WorkloadGenerator, resolve_workload
+        from ..workloads import ThroughputHarness, resolve_workload
         workload = resolve_workload(workload, **spec_fields)
         self.registry.implementation(name)  # fail early with suggestions
-        generator = WorkloadGenerator(self.registry)
-        programs = generator.generate(name, workload)
-        setup = generator.generate_setup(name, workload)
-        executor = SpeculativeExecutor(
-            name, policy=policy, seed=workload.seed,
-            max_rounds=max_rounds, conflict_mode=conflict_mode,
-            registry=self.registry,
-            workers=workers if workers is not None else workload.workers,
-            batch=batch,
-            shards=shards if shards is not None else workload.shards,
-            adaptive=adaptive, stable=stable, backend=backend)
-        return executor.run(programs, setup=setup)
+        harness = ThroughputHarness(registry=self.registry,
+                                    max_rounds=max_rounds)
+        return harness.run_one(name, workload, policy=policy,
+                               conflict_mode=conflict_mode,
+                               workers=workers, shards=shards,
+                               adaptive=adaptive, stable=stable,
+                               backend=backend).report
 
     def throughput_sweep(self, structures: Sequence[str] | None = None,
                          workloads=None, policies=None,

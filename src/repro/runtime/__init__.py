@@ -6,8 +6,7 @@ from .adaptive import (ADAPTIVE_POLICIES, AdaptiveController,
                        WaitDieController, make_controller)
 from .backend import (AdmissionBackend, LocalAdmissionBackend,
                       resolve_backend)
-from .gatekeeper import (ConflictManager, Gatekeeper, LoggedOperation,
-                         POLICIES, ShardedGatekeeper, conflict_manager)
+from .gatekeeper import ConflictManager, LoggedOperation, POLICIES
 from .sharding import (FAMILY_ROUTERS, ShardRouter, single_region_router,
                        stable_hash)
 from .transaction import Transaction, TxnStatus, UndoEntry, rollback
@@ -15,8 +14,7 @@ from .executor import (ExecutionReport, RefinementError, RoundsExhausted,
                        SpeculativeExecutor)
 
 __all__ = [
-    "ConflictManager", "Gatekeeper", "ShardedGatekeeper",
-    "conflict_manager", "LoggedOperation", "POLICIES",
+    "ConflictManager", "LoggedOperation", "POLICIES",
     "AdmissionBackend", "LocalAdmissionBackend", "resolve_backend",
     "ADAPTIVE_POLICIES", "AdaptiveController", "BackoffController",
     "WaitDieController", "HybridController", "make_controller",

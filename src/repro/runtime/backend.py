@@ -4,11 +4,12 @@ The speculative executor never cared *where* admission decisions come
 from — it needs ``shards_for`` / ``check_many`` / ``record`` /
 ``release`` and, at the end of a run, the admission counters.  This
 module names that contract: an :class:`AdmissionBackend` builds one
-admission manager per execution, and the historical in-process path
-(:func:`~repro.runtime.gatekeeper.conflict_manager`) becomes one
-implementation behind it.  :class:`repro.service.client.ServiceBackend`
-is the other: the same executor, the same workloads, but every
-admission decision made by a remote asyncio server over the wire.
+admission manager per execution.  :class:`LocalAdmissionBackend` hands
+out the in-process :class:`~repro.runtime.gatekeeper.ConflictManager`;
+:class:`repro.service.client.ServiceBackend` hands out one remote
+manager, for a single server and a cluster alike: the same executor,
+the same workloads, but every admission decision made by remote asyncio
+servers over the wire.
 
 Decision identity is the invariant: for the same (structure, workload,
 policy, seed) a served execution must produce a byte-identical
@@ -18,7 +19,7 @@ in-process one.
 
 from __future__ import annotations
 
-from .gatekeeper import ConflictManager, conflict_manager
+from .gatekeeper import ConflictManager
 
 
 class AdmissionBackend:
@@ -57,8 +58,8 @@ class LocalAdmissionBackend(AdmissionBackend):
     def conflict_manager(self, ds_name: str, *,
                          policy: str = "commutativity", shards: int = 1,
                          stable: bool = False) -> ConflictManager:
-        return conflict_manager(ds_name, policy, shards=shards,
-                                registry=self.registry, stable=stable)
+        return ConflictManager(ds_name, policy, registry=self.registry,
+                               shards=shards, stable=stable)
 
 
 def resolve_backend(backend: AdmissionBackend | None,

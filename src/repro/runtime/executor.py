@@ -8,22 +8,17 @@ through the verified inverses, and retries.  With ``workers=1`` (the
 default) the scheduler interleaves transactions deterministically from a
 seed, so every run is reproducible.
 
-With ``workers > 1`` the executor runs one of two threaded modes:
-
-- ``shards=1`` — the batched single-lock mode: worker threads share the
-  concrete structure and a lock-protected flat-log gatekeeper, each
-  admitting and applying up to ``batch`` consecutive operations of one
-  transaction per lock hold.
-- ``shards > 1`` — the fine-grained sharded mode: the gatekeeper log is
-  partitioned into region shards (see :mod:`~repro.runtime.sharding`),
-  each with its own lock.  A worker acquires only the shards its
-  operation can interact with (plus the shards its transaction already
-  touched, so an abort can always roll back under locks it holds), in
-  deterministic ascending order — so operations in disjoint regions
-  admit and apply concurrently instead of serializing on one lock.
-  The global condition variable is reduced to scheduling bookkeeping
-  (blocked transactions, deadlock detection) and is never acquired
-  while shard locks are held.
+With ``workers > 1`` the executor runs one threaded scheduler at every
+shard count.  The conflict manager's log is partitioned into region
+shards (see :mod:`~repro.runtime.sharding`), each with its own lock; a
+worker acquires only the shards its operation can interact with (plus
+the shards its transaction already touched, so an abort can always roll
+back under locks it holds), in deterministic ascending order — so
+operations in disjoint regions admit and apply concurrently instead of
+serializing on one lock.  At ``shards=1`` every step takes shard 0's
+lock.  The global condition variable is reduced to scheduling
+bookkeeping (blocked transactions, deadlock detection) and is never
+acquired while shard locks are held.
 
 Thread scheduling makes the interleaving nondeterministic, but the
 commutativity conditions and inverses make every interleaving
@@ -58,7 +53,7 @@ from ..specs.interface import PreconditionError
 from .adaptive import AdaptiveController, make_controller
 from .backend import AdmissionBackend, resolve_backend
 from .gatekeeper import COUNTERS, ConflictManager, LoggedOperation
-from .sharding import VIRTUAL_REGIONS
+from .sharding import check_shard_count
 from .transaction import Transaction, TxnStatus, rollback
 
 #: Statuses of transactions that still have work to do: ABORTED
@@ -257,7 +252,7 @@ class StructureHandle:
     leaves the state unchanged (the spec contract rollback and
     :meth:`Transaction.record` already rely on), so a read logs
     ``after`` as the very object it logged as ``before``.  Not
-    thread-safe: the threaded schedulers use it under the lock that
+    thread-safe: the threaded scheduler uses it under the lock that
     guards the structure.
     """
 
@@ -309,7 +304,7 @@ class SpeculativeExecutor:
     def __init__(self, ds_name: str, policy: str = "commutativity",
                  seed: int = 0, max_rounds: int = 10000,
                  conflict_mode: str = "abort", registry=None,
-                 workers: int = 1, batch: int = 1, shards: int = 1,
+                 workers: int = 1, shards: int = 1,
                  adaptive: str | None = None,
                  stable: bool = False,
                  backend: AdmissionBackend | None = None) -> None:
@@ -323,13 +318,7 @@ class SpeculativeExecutor:
                 f"backend {backend.kind!r} cannot share its admission "
                 f"manager across threads; run workers=1 per process and "
                 f"scale with more client processes")
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        if shards < 1 or shards > VIRTUAL_REGIONS \
-                or shards & (shards - 1):
-            raise ValueError(
-                f"shards must be a power of two in "
-                f"[1, {VIRTUAL_REGIONS}], got {shards}")
+        check_shard_count(shards)
         if adaptive == "none":
             adaptive = None
         make_controller(adaptive)  # validate the name eagerly
@@ -349,7 +338,6 @@ class SpeculativeExecutor:
         #: a deadlock (the waits-for cycle fallback of real systems).
         self.conflict_mode = conflict_mode
         self.workers = workers
-        self.batch = batch
         self.shards = shards
         self.adaptive = adaptive
         #: Arm the drift guard with compiled drift-stable conditions
@@ -397,12 +385,9 @@ class SpeculativeExecutor:
                 if self.workers == 1 or len(transactions) <= 1:
                     self._run_serial(transactions, structure, manager,
                                      report)
-                elif self.shards > 1:
-                    self._run_threaded_sharded(transactions, structure,
-                                               manager, report)
                 else:
-                    self._run_threaded(transactions, structure, manager,
-                                       report)
+                    self._run_workers(transactions, structure, manager,
+                                      report)
             except RoundsExhausted:
                 self._quench(transactions, structure, manager, report)
             # Throughput covers execution only; the refinement check and
@@ -460,53 +445,16 @@ class SpeculativeExecutor:
             self._step(rng.choice(runnable), structure, manager, report,
                        blocked, controller=controller, now=rounds)
 
-    # -- batched multi-worker scheduler ---------------------------------------
+    # -- threaded scheduler ----------------------------------------------------
 
-    def _run_threaded(self, transactions: list[Transaction],
-                      structure: StructureHandle,
-                      manager: ConflictManager,
-                      report: ExecutionReport) -> None:
-        """Thread workers over the lock-protected shared state.
-
-        One condition variable guards the structure, the conflict
-        manager, and every transaction; workers hold it for up to
-        ``batch`` operations of one of their transactions, wait on it
-        while all their transactions are blocked, and are notified on
-        every commit, abort, or deadlock break.
-        """
-        cond = threading.Condition()
-        blocked: set[int] = set()
-        errors: list[BaseException] = []
-        controller = make_controller(self.adaptive, seed=self.seed,
-                                     wall_clock=True)
-
-        def attempt(txn: Transaction) -> None:
-            # Runs with ``cond`` held: the whole batch is one lock hold.
-            progressed = False
-            for _ in range(self.batch):
-                if not self._step(txn, structure, manager, report, blocked,
-                                  controller=controller,
-                                  now=time.monotonic()):
-                    break
-                progressed = True
-                if txn.status is not TxnStatus.RUNNING:
-                    break  # committed
-            if progressed:
-                cond.notify_all()
-
-        self._run_workers(transactions, structure, manager, report, cond,
-                          blocked, errors, controller, attempt,
-                          step_inside_cond=True)
-
-    # -- fine-grained sharded scheduler ----------------------------------------
-
-    def _run_threaded_sharded(self, transactions: list[Transaction],
-                              structure: StructureHandle,
-                              manager: ConflictManager,
-                              report: ExecutionReport) -> None:
-        """Per-shard lock acquisition in deterministic (ascending) shard
-        order; the global condition variable only coordinates blocked
-        transactions and deadlock breaks.
+    def _run_workers(self, transactions: list[Transaction],
+                     structure: StructureHandle,
+                     manager: ConflictManager,
+                     report: ExecutionReport) -> None:
+        """Thread workers over per-shard locks: each picks a runnable
+        owned transaction under ``cond``, detects global deadlock, and
+        steps the transaction after releasing ``cond``
+        (:meth:`_step_threaded`).
 
         Lock order is ``cond > shard locks (ascending) > state lock``:
         the deadlock breaker acquires shard locks *under* ``cond`` (its
@@ -522,30 +470,6 @@ class SpeculativeExecutor:
         errors: list[BaseException] = []
         controller = make_controller(self.adaptive, seed=self.seed,
                                      wall_clock=True)
-
-        def attempt(txn: Transaction) -> None:
-            # Runs outside ``cond``: admission and application only
-            # hold the shards the operation (and its transaction's
-            # history) can interact with.
-            self._step_sharded(txn, structure, manager, report, blocked,
-                               cond, state_lock, controller)
-
-        self._run_workers(transactions, structure, manager, report, cond,
-                          blocked, errors, controller, attempt,
-                          step_inside_cond=False)
-
-    def _run_workers(self, transactions: list[Transaction],
-                     structure: StructureHandle,
-                     manager: ConflictManager, report: ExecutionReport,
-                     cond: threading.Condition, blocked: set[int],
-                     errors: list[BaseException],
-                     controller: AdaptiveController | None,
-                     attempt, step_inside_cond: bool) -> None:
-        """The scheduling loop shared by both threaded modes: pick a
-        runnable owned transaction under ``cond``, detect global
-        deadlock, and hand the transaction to ``attempt`` — with
-        ``cond`` still held (flat batched mode) or after releasing it
-        (fine-grained sharded mode)."""
         budget = [self.max_rounds * self.workers]
 
         def drive(wid: int) -> None:
@@ -588,10 +512,11 @@ class SpeculativeExecutor:
                         continue
                     self._spend_budget(budget)
                     txn = rng.choice(runnable)
-                    if step_inside_cond:
-                        attempt(txn)
-                        continue
-                attempt(txn)
+                # Outside ``cond``: admission and application only hold
+                # the shards the operation (and its transaction's
+                # history) can interact with.
+                self._step_threaded(txn, structure, manager, report,
+                                    blocked, cond, state_lock, controller)
 
         def worker(wid: int) -> None:
             try:
@@ -686,12 +611,13 @@ class SpeculativeExecutor:
         report.operations += 1
         return True
 
-    def _step_sharded(self, txn: Transaction, structure: StructureHandle,
-                      manager: ConflictManager, report: ExecutionReport,
-                      blocked: set[int], cond: threading.Condition,
-                      state_lock: threading.Lock,
-                      controller: AdaptiveController | None) -> bool:
-        """One step of the fine-grained threaded mode.
+    def _step_threaded(self, txn: Transaction,
+                       structure: StructureHandle,
+                       manager: ConflictManager, report: ExecutionReport,
+                       blocked: set[int], cond: threading.Condition,
+                       state_lock: threading.Lock,
+                       controller: AdaptiveController | None) -> bool:
+        """One step of the threaded scheduler.
 
         Admission, application, and logging happen while holding exactly
         the shard locks the operation can interact with, plus every

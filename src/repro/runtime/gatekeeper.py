@@ -18,16 +18,14 @@ Chapter 6):
   sound but far less permissive;
 - ``"mutex"``: any two operations conflict — serial execution.
 
-Two concrete managers share the pair-checking machinery:
-
-- :class:`Gatekeeper` — the flat log: one list of outstanding
-  operations, scanned in full on every admission.  One shard, one lock.
-- :class:`ShardedGatekeeper` — the log partitioned into region shards
-  by a per-family :mod:`~repro.runtime.sharding` router.  Each shard
-  has its own lock and its own log; an incoming operation is checked
-  only against the shards it can interact with, so operations in
-  disjoint regions admit concurrently without scanning (or locking) one
-  global list.
+One manager, :class:`ConflictManager`, serves every shard count.  Its
+log is partitioned into region shards by a per-family
+:mod:`~repro.runtime.sharding` router; each shard has its own lock and
+its own log, and an incoming operation is checked only against the
+shards it can interact with, so operations in disjoint regions admit
+concurrently without scanning (or locking) one global list.  At one
+shard it is the paper's gatekeeper: one log, one lock, every admission
+scans the whole outstanding list.
 
 Every admission counter is declared once, in :data:`COUNTERS`.  Counters
 are kept per shard and incremented under that shard's lock, so
@@ -51,8 +49,8 @@ from ..compiled.lowering import SlotMismatch
 from ..eval.interpreter import EvalContext, EvalError, evaluate
 from ..eval.values import Record
 from ..specs import DataStructureSpec
-from .sharding import (ShardRouter, VIRTUAL_REGIONS, normalize_route,
-                       single_region_router)
+from .sharding import (ShardRouter, VIRTUAL_REGIONS, check_shard_count,
+                       normalize_route, route)
 from .transaction import resolve_inverse_calls
 
 POLICIES = ("commutativity", "read-write", "mutex")
@@ -150,24 +148,32 @@ class _Shard:
 class ConflictManager:
     """Admission control for operations on one shared data structure.
 
-    The base class owns the shard array, the pair-commutativity check,
-    and the log-maintenance protocol; subclasses only decide *routing*
-    (:meth:`shards_for`).  Callers that need admission and application
-    to be atomic (the threaded executor) hold the relevant shard locks
-    across the whole step via :meth:`locked`; the locks are reentrant,
-    so the internal locking here composes with that.
+    A routed operation stores, scans, and *locks* exactly its own
+    shards (:meth:`shards_for`), so operations in disjoint regions admit
+    and apply truly concurrently — no shared lock anywhere on their
+    path.  A globally-interacting operation (``size``, ``indexOf``,
+    ...) is replicated into every shard: that keeps every routed
+    operation's scan self-contained (its own shards already hold every
+    entry it could conflict with) at the cost of duplicate storage, and
+    the identity-dedup in :meth:`check_many` keeps counters exact when
+    a multi-shard scan meets a replicated entry.  At one shard, or
+    under a policy other than ``commutativity``, every operation routes
+    to shard 0 (see :func:`~repro.runtime.sharding.route`), so
+    decisions are identical at every shard count under every policy.
+
+    Callers that need admission and application to be atomic (the
+    threaded executor) hold the relevant shard locks across the whole
+    step via :meth:`locked`; the locks are reentrant, so the internal
+    locking here composes with that.
     """
 
     def __init__(self, ds_name: str, policy: str = "commutativity",
                  registry=None, shards: int = 1,
+                 router: ShardRouter | None = None,
                  stable: bool = False) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
-        if shards < 1 or shards > VIRTUAL_REGIONS \
-                or shards & (shards - 1):
-            raise ValueError(
-                f"shards must be a power of two in "
-                f"[1, {VIRTUAL_REGIONS}], got {shards}")
+        check_shard_count(shards)
         from ..api import resolve_registry
         registry = resolve_registry(registry)
         self.ds_name = ds_name
@@ -176,11 +182,16 @@ class ConflictManager:
         self.policy = policy
         self.num_shards = shards
         self._shards = [_Shard(i) for i in range(shards)]
-        #: The family's router doubles as the universal-commutation
-        #: oracle inside _pair_commutes (for every manager, flat
-        #: included) — see :data:`~repro.runtime.sharding.VIRTUAL_REGIONS`.
-        self._family_router: ShardRouter | None = \
-            registry.shard_router(ds_name)
+        #: Routes operations to shards and doubles as the
+        #: universal-commutation oracle inside _pair_commutes (at every
+        #: shard count) — see :data:`~repro.runtime.sharding.VIRTUAL_REGIONS`.
+        #: An injected router replaces the family's for both, so
+        #: physical pruning and the oracle agree on the interaction
+        #: structure; ``None`` (no router registered) never declares a
+        #: pair disjoint.
+        self.router: ShardRouter | None = (
+            router if router is not None
+            else registry.shard_router(ds_name))
         self._virtual_routes: dict[tuple[str, tuple], frozenset[int] | None] = {}
         #: (op, args, before) -> resolved abstract undo calls (see
         #: :meth:`_undo_plan`).
@@ -216,29 +227,20 @@ class ConflictManager:
         #: identical values), same as the virtual-route memo.
         self._undo_memo: dict[tuple, bool] = {}
 
-    # -- routing (subclass hooks) ----------------------------------------------
-
-    def store_regions(self, op_name: str,
-                      args: tuple[Any, ...]) -> tuple[int, ...]:
-        """The regions a logged ``op_name(args)`` entry is stored in."""
-        return (0,)
-
-    def scan_regions(self, op_name: str,
-                     args: tuple[Any, ...]) -> tuple[int, ...]:
-        """The regions an incoming ``op_name(args)`` admission scans.
-
-        Invariant (what makes skipping sound *and* complete): for every
-        pair of operations that do not unconditionally commute, the
-        incoming operation's scan regions intersect the logged
-        operation's store regions.
-        """
-        return (0,)
+    # -- routing ---------------------------------------------------------------
 
     def shards_for(self, op_name: str,
                    args: tuple[Any, ...]) -> tuple[int, ...]:
-        """The regions ``op_name(args)`` can interact with (its scan
-        set) — the lock set an atomic admit+apply step must hold."""
-        return self.scan_regions(op_name, args)
+        """The shards ``op_name(args)`` interacts with: a logged entry
+        is stored in them, an incoming admission scans them, and an
+        atomic admit+apply step locks them.
+
+        Invariant (what makes skipping sound *and* complete): for every
+        pair of operations that do not unconditionally commute, the two
+        routes intersect.
+        """
+        return route(self.router, self.policy, self.num_shards, op_name,
+                     args)
 
     def touched(self, txn_id: int) -> tuple[int, ...]:
         """The shards holding outstanding operations of ``txn_id``."""
@@ -348,7 +350,7 @@ class ConflictManager:
         try:
             return self._virtual_routes[key]
         except KeyError:
-            ids = self._family_router(op_name, args, VIRTUAL_REGIONS)
+            ids = self.router(op_name, args, VIRTUAL_REGIONS)
             route = None if ids is None else frozenset(
                 normalize_route(ids, VIRTUAL_REGIONS))
             self._virtual_routes[key] = route
@@ -661,8 +663,8 @@ class ConflictManager:
         cannot be trusted or evaluated.  Physical shard counts are
         powers of two dividing the virtual granularity, so every pair a
         sharded scan prunes is virtually disjoint too — which is why
-        flat and sharded managers decide identically."""
-        if self._family_router is None:
+        every shard count decides identically."""
+        if self.router is None:
             return False
         route1 = self._virtual_route(logged.op_name, logged.args)
         route2 = self._virtual_route(op_name, args)
@@ -673,12 +675,12 @@ class ConflictManager:
 
     def record(self, entry: LoggedOperation,
                shard_ids: Sequence[int] | None = None) -> tuple[int, ...]:
-        """Log an executed operation as outstanding, in every region it
-        is stored in; returns the region ids.  An explicit ``shard_ids``
+        """Log an executed operation as outstanding, in every shard it
+        is routed to; returns the shard ids.  An explicit ``shard_ids``
         restricts storage to that slice of the routed set — a cluster
         worker stores only the shards it owns."""
         if shard_ids is None:
-            shard_ids = self.store_regions(entry.op_name, entry.args)
+            shard_ids = self.shards_for(entry.op_name, entry.args)
         else:
             shard_ids = tuple(shard_ids)
         for sid in shard_ids:
@@ -760,93 +762,3 @@ class ConflictManager:
         return {name: sum(getattr(s, name) for s in self._shards)
                 for name in COUNTERS}
 
-
-class Gatekeeper(ConflictManager):
-    """The flat-log conflict manager: one shard, one lock, every
-    admission scans the whole outstanding list — exactly the paper's
-    gatekeeper sketch, and the deterministic baseline the sharded
-    manager is validated against."""
-
-    def __init__(self, ds_name: str, policy: str = "commutativity",
-                 registry=None, stable: bool = False) -> None:
-        super().__init__(ds_name, policy, registry=registry, shards=1,
-                         stable=stable)
-
-
-class ShardedGatekeeper(ConflictManager):
-    """The region-partitioned conflict manager.
-
-    A routed operation stores, scans, and *locks* exactly its own
-    shards, so operations in disjoint regions admit and apply truly
-    concurrently — no shared lock anywhere on their path.  A
-    globally-interacting operation (``size``, ``indexOf``, ...) is
-    replicated into every shard: that keeps every routed operation's
-    scan self-contained (its own shards already hold every entry it
-    could conflict with) at the cost of duplicate storage, and the
-    identity-dedup in :meth:`ConflictManager.check_many` keeps counters
-    exact when a multi-shard scan meets a replicated entry.
-
-    Routing only partitions under the ``commutativity`` policy: the
-    verified between conditions are what justify skipping a pair check
-    (a router may only separate unconditionally-commuting operations).
-    ``read-write`` and ``mutex`` conflict regardless of arguments, so
-    under those policies every operation routes to shard 0 and the
-    manager degenerates to the flat log — decisions are identical to
-    :class:`Gatekeeper` under *every* policy.
-    """
-
-    def __init__(self, ds_name: str, policy: str = "commutativity",
-                 registry=None, shards: int = 2,
-                 router: ShardRouter | None = None,
-                 stable: bool = False) -> None:
-        super().__init__(ds_name, policy, registry=registry, shards=shards,
-                         stable=stable)
-        if router is None:
-            router = self.registry.shard_router(ds_name)
-        if router is None:
-            router = single_region_router
-        self.router = router
-        # Physical pruning and the virtual oracle must agree on the
-        # interaction structure (an explicitly-injected router replaces
-        # the family default for both; the single-region fallback never
-        # declares any pair disjoint, matching the flat manager's
-        # oracle-less behaviour for unrouted custom structures).
-        self._family_router = router if router is not single_region_router \
-            else None
-
-    def _route(self, op_name: str,
-               args: tuple[Any, ...]) -> tuple[int, ...]:
-        """The operation's shard set (globally-interacting operations
-        touch every shard); non-commutativity policies collapse to
-        shard 0."""
-        if self.policy != "commutativity" or self.num_shards == 1:
-            return (0,)
-        return normalize_route(self.router(op_name, args, self.num_shards),
-                               self.num_shards)
-
-    def store_regions(self, op_name: str,
-                      args: tuple[Any, ...]) -> tuple[int, ...]:
-        return self._route(op_name, args)
-
-    def scan_regions(self, op_name: str,
-                     args: tuple[Any, ...]) -> tuple[int, ...]:
-        return self._route(op_name, args)
-
-
-def conflict_manager(ds_name: str, policy: str = "commutativity",
-                     shards: int = 1, registry=None,
-                     router: ShardRouter | None = None,
-                     stable: bool = False) -> ConflictManager:
-    """The conflict manager for a shard count: the flat
-    :class:`Gatekeeper` at ``shards=1`` (byte-for-byte the historical
-    behaviour), a :class:`ShardedGatekeeper` above.  ``stable=True``
-    arms the drift guard with the registry's compiled drift-stable
-    conditions (both managers consult the same compiled set, so flat
-    and sharded decisions stay identical).  Every armed condition is
-    lowered into a slot-specialized check at arm time
-    (:mod:`repro.compiled`)."""
-    if shards == 1 and router is None:
-        return Gatekeeper(ds_name, policy, registry=registry,
-                          stable=stable)
-    return ShardedGatekeeper(ds_name, policy, registry=registry,
-                             shards=shards, router=router, stable=stable)

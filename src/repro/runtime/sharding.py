@@ -15,6 +15,8 @@ when they unconditionally commute.  The built-in family routers below
 satisfy this by construction; custom structures fall back to a single
 region (everything in shard 0, flat-log behaviour) unless they register
 their own router via :meth:`repro.api.Registry.register_shard_router`.
+:func:`route` is the one answer to "which shards does this operation
+touch", for the conflict manager and the cluster client alike.
 
 A router is a callable ``router(op_name, args, num_shards)`` returning
 a sequence of shard ids, or ``None`` meaning "all shards" (the
@@ -53,7 +55,7 @@ def stable_hash(value: Any) -> int:
 def single_region_router(op_name: str, args: tuple,
                          num_shards: int) -> Sequence[int]:
     """The conservative fallback: every operation in one region, so a
-    sharded gatekeeper behaves exactly like the flat log."""
+    manager of any shard count behaves exactly like the flat log."""
     return (0,)
 
 
@@ -134,3 +136,29 @@ def normalize_route(ids: Sequence[int] | None,
     if ids is None:
         return tuple(range(num_shards))
     return tuple(sorted({i % num_shards for i in ids}))
+
+
+def route(router: ShardRouter | None, policy: str, num_shards: int,
+          op_name: str, args: tuple) -> tuple[int, ...]:
+    """The shards ``op_name(args)`` touches, in ascending order: a
+    logged entry is stored in them, an incoming admission scans them,
+    and an atomic admit-and-apply step locks them.
+
+    Routing only partitions under the ``commutativity`` policy: the
+    verified between conditions are what justify skipping a pair check
+    (a router may only separate unconditionally commuting operations),
+    while ``read-write`` and ``mutex`` conflict whatever the arguments.
+    So one shard, another policy or no router all route to shard 0.
+    """
+    if num_shards == 1 or policy != "commutativity" or router is None:
+        return (0,)
+    return normalize_route(router(op_name, args, num_shards), num_shards)
+
+
+def check_shard_count(shards: int) -> None:
+    """Raise :class:`ValueError` unless ``shards`` is a power of two
+    dividing :data:`VIRTUAL_REGIONS`."""
+    if shards < 1 or shards > VIRTUAL_REGIONS or shards & (shards - 1):
+        raise ValueError(
+            f"shards must be a power of two in "
+            f"[1, {VIRTUAL_REGIONS}], got {shards}")

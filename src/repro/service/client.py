@@ -1,36 +1,30 @@
 """Client side of the admission service.
 
 Worker processes speculate locally (each owns its concrete structure
-and scheduler) while every admission decision crosses the wire:
-:class:`RemoteConflictManager` duck-types the in-process
+and scheduler) while every admission decision crosses the wire.
+:class:`ServiceClient` is one blocking TCP connection to one server.
+:class:`ServiceBackend` plugs the service into
+``SpeculativeExecutor(backend=...)``: it hands out one remote manager,
+:class:`~repro.service.cluster.PartitionedConflictManager`, for a
+single server (a one-worker cluster) and a cluster alike.  The manager
+duck-types the in-process
 :class:`~repro.runtime.gatekeeper.ConflictManager` surface the serial
 executor uses — ``shards_for`` / ``check_many`` / ``record`` /
-``release`` plus ``counters()`` — over one blocking TCP connection.
+``release`` plus ``counters()``.  Frames carry operations, never
+states, and are pipelined: see :mod:`.cluster` and :mod:`.protocol`.
 
-Frames carry operations, never states: the server keeps the domain's
-abstract state by the spec from the one ``state`` frame each run
-sends, ahead of its first check or record (see :mod:`.protocol`).
-
-Round-trips are amortized by pipelining: ``state``, ``record`` and
-``release`` frames are buffered client-side and flushed inside the
-*next* ``check`` as one ``batch`` frame (order preserved, so the server
-applies exactly the sequence an in-process manager would have seen —
-decision identity is free).  A transaction's final release rides with
-the next transaction's first check; anything still buffered flushes on
-stats collection or close.
-
-:class:`ServiceBackend` plugs this into
-``SpeculativeExecutor(backend=...)`` — serial per process
-(``supports_threads`` is False); cross-process parallelism comes from
-running more client processes, which is the point of the service.
-
-The backend is *pooled*: it keeps one persistent connection per
-cluster worker (the partition map comes from ``hello``) and a keyed
-domain cache, so repeated executions of the same (structure, policy,
-shards, arming) reuse the server-side domain through a ``reset`` frame
-— the compiled stable conditions stay warm instead of being re-armed
-per run.  :meth:`ServiceBackend.bump_epoch` invalidates the cache
-explicitly (the cached domains are closed server-side).
+The backend is serial per process (``supports_threads`` is False);
+cross-process parallelism comes from running more client processes,
+which is the point of the service.  It is *pooled*: it keeps one
+persistent connection per cluster worker (the partition map comes from
+``hello``) and a keyed domain cache, so repeated executions of the
+same (structure, policy, shards, arming) reuse the server-side domain
+through a ``reset`` frame — the compiled stable conditions stay warm
+instead of being re-armed per run.  :meth:`ServiceBackend.bump_epoch`
+invalidates the cache explicitly (the cached domains are closed
+server-side).  A single server routes every operation itself, so its
+client needs no registry; a cluster client routes with the family
+routers of ``ServiceBackend(registry=...)``.
 """
 
 from __future__ import annotations
@@ -39,10 +33,9 @@ import socket
 import time
 from typing import Any
 
-from ..eval.values import Record
 from ..runtime.backend import AdmissionBackend
-from ..runtime.gatekeeper import LoggedOperation
 from . import protocol
+from .cluster import PartitionedConflictManager
 
 
 class ServiceError(RuntimeError):
@@ -131,134 +124,6 @@ class ServiceClient:
             self._sock.close()
 
 
-class RemoteConflictManager:
-    """The executor-facing manager surface, served over the wire.
-
-    Serial use only (one in-flight RPC per connection); the executor
-    enforces this through ``ServiceBackend.supports_threads``.
-    """
-
-    def __init__(self, client: ServiceClient, domain: int,
-                 shards: int, owns_client: bool = True,
-                 pooled: bool = False) -> None:
-        self._client = client
-        self._domain = domain
-        self._owns_client = owns_client
-        #: Pooled managers belong to a backend's domain cache: close()
-        #: flushes and snapshots final stats but leaves the domain open
-        #: (the next execution resets it) and the connection up.
-        self._pooled = pooled
-        self.num_shards = shards
-        #: state/record/release frames awaiting the next check's batch.
-        self._pending: list[dict[str, Any]] = []
-        #: Whether this run's ``state`` frame is on its way.
-        self._state_sent = False
-        #: Stats memo; invalidated by every new frame, final after close.
-        self._stats: dict[str, Any] | None = None
-        self._closed = False
-        #: Wall seconds of each admission round-trip (one per
-        #: ``check_many``), surfaced on the report as the client half
-        #: of the service latency story.
-        self.admission_latencies: list[float] = []
-
-    # -- the admission hot path ----------------------------------------------
-
-    def shards_for(self, op_name: str,
-                   args: tuple[Any, ...]) -> tuple[int, ...]:
-        """Routing is the server's business: the empty lock set tells
-        the (serial) executor there is nothing to lock locally, and the
-        server recomputes the authoritative scan set per check."""
-        return ()
-
-    def _send_state(self, state: Record) -> None:
-        """Ship the first state this manager is handed, the run's
-        initial state, at the head of the pending frames."""
-        if not self._state_sent:
-            self._state_sent = True
-            self._pending.insert(0, protocol.state_frame(self._domain,
-                                                         state))
-
-    def check_many(self, txn_id: int, op_name: str,
-                   args: tuple[Any, ...], current: Record,
-                   shard_ids=None) -> tuple[bool, int | None]:
-        self._send_state(current)
-        frames = self._pending
-        self._pending = []
-        frames.append(protocol.check_frame(self._domain, txn_id,
-                                           op_name, args))
-        self._stats = None
-        started = time.perf_counter()
-        results = self._client.call_batch(frames)
-        self.admission_latencies.append(time.perf_counter() - started)
-        verdict = results[-1]
-        return bool(verdict["admitted"]), verdict["holder"]
-
-    def record(self, entry: LoggedOperation) -> tuple[int, ...]:
-        self._send_state(entry.before)
-        self._pending.append(protocol.record_frame(
-            self._domain, entry.txn_id, entry.op_name, entry.args,
-            entry.result))
-        self._stats = None
-        return ()
-
-    def release(self, txn_id: int, reason: str = "commit") -> None:
-        self._pending.append(protocol.release_frame(self._domain,
-                                                    txn_id, reason))
-        self._stats = None
-
-    def touched(self, txn_id: int) -> tuple[int, ...]:
-        return ()
-
-    # -- stats surface (mirrors ConflictManager's counters) ------------------
-
-    def _flush(self) -> None:
-        if self._pending:
-            frames, self._pending = self._pending, []
-            self._client.call_batch(frames)
-
-    def stats(self) -> dict[str, Any]:
-        """The domain's live stats payload (flushes the pipeline so
-        buffered releases are counted)."""
-        if self._stats is None:
-            self._flush()
-            response = self._client.call(
-                protocol.stats_frame(self._domain))
-            self._stats = response["stats"]
-        return self._stats
-
-    def counters(self) -> dict[str, int]:
-        return dict(self.stats()["counters"])
-
-    def eval_error_samples(self) -> list[dict[str, Any]]:
-        return list(self.stats()["eval_error_sample"])
-
-    def shard_stats(self) -> list[dict[str, int]]:
-        return [dict(stats) for stats in self.stats()["shard_stats"]]
-
-    def close(self) -> None:
-        """Flush the pipeline and snapshot final stats.  Owned
-        connections retire the server-side domain and drop the socket;
-        pooled ones leave both alive for the backend's domain cache to
-        reuse."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._pooled:
-            self._flush()
-            response = self._client.call(
-                protocol.stats_frame(self._domain))
-            self._stats = response["stats"]
-            return
-        try:
-            self._flush()
-            response = self._client.call(
-                protocol.close_frame(self._domain))
-            self._stats = response["stats"]
-        finally:
-            if self._owns_client:
-                self._client.close()
-
-
 class ServiceBackend(AdmissionBackend):
     """Admission decisions from a remote server or cluster.
 
@@ -268,7 +133,9 @@ class ServiceBackend(AdmissionBackend):
     ``reset`` frame instead of re-opening, so the server's armed
     stable conditions and compiled checks stay warm.
     ``bump_epoch()`` invalidates the cache.  Serial per process, like
-    the managers it hands out."""
+    the managers it hands out.  ``registry`` supplies the family
+    routers a cluster client splits its frames by; a single server
+    routes for itself and never reads it."""
 
     kind = "service"
     supports_threads = False
@@ -338,13 +205,12 @@ class ServiceBackend(AdmissionBackend):
                 label=self.label))["domain"]
                 for client in clients]
             self._domains[key] = domains
-        if len(clients) == 1:
-            return RemoteConflictManager(clients[0], domains[0], shards,
-                                         owns_client=False, pooled=True)
-        from .cluster import PartitionedConflictManager
-        return PartitionedConflictManager(clients, domains, ds_name,
-                                          policy=policy, shards=shards,
-                                          registry=self.registry)
+        router = None
+        if len(clients) > 1:
+            from ..api import resolve_registry
+            router = resolve_registry(self.registry).shard_router(ds_name)
+        return PartitionedConflictManager(clients, domains, policy=policy,
+                                          shards=shards, router=router)
 
     def bump_epoch(self) -> None:
         """Explicit domain-cache invalidation: close every cached

@@ -1,4 +1,5 @@
-"""Shard-partitioned multi-process admission cluster.
+"""Shard-partitioned multi-process admission cluster, and the one
+remote conflict manager.
 
 One admission server is one event loop on one core.  The cluster runs
 ``N`` worker processes, each owning a disjoint slice of every domain's
@@ -7,7 +8,18 @@ work for disjoint regions lands on different cores.  There is no
 server-side router: the *client* learns the partition map from
 ``hello`` (every worker reports the same port list, installed before
 any worker accepts traffic), opens one pooled connection per worker,
-and splits each check/record/release by shard slice.
+and splits each check/record/release by shard slice.  A single server
+is the one-worker case: it owns every shard, so its client sends no
+slice and the server routes each operation itself.
+
+Frames carry operations, never states: each worker keeps the domain's
+abstract state by the spec from the one ``state`` frame each run
+sends, ahead of its first check or record (see :mod:`.protocol`).
+Round-trips are amortized by pipelining: ``state``, ``record`` and
+``release`` frames are buffered client-side per worker and flushed
+inside that worker's *next* ``check`` as one ``batch`` frame.  A
+transaction's final release rides with a later check; anything still
+buffered flushes on stats collection or close.
 
 Why the merged decisions are identical to a single-process server's
 (the digest-identity anchor that makes the deployment change safe):
@@ -45,16 +57,19 @@ against.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 from typing import Any, Sequence
 
 from ..eval.values import Record
+from ..runtime.sharding import ShardRouter, route
 from . import protocol
 
 #: Seconds to wait for each cluster worker to report its port (and,
 #: after the map broadcast, its readiness).
 CLUSTER_START_TIMEOUT = 30.0
+
+#: A single worker's slices: none, the server routes for itself.
+_UNSLICED = (None,)
 
 
 # -- partitioning (pure helpers, shared by client and tests) -----------------
@@ -81,39 +96,42 @@ def merge_verdicts(verdicts: Sequence[dict[str, Any]]) \
     verdict: admitted iff every slice admitted; otherwise the conflict
     at the smallest shard id wins (ascending scan order means that is
     the conflict a single process would have stopped at)."""
-    conflicts = [(int(v["shard"]), v["holder"]) for v in verdicts
-                 if not v.get("admitted")]
-    if conflicts:
-        shard, holder = min(conflicts, key=lambda pair: pair[0])
-        return False, holder, shard
-    return True, None, None
+    first = None
+    for verdict in verdicts:
+        if not verdict.get("admitted") and (
+                first is None or verdict["shard"] < first["shard"]):
+            first = verdict
+    if first is None:
+        return True, None, None
+    return False, first["holder"], int(first["shard"])
 
 
-# -- the client-side router ---------------------------------------------------
+# -- the remote conflict manager ---------------------------------------------
 
 class PartitionedConflictManager:
-    """The executor-facing manager surface over a shard-partitioned
-    cluster: one pooled connection and one server-side domain per
-    worker, frames split by shard slice, verdicts merged in order.
+    """The executor-facing manager surface over one server or a
+    shard-partitioned cluster: one pooled connection and one
+    server-side domain per worker, frames split by shard slice,
+    verdicts merged in order.
 
-    Serial use only, like :class:`~repro.service.client.
-    RemoteConflictManager`; routing is computed client-side by a
-    local manager of the same (structure, policy, shards) — the exact
-    router classes the servers run, so the split agrees with where
-    entries are stored.
+    Serial use only (one in-flight RPC per connection); the executor
+    enforces this through ``ServiceBackend.supports_threads``.  With
+    several workers the client routes each operation through
+    :func:`~repro.runtime.sharding.route` with ``router``, the family
+    router the servers run, so the split agrees with where entries are
+    stored.  A single worker owns every shard: its frames carry no
+    slice, it routes for itself, and ``router`` goes unread.
     """
 
-    def __init__(self, clients, domains: Sequence[int], ds_name: str, *,
+    def __init__(self, clients, domains: Sequence[int], *,
                  policy: str = "commutativity", shards: int = 1,
-                 registry=None) -> None:
-        from ..runtime.gatekeeper import conflict_manager
+                 router: ShardRouter | None = None) -> None:
         self._clients = list(clients)
         self._domains = list(domains)
         self._workers = len(self._clients)
         self.num_shards = shards
-        #: Routing only — store/scan regions; never armed, never logs.
-        self._router = conflict_manager(ds_name, policy, shards=shards,
-                                        registry=registry)
+        self._policy = policy
+        self._router = router
         #: Per-worker state/record/release frames awaiting that
         #: worker's next check (order preserved per connection =>
         #: decision identity).
@@ -133,6 +151,18 @@ class PartitionedConflictManager:
         the authoritative scan happens worker-side per slice."""
         return ()
 
+    def _slices(self, op_name: str, args: tuple[Any, ...]) \
+            -> Sequence[tuple[int, ...] | None]:
+        """Each worker's slice of the shards ``op_name(args)`` touches,
+        in worker order (empty where it owns none); a single worker
+        gets ``None``, no slice, and routes itself."""
+        if self._workers == 1:
+            return _UNSLICED
+        plan = split_slices(route(self._router, self._policy,
+                                  self.num_shards, op_name, args),
+                            self._workers)
+        return [plan.get(worker, ()) for worker in range(self._workers)]
+
     def _send_state(self, state: Record) -> None:
         """Ship the first state this manager is handed, the run's
         initial state, at the head of every worker's pending frames."""
@@ -146,18 +176,20 @@ class PartitionedConflictManager:
                    args: tuple[Any, ...], current: Record,
                    shard_ids=None) -> tuple[bool, int | None]:
         self._send_state(current)
-        route = self._router.shards_for(op_name, args)
-        plan = split_slices(route, self._workers)
-        self._stats = None
-        started = time.perf_counter()
-        verdicts = []
-        for worker in sorted(plan):
-            frames = self._pending[worker]
-            self._pending[worker] = []
+        batches = []
+        for worker, shards in enumerate(self._slices(op_name, args)):
+            if shards == ():
+                continue  # the worker owns none of the routed shards
+            frames, self._pending[worker] = self._pending[worker], []
             frames.append(protocol.check_frame(
                 self._domains[worker], txn_id, op_name, args,
-                shards=plan[worker]))
-            verdicts.append(self._clients[worker].call_batch(frames)[-1])
+                shards=shards))
+            batches.append((self._clients[worker], frames))
+        self._stats = None
+        verdicts = []
+        started = time.perf_counter()
+        for client, frames in batches:
+            verdicts.append(client.call_batch(frames)[-1])
         self.admission_latencies.append(time.perf_counter() - started)
         admitted, holder, _ = merge_verdicts(verdicts)
         return admitted, holder
@@ -167,13 +199,11 @@ class PartitionedConflictManager:
         routed shards (possibly empty): every worker advances its kept
         state, and only the owners store the entry."""
         self._send_state(entry.before)
-        plan = split_slices(self._router.store_regions(entry.op_name,
-                                                       entry.args),
-                            self._workers)
-        for worker in range(self._workers):
+        for worker, shards in enumerate(self._slices(entry.op_name,
+                                                     entry.args)):
             self._pending[worker].append(protocol.record_frame(
                 self._domains[worker], entry.txn_id, entry.op_name,
-                entry.args, entry.result, shards=plan.get(worker, ())))
+                entry.args, entry.result, shards=shards))
         self._stats = None
         return ()
 
@@ -277,6 +307,7 @@ def start_cluster(workers: int, host: str = "127.0.0.1"):
     """Spawn ``workers`` admission-server processes, broadcast the
     partition map, wait until every worker serves; returns
     ``(processes, ports)`` with ports in worker-id order."""
+    import multiprocessing as mp
     ctx = mp.get_context("spawn")
     processes, pipes = [], []
     try:

@@ -1,6 +1,6 @@
 """The asyncio admission server.
 
-One process owns the sharded conflict managers; any number of client
+One process owns the conflict managers; any number of client
 worker processes speculate against it over the frame protocol
 (:mod:`.protocol`).  Each ``open`` frame creates an admission
 *domain* — one :class:`~repro.runtime.gatekeeper.ConflictManager`
@@ -41,7 +41,7 @@ from typing import Any, Callable
 from ..eval.interpreter import EvalError
 from ..eval.values import Record
 from ..reporting.tables import percentile
-from ..runtime.gatekeeper import LoggedOperation
+from ..runtime.gatekeeper import ConflictManager, LoggedOperation
 from ..runtime.transaction import UndoEntry, undo_calls
 from . import protocol
 from .metrics import prometheus_text, snapshot_json
@@ -97,8 +97,9 @@ class _Domain:
     def defined(self, op, args: tuple[Any, ...]) -> bool:
         """Whether ``op(args)`` may be recorded on the kept state: false
         only where its precondition is.  A precondition that cannot be
-        evaluated there (a state frame without a field it reads) leaves
-        the decision to the spec step."""
+        evaluated there leaves the decision to the spec step; a state
+        frame's field names match the spec's, so only an ill-typed
+        value (say, a ``size`` that is not a number) can get here."""
         try:
             return self.manager.spec.precondition_holds(
                 op, self.kept_state(), args)
@@ -356,12 +357,11 @@ class AdmissionServer:
         stable = bool(frame.get("stable"))
         if stable:
             await self._ensure_stable(structure)
-        from ..runtime.gatekeeper import conflict_manager
-        manager = conflict_manager(structure,
-                                   frame.get("policy", "commutativity"),
-                                   shards=int(frame.get("shards", 1)),
-                                   registry=self.registry,
-                                   stable=stable)
+        manager = ConflictManager(structure,
+                                  frame.get("policy", "commutativity"),
+                                  registry=self.registry,
+                                  shards=int(frame.get("shards", 1)),
+                                  stable=stable)
         domain_id = self._next_domain
         self._next_domain += 1
         self._domains[domain_id] = _Domain(
@@ -414,6 +414,11 @@ class AdmissionServer:
             raise protocol.ProtocolError(
                 f"a state frame carries a record, not "
                 f"{type(state).__name__}")
+        fields = domain.manager.spec.state_fields
+        if set(state) != set(fields):
+            raise protocol.ProtocolError(
+                f"{domain.structure} states have the fields "
+                f"{sorted(fields)}, not {sorted(state)}")
         domain.state = state
         return {"ok": True}
 
@@ -451,7 +456,7 @@ class AdmissionServer:
                 f"{op.name}{args!r} is outside its precondition on the "
                 f"kept state")
         if frame.get("shards") is None:
-            shard_ids = manager.store_regions(op.name, args)
+            shard_ids = manager.shards_for(op.name, args)
         else:
             shard_ids = self._shard_slice(manager, frame["shards"])
         before, after = domain.apply(frame["txn"], op, args)

@@ -21,9 +21,9 @@ drift-stable weakening the runtime can evaluate in *any* environment:
 
 Consumption: :meth:`repro.api.Session.compile_stable` registers the
 artifacts via :meth:`repro.api.Registry.register_stable_conditions`;
-``Gatekeeper``/``ShardedGatekeeper`` constructed with ``stable=True``
-try the compiled condition on the drift path before falling back to
-the router oracle.
+a :class:`~repro.runtime.gatekeeper.ConflictManager` constructed with
+``stable=True`` tries the compiled condition on the drift path before
+falling back to the router oracle.
 """
 
 from .compiler import (STABILITY_COMPILER_VERSION, StableCondition,

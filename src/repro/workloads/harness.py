@@ -116,7 +116,7 @@ class ThroughputHarness:
     """Runs workload sweeps and collects :class:`WorkloadRun` results."""
 
     def __init__(self, registry=None, workers: int | None = None,
-                 batch: int = 1, max_rounds: int = 200_000,
+                 max_rounds: int = 200_000,
                  shards: int | None = None,
                  adaptive: str | None = None,
                  stable: bool = False,
@@ -127,7 +127,6 @@ class ThroughputHarness:
         #: value (1 included) overrides every hint, so a serial harness
         #: can never be escalated to threaded execution by a spec.
         self.workers = workers
-        self.batch = batch
         self.max_rounds = max_rounds
         #: Same precedence scheme as ``workers``: None defers to each
         #: workload's ``shards`` hint.
@@ -180,9 +179,8 @@ class ThroughputHarness:
         executor = SpeculativeExecutor(
             structure, policy=policy, seed=workload.seed,
             max_rounds=self.max_rounds, conflict_mode=conflict_mode,
-            registry=self.registry, workers=workers, batch=self.batch,
-            shards=shards, adaptive=adaptive, stable=stable,
-            backend=backend)
+            registry=self.registry, workers=workers, shards=shards,
+            adaptive=adaptive, stable=stable, backend=backend)
         report = executor.run(programs, setup=setup)
         return WorkloadRun(structure=structure, workload=workload,
                            policy=policy, conflict_mode=conflict_mode,

@@ -14,9 +14,9 @@ from stability_fixture import ALL_STRUCTURES
 
 from repro.api import Session
 from repro.eval import Record
-from repro.runtime import (ConflictManager, Gatekeeper, LoggedOperation,
-                           ShardedGatekeeper, SpeculativeExecutor,
-                           conflict_manager)
+from repro.__main__ import main
+from repro.runtime import (ConflictManager, LoggedOperation,
+                           SpeculativeExecutor)
 from repro.runtime.backend import AdmissionBackend, LocalAdmissionBackend
 from repro.runtime.executor import ExecutionReport
 from repro.service import protocol
@@ -138,7 +138,7 @@ def test_tier_demotion_never_changes_decisions(stable_session):
 def test_plain_gatekeeper_decides_through_closures():
     """No flag arms the closures: a default-constructed manager already
     decides through them."""
-    gk = Gatekeeper("HashSet")
+    gk = ConflictManager("HashSet")
     before = Record(contents=frozenset({"a"}), size=1)
     after = Record(contents=frozenset({"a", "b"}), size=2)
     gk.record(LoggedOperation(txn_id=1, op_name="add", args=("b",),
@@ -148,8 +148,7 @@ def test_plain_gatekeeper_decides_through_closures():
 
 
 #: Every callable that used to take the admission-mode option.
-OPTION_FREE = (ConflictManager, Gatekeeper, ShardedGatekeeper,
-               conflict_manager, AdmissionBackend.conflict_manager,
+OPTION_FREE = (ConflictManager, AdmissionBackend.conflict_manager,
                LocalAdmissionBackend.conflict_manager,
                ServiceBackend.conflict_manager, SpeculativeExecutor,
                ThroughputHarness, ThroughputHarness.run_one,
@@ -160,6 +159,24 @@ OPTION_FREE = (ConflictManager, Gatekeeper, ShardedGatekeeper,
                          ids=lambda fn: fn.__qualname__)
 def test_no_compiled_option_remains(fn):
     assert "compiled" not in inspect.signature(fn).parameters
+
+
+#: Every callable that used to take the threaded mode's ``batch``.
+BATCH_FREE = (SpeculativeExecutor, ThroughputHarness,
+              ThroughputHarness.run_one, Session.run_workload)
+
+
+@pytest.mark.parametrize("fn", BATCH_FREE, ids=lambda fn: fn.__qualname__)
+def test_no_batch_option_remains(fn):
+    assert "batch" not in inspect.signature(fn).parameters
+
+
+def test_run_batch_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--name", "HashSet", "--workers", "2",
+              "--batch", "2"])
+    assert exit_info.value.code == 2
+    assert "--batch" in capsys.readouterr().err
 
 
 def test_reports_carry_no_compiled_field():
@@ -174,7 +191,7 @@ def _arraylist_eval_error():
     """The get(0)/set(1, ...) recipe: evaluating ArrayList's between
     condition on this environment indexes out of range, so the check
     resolves conservatively and must leave a usable diagnostic."""
-    gk = Gatekeeper("ArrayList")
+    gk = ConflictManager("ArrayList")
     state = Record(elems=("a",))
     gk.record(LoggedOperation(txn_id=1, op_name="get", args=(0,),
                               result="a", before=state, after=state))

@@ -17,7 +17,7 @@ from repro.compiled import LoweredCheck, armed, clear_cache
 from repro.eval import Record
 from repro.impls import HashSet
 from repro.inverses.catalog import INVERSES
-from repro.runtime import Gatekeeper, LoggedOperation, ShardedGatekeeper
+from repro.runtime import ConflictManager, LoggedOperation
 from repro.runtime import gatekeeper
 from repro.specs import set_spec
 from repro.stability.compiler import StableCondition
@@ -69,7 +69,7 @@ def test_constant_read_pair_admits_without_its_closure(closure_calls,
     closure path counts."""
     plan = armed(DEFAULT_REGISTRY, "HashSet", False)["size"]["contains"]
     assert plan.reads_true
-    gk = Gatekeeper("HashSet")
+    gk = ConflictManager("HashSet")
     gk.record(_logged("contains", ("a",), True))
     assert gk.admits(2, "size", (), HOLDS_A)
     assert closure_calls == [] and interpreter_calls == []
@@ -85,7 +85,7 @@ def test_arity_drift_goes_to_the_interpreter(closure_calls,
     """The same pair with a call whose arity does not fit the plan:
     the closure refuses it (SlotMismatch) and the interpreter
     decides, so no compiled hit is counted."""
-    gk = Gatekeeper("HashSet")
+    gk = ConflictManager("HashSet")
     gk.record(_logged("contains", logged_args, True))
     assert gk.admits(2, "size", incoming_args, HOLDS_A)
     assert len(closure_calls) == 1 and len(interpreter_calls) == 1
@@ -116,7 +116,7 @@ def test_constant_pair_after_a_mutator_keeps_the_undo_guard(closure_calls):
     registry = _doctored_set_registry("add", "contains")
     plan = armed(registry, "HashSet", False)["contains"]["add"]
     assert plan.between.is_const and not plan.reads_true
-    gk = Gatekeeper("HashSet", registry=registry)
+    gk = ConflictManager("HashSet", registry=registry)
     gk.record(_logged("add", ("a",), True, before=EMPTY, after=HOLDS_A))
     assert not gk.admits(2, "contains", ("a",), HOLDS_A)
     assert closure_calls == [plan.between]
@@ -131,13 +131,13 @@ def test_managers_share_one_arming_until_clear_cache():
     registry = Registry.with_builtins()
     plans = armed(registry, "HashSet", False)
     assert armed(registry, "ListSet", False) is plans
-    assert ShardedGatekeeper("ListSet", registry=registry,
-                             shards=4)._pair_plans is plans
+    assert ConflictManager("ListSet", registry=registry,
+                           shards=4)._pair_plans is plans
     assert armed(Registry.with_builtins(), "HashSet", False) is not plans
     clear_cache()
     rearmed = armed(registry, "HashSet", False)
     assert rearmed is not plans
-    assert Gatekeeper("HashSet", registry=registry)._pair_plans \
+    assert ConflictManager("HashSet", registry=registry)._pair_plans \
         is rearmed
 
 
@@ -163,7 +163,7 @@ def test_registering_stable_conditions_rearms_the_family():
 
 def test_an_arming_does_not_keep_its_registry_alive():
     registry = Registry.with_builtins()
-    Gatekeeper("HashSet", registry=registry, stable=False)
+    ConflictManager("HashSet", registry=registry, stable=False)
     collected = weakref.ref(registry)
     del registry
     gc.collect()
@@ -176,7 +176,7 @@ def test_interpreted_fixture_hides_constant_plans(interpreted,
     decided by the interpreter, although the registry already holds a
     compiled arming; after the block, managers use it again."""
     def check():
-        gk = Gatekeeper("HashSet")
+        gk = ConflictManager("HashSet")
         gk.record(_logged("contains", ("a",), True))
         assert gk.admits(2, "size", (), HOLDS_A)
         return gk.counters()["compiled_hits"]

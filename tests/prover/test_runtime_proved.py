@@ -83,9 +83,9 @@ def test_flat_and_sharded_proved_decisions_identical(proved_session,
 
 
 def test_shard_stats_surface_proved_hits(proved_session):
-    from repro.runtime import conflict_manager
-    manager = conflict_manager("HashTable", shards=2,
-                               registry=proved_session.registry,
-                               stable=True)
+    from repro.runtime import ConflictManager
+    manager = ConflictManager("HashTable", shards=2,
+                              registry=proved_session.registry,
+                              stable=True)
     for stats in manager.shard_stats():
         assert "proved_hits" in stats

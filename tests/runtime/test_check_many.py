@@ -3,8 +3,7 @@ empty batches, conflicts discovered mid-batch, and EvalError fallback
 decided per-pair rather than per-batch."""
 
 from repro.eval import Record
-from repro.runtime import Gatekeeper, LoggedOperation
-from repro.runtime.gatekeeper import ShardedGatekeeper
+from repro.runtime import ConflictManager, LoggedOperation
 
 
 def _seq_state(*elems):
@@ -14,7 +13,7 @@ def _seq_state(*elems):
 # -- empty batches ------------------------------------------------------------
 
 def test_empty_log_admits_trivially():
-    gk = Gatekeeper("ArrayList")
+    gk = ConflictManager("ArrayList")
     admitted, holder = gk.check_many(1, "set", (0, "x"), _seq_state("a"))
     assert admitted is True and holder is None
     assert gk.counters()["conflict_checks"] == 0
@@ -24,7 +23,7 @@ def test_empty_log_admits_trivially():
 def test_empty_shard_set_checks_nothing():
     """An explicit empty ``shard_ids`` is authoritative: nothing is
     scanned even when the log holds a conflicting pair."""
-    gk = Gatekeeper("ArrayList")
+    gk = ConflictManager("ArrayList")
     state = _seq_state("a")
     gk.record(LoggedOperation(txn_id=1, op_name="set", args=(0, "b"),
                               result=None, before=state,
@@ -36,7 +35,7 @@ def test_empty_shard_set_checks_nothing():
 
 
 def test_own_operations_are_skipped():
-    gk = Gatekeeper("ArrayList")
+    gk = ConflictManager("ArrayList")
     state = _seq_state("a")
     gk.record(LoggedOperation(txn_id=1, op_name="set", args=(0, "b"),
                               result=None, before=state,
@@ -52,7 +51,7 @@ def test_partial_admission_stops_at_the_first_conflict():
     """A batch that admits its first pair (via the EvalError fallback
     oracle, no less) and conflicts on its second reports the second
     pair's holder — and counts exactly one conflict."""
-    gk = Gatekeeper("ArrayList")
+    gk = ConflictManager("ArrayList")
     wide = _seq_state(*["a"] * 9)
     # Pair 1: a read logged against a one-element snapshot — checking
     # set(8, ...) against it EvalErrors (index 8 off a 1-element
@@ -75,7 +74,7 @@ def test_partial_admission_stops_at_the_first_conflict():
 def test_holder_identifies_the_conflicting_transaction():
     """Wait-die ordering needs the *first* conflicting holder in log
     order, not just a boolean."""
-    gk = Gatekeeper("ArrayList")
+    gk = ConflictManager("ArrayList")
     state = _seq_state("a", "b")
     for txn_id in (4, 7):
         gk.record(LoggedOperation(txn_id=txn_id, op_name="set",
@@ -91,7 +90,7 @@ def test_eval_error_mid_batch_is_decided_per_pair():
     """One unevaluable pair must not poison the batch: the fallback
     refuses or admits *that pair* by the region oracle and the sweep
     continues."""
-    gk = Gatekeeper("ArrayList")
+    gk = ConflictManager("ArrayList")
     # Same-band unevaluable pair: conservative conflict.
     state = _seq_state("a")
     gk.record(LoggedOperation(txn_id=1, op_name="get", args=(0,),
@@ -113,7 +112,7 @@ def test_eval_error_mid_batch_is_decided_per_pair():
 # -- sharded batches ----------------------------------------------------------
 
 def test_sharded_check_many_respects_the_shard_ids_contract():
-    gk = ShardedGatekeeper("ArrayList", shards=4)
+    gk = ConflictManager("ArrayList", shards=4)
     state = _seq_state("a", "b", "c")
     gk.record(LoggedOperation(txn_id=1, op_name="get", args=(0,),
                               result="a", before=state, after=state))

@@ -12,7 +12,7 @@ from register_fixture import make_register_registry  # noqa: E402
 
 from repro.eval import Record  # noqa: E402
 from repro.eval.values import FMap  # noqa: E402
-from repro.runtime import Gatekeeper, LoggedOperation  # noqa: E402
+from repro.runtime import ConflictManager, LoggedOperation  # noqa: E402
 from repro.runtime import SpeculativeExecutor  # noqa: E402
 
 
@@ -35,7 +35,7 @@ def test_unevaluable_condition_falls_back_to_the_oracle():
     cannot certify commutativity: the check lands on the router oracle
     (same band here, hence a conservative conflict), never on an
     unsound admission."""
-    gk = Gatekeeper("ArrayList")
+    gk = ConflictManager("ArrayList")
     state = _seq_state("a")
     gk.record(LoggedOperation(txn_id=1, op_name="get", args=(0,),
                               result="a", before=state, after=state))
@@ -48,7 +48,7 @@ def test_unevaluable_condition_falls_back_to_the_oracle():
 
 
 def test_unevaluable_condition_can_still_admit_disjoint_regions():
-    gk = Gatekeeper("ArrayList")
+    gk = ConflictManager("ArrayList")
     state = _seq_state(*["a"] * 9)
     gk.record(LoggedOperation(txn_id=1, op_name="get", args=(0,),
                               result="a", before=_seq_state("a"),
@@ -67,7 +67,7 @@ def test_custom_structure_without_router_conflicts_under_drift():
     the verified environment is gone there is no oracle to consult, so
     every fragile pair is a conservative conflict."""
     registry = make_register_registry()
-    gk = Gatekeeper("Register", registry=registry)
+    gk = ConflictManager("Register", registry=registry)
     state = Record(value="a")
     # A no-op write: the write;read condition (s1.value = v1) holds.
     gk.record(LoggedOperation(txn_id=1, op_name="write", args=("a",),
@@ -85,7 +85,7 @@ def test_custom_structure_without_router_conflicts_under_drift():
 def test_global_region_op_is_refused_under_drift():
     """``size`` interacts with every region, so the oracle can never
     declare it disjoint: a drifted size-pair is always a conflict."""
-    gk = Gatekeeper("HashSet")
+    gk = ConflictManager("HashSet")
     before = _set_state()
     after = _set_state("a")
     drifted = _set_state("a", "b")
@@ -100,7 +100,7 @@ def test_global_region_op_is_refused_under_drift():
 
 
 def test_global_region_logged_op_blocks_drifted_incomers():
-    gk = Gatekeeper("HashSet")
+    gk = ConflictManager("HashSet")
     state = _set_state("a")
     gk.record(LoggedOperation(txn_id=1, op_name="size", args=(),
                               result=1, before=state, after=state))
@@ -118,7 +118,7 @@ def test_undo_guard_refuses_clobberable_same_value_write():
     then ``T2: put_(k, x)`` — the pair commutes (same value), but if T1
     aborts its rollback rewrites ``k`` to the older value *under* T2's
     write.  The guard refuses the admission."""
-    gk = Gatekeeper("HashTable")
+    gk = ConflictManager("HashTable")
     before = _map_state(k="y")
     after = _map_state(k="x")
     gk.record(LoggedOperation(txn_id=1, op_name="put_", args=("k", "x"),
@@ -129,7 +129,7 @@ def test_undo_guard_refuses_clobberable_same_value_write():
 
 def test_undo_guard_skips_effect_free_executions():
     """A no-op write has a no-op undo (Property 3): nothing to guard."""
-    gk = Gatekeeper("HashTable")
+    gk = ConflictManager("HashTable")
     state = _map_state(k="x")
     gk.record(LoggedOperation(txn_id=1, op_name="put_", args=("k", "x"),
                               result=None, before=state, after=state))
@@ -141,7 +141,7 @@ def test_undo_guard_refuses_add_discard_shadowing():
     """``add_`` of a fresh element undoes with ``remove``; a concurrent
     ``add_`` of the same element would be silently deleted by that
     rollback."""
-    gk = Gatekeeper("HashSet")
+    gk = ConflictManager("HashSet")
     before = _set_state()
     after = _set_state("a")
     gk.record(LoggedOperation(txn_id=1, op_name="add_", args=("a",),

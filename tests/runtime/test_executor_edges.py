@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import Registry
 from repro.eval import Record
 from repro.impls import invoke, invoke_concrete
-from repro.runtime import (ExecutionReport, Gatekeeper,
+from repro.runtime import (ConflictManager, ExecutionReport,
                            SpeculativeExecutor, Transaction, TxnStatus)
 from repro.runtime.executor import StructureHandle
 from repro.specs.interface import (DataStructureSpec, Operation, Param,
@@ -23,8 +23,8 @@ def _fresh_state(executor):
     structure = StructureHandle(
         executor.registry.new_instance(executor.ds_name),
         executor.ds_name, executor.registry)
-    gatekeeper = Gatekeeper(executor.ds_name, executor.policy,
-                            registry=executor.registry)
+    gatekeeper = ConflictManager(executor.ds_name, executor.policy,
+                                 registry=executor.registry)
     report = ExecutionReport(ds_name=executor.ds_name,
                              policy=executor.policy)
     return structure, gatekeeper, report
@@ -276,7 +276,7 @@ def test_unevaluable_condition_reports_conflict_instead_of_raising():
     older snapshot with the incoming operation's argument, which is only
     in-range against the current state.  The gatekeeper must treat the
     unevaluable condition as a conflict, never crash."""
-    gk = Gatekeeper("ArrayList")
+    gk = ConflictManager("ArrayList")
     before = Record(elems=("v0",), size=1)
     current = Record(elems=("v0", "v1", "v2", "v3", "v4"), size=5)
     from repro.runtime import LoggedOperation
@@ -316,8 +316,6 @@ def test_review_repro_arraylist_write_heavy_seed2():
 def test_invalid_workers_rejected():
     with pytest.raises(ValueError):
         _executor(workers=0)
-    with pytest.raises(ValueError):
-        _executor(batch=0)
 
 
 # -- multi-worker serializability ----------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.eval import Record
-from repro.runtime import (Gatekeeper, LoggedOperation,
+from repro.runtime import (ConflictManager, LoggedOperation,
                            SpeculativeExecutor)
 
 
@@ -16,7 +16,7 @@ def _logged(txn_id, op, args, result, before):
 
 
 def test_gatekeeper_admits_commuting_ops():
-    gk = Gatekeeper("HashSet")
+    gk = ConflictManager("HashSet")
     s0 = Record(contents=frozenset(), size=0)
     gk.record(_logged(1, "contains", ("a",), False, s0))
     # Different element: commutes.
@@ -26,14 +26,14 @@ def test_gatekeeper_admits_commuting_ops():
 
 
 def test_gatekeeper_same_transaction_never_conflicts():
-    gk = Gatekeeper("HashSet")
+    gk = ConflictManager("HashSet")
     s0 = Record(contents=frozenset(), size=0)
     gk.record(_logged(1, "contains", ("a",), False, s0))
     assert gk.admits(1, "add", ("a",), s0)
 
 
 def test_gatekeeper_uses_return_values():
-    gk = Gatekeeper("HashSet")
+    gk = ConflictManager("HashSet")
     s1 = Record(contents=frozenset({"a"}), size=1)
     # contains(a) returned True: add(a) commutes even for equal elements.
     gk.record(_logged(1, "contains", ("a",), True, s1))
@@ -45,9 +45,9 @@ def test_gatekeeper_policies_ordering():
     s0 = Record(contents=frozenset({"a"}), size=1)
     for op2, args2, expect in ((("contains"), ("b",), True),
                                (("add"), ("b",), True)):
-        commutative = Gatekeeper("HashSet", "commutativity")
-        rw = Gatekeeper("HashSet", "read-write")
-        mutex = Gatekeeper("HashSet", "mutex")
+        commutative = ConflictManager("HashSet", "commutativity")
+        rw = ConflictManager("HashSet", "read-write")
+        mutex = ConflictManager("HashSet", "mutex")
         for gk in (commutative, rw, mutex):
             gk.record(_logged(1, "contains", ("a",), True, s0))
         assert commutative.admits(2, op2, args2, s0) is expect
@@ -57,7 +57,7 @@ def test_gatekeeper_policies_ordering():
 
 
 def test_gatekeeper_release():
-    gk = Gatekeeper("HashSet")
+    gk = ConflictManager("HashSet")
     s0 = Record(contents=frozenset(), size=0)
     gk.record(_logged(1, "add", ("a",), True, s0))
     assert len(gk.outstanding()) == 1
@@ -67,7 +67,7 @@ def test_gatekeeper_release():
 
 def test_unknown_policy_rejected():
     with pytest.raises(ValueError):
-        Gatekeeper("HashSet", "optimistic-unicorn")
+        ConflictManager("HashSet", "optimistic-unicorn")
 
 
 # -- end-to-end speculative execution ----------------------------------------------

@@ -6,12 +6,11 @@ import pytest
 
 from repro.api import Registry, Session
 from repro.eval import Record
-from repro.runtime import (Gatekeeper, LoggedOperation,
-                           ShardedGatekeeper, SpeculativeExecutor,
-                           conflict_manager, stable_hash)
+from repro.runtime import (ConflictManager, LoggedOperation,
+                           SpeculativeExecutor, stable_hash)
 from repro.runtime.sharding import (ARRAYLIST_BAND_WIDTH,
                                     arraylist_router, keyed_router,
-                                    normalize_route,
+                                    normalize_route, route,
                                     single_region_router)
 from repro.workloads import WorkloadGenerator, WorkloadSpec
 
@@ -77,37 +76,53 @@ def test_builtin_families_have_registered_routers():
 
 # -- manager construction ------------------------------------------------------
 
-def test_conflict_manager_factory():
-    flat = conflict_manager("HashSet", shards=1)
-    assert isinstance(flat, Gatekeeper)
-    sharded = conflict_manager("HashSet", shards=4)
-    assert isinstance(sharded, ShardedGatekeeper)
-    assert sharded.num_shards == 4
+def test_route_collapses_to_shard_zero():
+    """One shard, a policy other than commutativity, or no router: every
+    operation routes to shard 0; otherwise the router's answer,
+    normalized."""
+    assert route(keyed_router, "commutativity", 1, "add", ("k",)) == (0,)
+    assert route(keyed_router, "read-write", 4, "add", ("k",)) == (0,)
+    assert route(keyed_router, "mutex", 4, "size", ()) == (0,)
+    assert route(None, "commutativity", 4, "add", ("k",)) == (0,)
+    assert route(keyed_router, "commutativity", 4, "size", ()) \
+        == (0, 1, 2, 3)
+    assert route(arraylist_router, "commutativity", 4, "add_at",
+                 (ARRAYLIST_BAND_WIDTH, "x")) == (1, 2, 3)
+
+
+def test_conflict_manager_shard_counts():
+    """One class serves every shard count: at one shard every operation
+    routes to shard 0, while the family router stays the virtual-region
+    oracle."""
+    flat = ConflictManager("HashSet", shards=1)
+    assert flat.num_shards == 1 and flat.router is keyed_router
+    assert flat.shards_for("add", ("k1",)) == (0,)
+    assert flat.shards_for("size", ()) == (0,)
+    sharded = ConflictManager("HashSet", shards=4)
+    assert sharded.num_shards == 4 and sharded.router is keyed_router
     with pytest.raises(ValueError):
-        conflict_manager("HashSet", shards=0)
+        ConflictManager("HashSet", shards=0)
     with pytest.raises(ValueError):  # power-of-two counts only
-        conflict_manager("HashSet", shards=3)
+        ConflictManager("HashSet", shards=3)
     with pytest.raises(ValueError):
         SpeculativeExecutor("HashSet", shards=6)
 
 
 def test_sharded_routing_replicates_global_ops():
-    manager = ShardedGatekeeper("HashSet", shards=4)
+    manager = ConflictManager("HashSet", shards=4)
     # A keyed op stores, scans, and locks exactly its own shard — two
     # ops on distinct keys share no lock at all; a globally-interacting
     # op (size) is replicated into every shard so each routed scan is
     # self-contained.
-    store = manager.store_regions("add", ("k1",))
-    assert len(store) == 1 and store[0] < 4
-    assert manager.scan_regions("add", ("k1",)) == store
-    assert manager.store_regions("size", ()) == tuple(range(4))
-    assert manager.scan_regions("size", ()) == tuple(range(4))
+    shards = manager.shards_for("add", ("k1",))
+    assert len(shards) == 1 and shards[0] < 4
+    assert manager.shards_for("size", ()) == tuple(range(4))
 
 
 def test_non_commutativity_policies_collapse_to_one_region():
     for policy in ("read-write", "mutex"):
-        manager = ShardedGatekeeper("HashSet", policy, shards=4)
-        assert manager.store_regions("add", ("k1",)) == (0,)
+        manager = ConflictManager("HashSet", policy, shards=4)
+        assert manager.shards_for("add", ("k1",)) == (0,)
 
 
 def test_custom_structure_without_router_is_single_region():
@@ -135,9 +150,8 @@ def test_custom_structure_without_router_is_single_region():
         states=lambda scope: iter([Record(value=None)]),
         arguments=lambda op, scope: iter([("a",)]))
     registry.register_spec("Cell", spec, implementation=Impl)
-    manager = ShardedGatekeeper("Cell", registry=registry, shards=4)
-    assert manager.store_regions("write", ("a",)) == (0,)
-    assert manager.scan_regions("write", ("a",)) == (0,)
+    manager = ConflictManager("Cell", registry=registry, shards=4)
+    assert manager.shards_for("write", ("a",)) == (0,)
 
 
 # -- counters ------------------------------------------------------------------
@@ -148,7 +162,7 @@ def _entry(txn_id, op, args, result, state):
 
 
 def test_per_shard_counters_sum_to_totals():
-    manager = ShardedGatekeeper("HashSet", shards=4)
+    manager = ConflictManager("HashSet", shards=4)
     s0 = Record(contents=frozenset(), size=0)
     for i, key in enumerate(("a", "b", "c", "d")):
         manager.record(_entry(1, "add", (key,), True, s0))
@@ -166,8 +180,8 @@ def test_multi_region_entries_are_checked_once():
     """A globally-stored entry (size) must contribute exactly one check
     per admission, not one per scanned region — the aggregation-safety
     satellite: totals never double- or under-count."""
-    flat = Gatekeeper("HashSet")
-    sharded = ShardedGatekeeper("HashSet", shards=4)
+    flat = ConflictManager("HashSet")
+    sharded = ConflictManager("HashSet", shards=4)
     s0 = Record(contents=frozenset({"a"}), size=1)
     for manager in (flat, sharded):
         manager.record(_entry(1, "size", (), 1, s0))
@@ -177,7 +191,7 @@ def test_multi_region_entries_are_checked_once():
 
 
 def test_release_clears_all_regions():
-    manager = ShardedGatekeeper("HashSet", shards=4)
+    manager = ConflictManager("HashSet", shards=4)
     s0 = Record(contents=frozenset(), size=0)
     manager.record(_entry(1, "size", (), 0, s0))
     manager.record(_entry(1, "add", ("a",), True, s0))
@@ -314,7 +328,7 @@ def test_sharded_equals_flat_for_custom_structure():
 
 def test_custom_shard_router_hook():
     """A custom structure can register its own router; the registry hook
-    feeds straight into the sharded gatekeeper."""
+    feeds straight into the conflict manager."""
     from tests.runtime.test_executor_edges import _cell_registry
     registry = _cell_registry()
     calls = []
@@ -325,9 +339,9 @@ def test_custom_shard_router_hook():
 
     registry.register_shard_router("Cell", router)
     assert registry.shard_router("Cell") is router
-    manager = ShardedGatekeeper("Cell", registry=registry, shards=4)
+    manager = ConflictManager("Cell", registry=registry, shards=4)
     expected = (stable_hash("x") % 4,)
-    assert manager.store_regions("write", ("x",)) == expected
+    assert manager.shards_for("write", ("x",)) == expected
     assert calls
 
 

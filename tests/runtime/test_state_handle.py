@@ -144,9 +144,10 @@ def test_logged_snapshots_follow_the_abstract_semantics(checked_handle,
 def test_threaded_workers_share_one_consistent_state(checked_handle,
                                                      shards):
     """More workers than cores, switching threads as often as the
-    interpreter allows.  Both modes apply and undo under the lock that
-    guards the structure, so the kept state follows the concrete one
-    after every call, and the final state matches the serial replay."""
+    interpreter allows.  At every shard count the scheduler applies and
+    undoes under the lock that guards the structure, so the kept state
+    follows the concrete one after every call, and the final state
+    matches the serial replay."""
     registry = make_demo_registry()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

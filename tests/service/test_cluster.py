@@ -9,6 +9,7 @@ import pytest
 
 from repro.eval import Record
 from repro.runtime import LoggedOperation
+from repro.runtime.sharding import arraylist_router, route
 from repro.service import protocol
 from repro.service.client import (ServiceBackend, ServiceClient,
                                   ServiceError)
@@ -23,7 +24,7 @@ SHARDS = 4
 
 
 def _seq_state(*elems):
-    return Record(elems=tuple(elems))
+    return Record(elems=tuple(elems), size=len(elems))
 
 
 def _workload(seed=7):
@@ -127,14 +128,18 @@ def test_interleaved_batches_across_two_pooled_connections(live_cluster):
     try:
         manager = backend.conflict_manager("ArrayList", shards=SHARDS)
         assert isinstance(manager, PartitionedConflictManager)
-        router = manager._router
+
+        def shards_of(index):
+            return route(arraylist_router, "commutativity", SHARDS, "set",
+                         (index, "x"))
+
         # Two indices whose single-shard routes land on different
         # workers (shard % 2 differs).
         by_worker = {}
         for index in range(SHARDS * 4):
-            route = router.shards_for("set", (index, "x"))
-            if len(route) == 1:
-                by_worker.setdefault(route[0] % 2, index)
+            shards = shards_of(index)
+            if len(shards) == 1:
+                by_worker.setdefault(shards[0] % 2, index)
         assert set(by_worker) == {0, 1}
         i0, i1 = by_worker[0], by_worker[1]
         elems = ["a"] * (SHARDS * 4)
@@ -155,7 +160,7 @@ def test_interleaved_batches_across_two_pooled_connections(live_cluster):
         admitted, holder = manager.check_many(2, "set", (i1, "x"),
                                               after)
         assert (admitted, holder) == (False, 1)
-        flushed = worker_of(router.shards_for("set", (i1, "x"))[0], 2)
+        flushed = worker_of(shards_of(i1)[0], 2)
         assert manager._pending[flushed] == []
         assert len(manager._pending[1 - flushed]) == 3
         # The other worker's batch flushes with its own check, still

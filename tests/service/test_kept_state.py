@@ -15,7 +15,6 @@ from repro.api import Session
 from repro.runtime import SpeculativeExecutor
 from repro.service import protocol
 from repro.service.client import ServiceBackend
-from repro.service.cluster import PartitionedConflictManager
 from repro.workloads import WorkloadGenerator, WorkloadSpec
 
 from service_fixture import LiveCluster, LiveServer
@@ -65,13 +64,9 @@ class _ComparingManager:
         """``(kept state, in step)`` per worker domain, in worker order:
         in step when no frame for it is still pending client-side."""
         inner = self._inner
-        if isinstance(inner, PartitionedConflictManager):
-            domains, pending = inner._domains, inner._pending
-        else:
-            domains, pending = [inner._domain], [inner._pending]
         return [(server._domains[domain].state, not queued)
                 for server, domain, queued
-                in zip(self._servers, domains, pending)]
+                in zip(self._servers, inner._domains, inner._pending)]
 
     def check_many(self, txn_id, op_name, args, current, shard_ids=None):
         verdict = self._inner.check_many(txn_id, op_name, args, current,

@@ -17,7 +17,7 @@ from service_fixture import LiveServer
 
 
 def _seq_state(*elems):
-    return Record(elems=tuple(elems))
+    return Record(elems=tuple(elems), size=len(elems))
 
 
 @pytest.fixture()
@@ -137,6 +137,27 @@ def test_check_and_record_need_a_kept_state(client):
     with pytest.raises(ServiceError, match="no state"):
         client.call(protocol.check_frame(domain, 1, "get", (0,)))
     assert client.call(protocol.ping_frame())["ok"] is True
+
+
+def test_a_state_frame_must_match_the_spec(client, live_server):
+    """A state whose field names differ from the spec's, or that is no
+    record at all, is refused and the kept state stays: the record and
+    check after it decide on the previous state."""
+    domain = _open_arraylist(client)
+    kept = live_server.server._domains[domain]
+    client.call(protocol.state_frame(domain, _seq_state("a", "b")))
+    state = kept.state
+    for bad in (Record(elems=("x",)),
+                Record(elems=("x",), size=1, extra=0),
+                ("x",)):
+        with pytest.raises(ServiceError, match="state"):
+            client.call(protocol.state_frame(domain, bad))
+        assert kept.state is state
+    # Index 1 exists only in the kept state, not in the refused ones.
+    client.call(protocol.record_frame(domain, 1, "set", (1, "z"), "b"))
+    assert client.call(protocol.check_frame(
+        domain, 2, "get", (1,)))["admitted"] is False
+    assert kept.state == _seq_state("a", "z")
 
 
 def test_record_of_an_unknown_operation_is_refused(client):

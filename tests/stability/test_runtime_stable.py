@@ -12,7 +12,7 @@ from stability_fixture import ALL_STRUCTURES
 
 from repro.api import DuplicateNameError, Registry
 from repro.eval import Record
-from repro.runtime import Gatekeeper, LoggedOperation, conflict_manager
+from repro.runtime import ConflictManager, LoggedOperation
 from repro.stability import StableCondition
 from repro.workloads import ThroughputHarness, WorkloadSpec
 
@@ -54,7 +54,7 @@ def test_stable_condition_admits_drifted_disjoint_pair():
     registry = _map_registry_with_stable()
     before, after, drifted = _drifted_map_states()
     for stable in (False, True):
-        gk = Gatekeeper("HashTable", registry=registry, stable=stable)
+        gk = ConflictManager("HashTable", registry=registry, stable=stable)
         gk.record(LoggedOperation(txn_id=1, op_name="put_",
                                   args=("k1", "x"), result=None,
                                   before=before, after=after))
@@ -73,7 +73,7 @@ def test_stable_condition_admits_drifted_disjoint_pair():
 def test_stable_condition_false_falls_back_conservatively():
     registry = _map_registry_with_stable()
     before, after, drifted = _drifted_map_states()
-    gk = Gatekeeper("HashTable", registry=registry, stable=True)
+    gk = ConflictManager("HashTable", registry=registry, stable=True)
     gk.record(LoggedOperation(txn_id=1, op_name="put_", args=("k1", "x"),
                               result=None, before=before, after=after))
     # Same key: the weakening is false, the router sees one region.
@@ -85,10 +85,10 @@ def test_stable_condition_false_falls_back_conservatively():
 def test_stable_without_compiled_conditions_raises():
     registry = Registry.with_builtins()
     with pytest.raises(ValueError, match="compile_stable"):
-        Gatekeeper("HashTable", registry=registry, stable=True)
+        ConflictManager("HashTable", registry=registry, stable=True)
     with pytest.raises(ValueError):
-        conflict_manager("HashTable", shards=4, registry=registry,
-                         stable=True)
+        ConflictManager("HashTable", shards=4, registry=registry,
+                        stable=True)
 
 
 def test_register_stable_conditions_guards_duplicates():

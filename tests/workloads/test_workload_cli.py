@@ -43,7 +43,7 @@ def test_run_txn_stats(capsys):
 def test_run_multi_worker(capsys):
     code = main(["run", "--name", "HashSet", "--policy", "commutativity",
                  "--txns", "6", "--ops", "4", "--workers", "3",
-                 "--batch", "2", "--seed", "1"])
+                 "--seed", "1"])
     assert code == 0
 
 

@@ -100,8 +100,8 @@ def test_explicit_serial_harness_overrides_workload_hint():
         "HashSet", hinted, workers=3).workers == 3
 
 
-def test_batched_workers_commit_everything():
-    harness = ThroughputHarness(workers=3, batch=4)
+def test_threaded_workers_commit_everything():
+    harness = ThroughputHarness(workers=3)
     run = harness.run_one("HashTable",
                           SMALL.with_(transactions=9,
                                       ops_per_transaction=6))
