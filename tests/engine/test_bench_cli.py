@@ -46,15 +46,17 @@ def test_bench_passes_against_generous_baseline(tmp_path, capsys):
 
 
 def test_bench_fails_on_regression(tmp_path, capsys):
+    """Every structure verifies under 2x the micro-timing floor at
+    ``max_seq_len=1``, so a zeroed baseline alone no longer trips the
+    default gate; force it with a tiny allowed multiple as well."""
     code, output = _run_bench(tmp_path)
     baseline = json.loads(output.read_text())
-    # A baseline claiming everything used to verify instantly: any real
-    # structure (ArrayList at least) now exceeds 2x the floor.
     for entry in baseline["structures"].values():
         entry["elapsed"] = 0.0
     baseline_path = tmp_path / "baseline.json"
     baseline_path.write_text(json.dumps(baseline))
-    code, _ = _run_bench(tmp_path, "--baseline", str(baseline_path))
+    code, _ = _run_bench(tmp_path, "--baseline", str(baseline_path),
+                         "--max-regression", "0.000001")
     assert code == 1
     assert "regressions" in capsys.readouterr().err
 
