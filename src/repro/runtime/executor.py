@@ -464,7 +464,8 @@ class SpeculativeExecutor:
         only *after* releasing its shard locks, so no cycle can form.
         """
         cond = threading.Condition()
-        #: Innermost lock: the concrete structure and report counters.
+        #: Innermost lock: the concrete structure, the report's counts
+        #: and its commit order.
         state_lock = threading.Lock()
         blocked: set[int] = set()
         errors: list[BaseException] = []
@@ -628,12 +629,19 @@ class SpeculativeExecutor:
         if txn.status is TxnStatus.ABORTED:
             txn.restart()
         if txn.finished:
-            with manager.locked(manager.touched(txn.txn_id)):
+            held = manager.lock(txn.txn_id)
+            try:
                 manager.release(txn.txn_id, reason="commit")
+                # Take the commit's place in the order before unlocking:
+                # a step that runs against the released log takes one
+                # of these locks, so its transaction commits later.
+                with state_lock:
+                    report.commits += 1
+                    report.commit_order.append(txn.txn_id)
+            finally:
+                manager.unlock(held)
             txn.status = TxnStatus.COMMITTED
             with cond:
-                report.commits += 1
-                report.commit_order.append(txn.txn_id)
                 if controller is not None:
                     controller.on_commit(txn)
                 blocked.clear()  # waiters may be admissible now
@@ -642,12 +650,13 @@ class SpeculativeExecutor:
         op_name, args = txn.current_op()
         op = self.spec.operations[op_name]
         op_shards = manager.shards_for(op_name, args)
-        lockset = set(op_shards).union(manager.touched(txn.txn_id))
         outcome = "block"
         holder: int | None = None
-        with manager.locked(lockset):
-            with state_lock:
-                before = structure.state()
+        held = manager.lock(txn.txn_id, op_shards)
+        try:
+            # One attribute read: apply swaps the kept state in one
+            # assignment, so no state lock is needed to snapshot it.
+            before = structure.state()
             admitted, holder = manager.check_many(
                 txn.txn_id, op_name, args, before, shard_ids=op_shards)
             if controller is not None:
@@ -659,7 +668,8 @@ class SpeculativeExecutor:
                     report.operations += 1
                 manager.record(LoggedOperation(
                     txn_id=txn.txn_id, op_name=op_name, args=args,
-                    result=visible, before=before, after=after))
+                    result=visible, before=before, after=after),
+                    shard_ids=op_shards)
                 txn.record(op, args, raw_result, visible)
                 outcome = "admitted"
             else:
@@ -668,7 +678,7 @@ class SpeculativeExecutor:
                     action = controller.on_conflict(txn, holder,
                                                     op_shards, action)
                 if action == "abort":
-                    # The lockset covers every shard this transaction
+                    # The held locks cover every shard this transaction
                     # logged into, so the rollback and release happen
                     # atomically w.r.t. any interacting admission.
                     with state_lock:
@@ -676,6 +686,8 @@ class SpeculativeExecutor:
                     manager.release(txn.txn_id, reason="abort")
                     txn.mark_aborted()
                     outcome = "abort"
+        finally:
+            manager.unlock(held)
         # cond is never acquired while shard locks are held (lock order).
         if outcome == "abort":
             with cond:

@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ..api.errors import UnknownNameError
 from ..commutativity.conditions import Kind
@@ -163,13 +162,12 @@ class ConflictManager:
 
     Callers that need admission and application to be atomic (the
     threaded executor) hold the relevant shard locks across the whole
-    step via :meth:`locked`; the locks are reentrant, so the internal
-    locking here composes with that.
+    step via :meth:`lock` and :meth:`unlock`; the locks are reentrant,
+    so the internal locking here composes with that.
     """
 
     def __init__(self, ds_name: str, policy: str = "commutativity",
                  registry=None, shards: int = 1,
-                 router: ShardRouter | None = None,
                  stable: bool = False) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
@@ -182,16 +180,13 @@ class ConflictManager:
         self.policy = policy
         self.num_shards = shards
         self._shards = [_Shard(i) for i in range(shards)]
-        #: Routes operations to shards and doubles as the
-        #: universal-commutation oracle inside _pair_commutes (at every
-        #: shard count) — see :data:`~repro.runtime.sharding.VIRTUAL_REGIONS`.
-        #: An injected router replaces the family's for both, so
-        #: physical pruning and the oracle agree on the interaction
-        #: structure; ``None`` (no router registered) never declares a
-        #: pair disjoint.
-        self.router: ShardRouter | None = (
-            router if router is not None
-            else registry.shard_router(ds_name))
+        #: The family's router: routes operations to shards and doubles
+        #: as the universal-commutation oracle inside _pair_commutes (at
+        #: every shard count), so physical pruning and the oracle agree
+        #: on the interaction structure — see
+        #: :data:`~repro.runtime.sharding.VIRTUAL_REGIONS`.  ``None`` (no
+        #: router registered) never declares a pair disjoint.
+        self.router: ShardRouter | None = registry.shard_router(ds_name)
         self._virtual_routes: dict[tuple[str, tuple], frozenset[int] | None] = {}
         #: (op, args, before) -> resolved abstract undo calls (see
         #: :meth:`_undo_plan`).
@@ -246,18 +241,26 @@ class ConflictManager:
         """The shards holding outstanding operations of ``txn_id``."""
         return tuple(sorted(self._touched.get(txn_id, ())))
 
-    @contextmanager
-    def locked(self, shard_ids: Iterable[int]):
-        """Hold the given shard locks, in ascending id order (every
-        caller uses the same order, so lock acquisition cannot cycle)."""
-        ids = sorted(set(shard_ids))
+    def lock(self, txn_id: int,
+             shard_ids: Sequence[int] = ()) -> Sequence[int]:
+        """Acquire the locks of ``shard_ids`` (ascending, as
+        :meth:`shards_for` returns them) and of every shard holding an
+        outstanding operation of ``txn_id``, so a conflict can roll the
+        transaction back under locks already held.  Locks are taken in
+        ascending id order (every caller uses the same order, so lock
+        acquisition cannot cycle); returns the ids for :meth:`unlock`."""
+        touched = self._touched.get(txn_id)
+        ids = sorted(touched.union(shard_ids)) if touched else shard_ids
+        shards = self._shards
         for sid in ids:
-            self._shards[sid].lock.acquire()
-        try:
-            yield
-        finally:
-            for sid in reversed(ids):
-                self._shards[sid].lock.release()
+            shards[sid].lock.acquire()
+        return ids
+
+    def unlock(self, shard_ids: Sequence[int]) -> None:
+        """Release the locks :meth:`lock` acquired."""
+        shards = self._shards
+        for sid in reversed(shard_ids):
+            shards[sid].lock.release()
 
     # -- admission ------------------------------------------------------------
 

@@ -147,7 +147,8 @@ def test_plain_gatekeeper_decides_through_closures():
     assert gk.counters()["compiled_hits"] > 0
 
 
-#: Every callable that used to take the admission-mode option.
+#: Every callable that used to take the admission-mode option
+#: (``compiled``) or the deleted single-lock threaded mode's ``batch``.
 OPTION_FREE = (ConflictManager, AdmissionBackend.conflict_manager,
                LocalAdmissionBackend.conflict_manager,
                ServiceBackend.conflict_manager, SpeculativeExecutor,
@@ -158,17 +159,7 @@ OPTION_FREE = (ConflictManager, AdmissionBackend.conflict_manager,
 @pytest.mark.parametrize("fn", OPTION_FREE,
                          ids=lambda fn: fn.__qualname__)
 def test_no_compiled_option_remains(fn):
-    assert "compiled" not in inspect.signature(fn).parameters
-
-
-#: Every callable that used to take the threaded mode's ``batch``.
-BATCH_FREE = (SpeculativeExecutor, ThroughputHarness,
-              ThroughputHarness.run_one, Session.run_workload)
-
-
-@pytest.mark.parametrize("fn", BATCH_FREE, ids=lambda fn: fn.__qualname__)
-def test_no_batch_option_remains(fn):
-    assert "batch" not in inspect.signature(fn).parameters
+    assert not {"compiled", "batch"} & set(inspect.signature(fn).parameters)
 
 
 def test_run_batch_flag_is_gone(capsys):

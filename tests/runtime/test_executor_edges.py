@@ -1,6 +1,9 @@
 """Executor edge cases: deadlock-breaker behaviour, abort-status
 surfacing, unified concrete dispatch, and the multi-worker mode."""
 
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,11 +11,13 @@ from repro.api import Registry
 from repro.eval import Record
 from repro.impls import invoke, invoke_concrete
 from repro.runtime import (ConflictManager, ExecutionReport,
-                           SpeculativeExecutor, Transaction, TxnStatus)
+                           LocalAdmissionBackend, SpeculativeExecutor,
+                           Transaction, TxnStatus)
 from repro.runtime.executor import StructureHandle
 from repro.specs.interface import (DataStructureSpec, Operation, Param,
                                    parse_pre)
 from repro.logic.sorts import Sort
+from repro.workloads import ThroughputHarness, WorkloadSpec
 
 
 def _executor(**kwargs):
@@ -365,6 +370,46 @@ def test_threaded_sharded_block_mode_property(programs, seed):
                                  max_rounds=100_000).run(programs)
     assert report.commits == len(programs)
     assert report.serializable
+
+
+class _LateCommitBackend(LocalAdmissionBackend):
+    """Managers whose commits pause right after unlocking, so other
+    workers run before the committing worker is back."""
+
+    def conflict_manager(self, ds_name, **kwargs):
+        manager = super().conflict_manager(ds_name, **kwargs)
+        release, unlock = manager.release, manager.unlock
+        committing = threading.local()
+
+        def late_release(txn_id, reason="commit"):
+            committing.flag = reason == "commit"
+            release(txn_id, reason=reason)
+
+        def late_unlock(shard_ids):
+            unlock(shard_ids)
+            if getattr(committing, "flag", False):
+                committing.flag = False
+                time.sleep(0.002)
+        manager.release, manager.unlock = late_release, late_unlock
+        return manager
+
+
+@pytest.mark.parametrize("shards", (1, 4))
+def test_commit_order_is_taken_before_the_commit_unlocks(shards):
+    """A transaction that steps against a committed transaction's
+    released log must follow it in the commit order, however late the
+    committing worker gets back after unlocking."""
+    harness = ThroughputHarness(backend=_LateCommitBackend(),
+                                max_rounds=100_000)
+    for seed in range(8):
+        workload = WorkloadSpec(profile="write-heavy",
+                                distribution="hot-key", transactions=16,
+                                ops_per_transaction=8, key_space=32,
+                                value_space=3, preload=16, seed=seed)
+        run = harness.run_one("HashSet", workload, workers=4,
+                              shards=shards)
+        assert run.commits == workload.transactions
+        assert run.serializable, seed
 
 
 def test_setup_program_prepopulates_and_replays():
