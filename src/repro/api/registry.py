@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from ..commutativity.conditions import CommutativityCondition, Kind
-from ..inverses.catalog import InverseSpec
+from ..inverses.catalog import InverseSpec, NoInverse
 from ..specs.interface import DataStructureSpec
 from .errors import DuplicateNameError, UnknownNameError
 
@@ -301,6 +301,26 @@ class Registry:
         raise UnknownNameError(
             f"inverse for {self.family_of(name)} operation", op,
             tuple(inv.op for inv in inverses))
+
+    def resolve_undo(self, name: str, op: Any, args: tuple[Any, ...],
+                     result: Any):
+        """The undo of one execution ``op(args) -> result``: the
+        ``(operation, arguments)`` calls an abort applies, resolved by
+        the inverse registered for the operation's base name
+        (:meth:`~repro.inverses.InverseSpec.calls`).  ``result`` is the
+        base operation's raw return value, which a discard variant
+        drops.  ``()`` for a read; a :class:`~repro.inverses.NoInverse`
+        for a mutator its family registers no inverse for."""
+        if not op.mutator:
+            return ()
+        family = self.family_of(name)
+        base = op.base_name or op.name
+        for inverse in self._inverse_specs.get(family, ()):
+            if inverse.op == base:
+                params = self.spec(family).operations[base].params
+                return inverse.calls(
+                    {p.name: v for p, v in zip(params, args)}, result)
+        return NoInverse(family, base)
 
     def has_implementation(self, name: str) -> bool:
         return name in self._implementations

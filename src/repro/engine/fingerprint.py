@@ -212,12 +212,18 @@ def compiled_admission_fingerprint(spec_fp: dict[str, Any] | str, cond,
 
 
 def inverse_fingerprint(inverse) -> dict[str, Any]:
-    """Fingerprint of one inverse catalog entry (its undo program)."""
+    """Fingerprint of one inverse catalog entry: its undo program, the
+    guard and both branches call by call (the operation, and each
+    argument's kind and name)."""
+    def branch(calls) -> list:
+        return [[call.op, [[arg.kind.value, arg.name] for arg in call.args]]
+                for call in calls]
     return {
         "family": inverse.family,
         "op": inverse.op,
         "guard": inverse.guard.value,
-        "program": inverse.render(),
+        "then": branch(inverse.then),
+        "else": branch(inverse.els),
     }
 
 

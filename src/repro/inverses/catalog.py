@@ -10,12 +10,16 @@ previous value, ``remove_at``'s removed element, and so on.
 The undo program is a tiny guarded-call language (mirroring the inverse
 testing methods of Figures 2-3/2-4): an optional guard on the return
 value selects between a *then* call sequence and an *else* sequence.
+:meth:`InverseSpec.calls` is its one interpreter: the verifier applies
+its calls to abstract states (Property 3), and the runtime resolves each
+executed mutator's calls once and applies them on abort.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Any, Mapping
 
 
 class ArgKind(enum.Enum):
@@ -23,7 +27,6 @@ class ArgKind(enum.Enum):
 
     PARAM = "param"          # a parameter of the original operation
     RESULT = "result"        # the original operation's return value
-    NEG_RESULT = "neg"       # unused; kept for symmetry with NEG_PARAM
     NEG_PARAM = "neg_param"  # arithmetic negation of a parameter
 
 
@@ -43,6 +46,15 @@ class Arg:
     @staticmethod
     def neg_param(name: str) -> "Arg":
         return Arg(ArgKind.NEG_PARAM, name)
+
+    def value(self, params: Mapping[str, Any], result: Any) -> Any:
+        """The argument's value for one execution of the original
+        operation: its parameters by name and its return value."""
+        if self.kind is ArgKind.PARAM:
+            return params[self.name]
+        if self.kind is ArgKind.NEG_PARAM:
+            return -params[self.name]
+        return result
 
 
 class Guard(enum.Enum):
@@ -80,17 +92,50 @@ class InverseSpec:
     then: tuple[InverseCall, ...]
     els: tuple[InverseCall, ...] = field(default=())
 
+    def calls(self, params: Mapping[str, Any],
+              result: Any) -> tuple[tuple[str, tuple[Any, ...]], ...]:
+        """The undo program run for one execution of the original
+        operation: the *then* branch when the guard holds on ``result``
+        and the *else* branch otherwise, each call's arguments bound
+        from ``params`` (parameter name -> value) and ``result``."""
+        if self.guard is Guard.NONE:
+            holds = True
+        elif self.guard is Guard.RESULT_TRUE:
+            holds = bool(result)
+        else:
+            holds = result is not None
+        return tuple(
+            (call.op, tuple(arg.value(params, result) for arg in call.args))
+            for call in (self.then if holds else self.els))
+
     def render(self, receiver: str = "s2") -> str:
         """Render the inverse column of Table 5.10."""
-        then_text = "; ".join(c.render(receiver) for c in self.then)
-        if self.guard is Guard.NONE:
-            return then_text
-        if self.guard is Guard.RESULT_TRUE:
-            return f"if r = true then {then_text}"
-        els_text = "; ".join(c.render(receiver) for c in self.els)
+        text = "; ".join(c.render(receiver) for c in self.then)
+        if self.guard is not Guard.NONE or self.els:
+            test = {Guard.NONE: "true", Guard.RESULT_TRUE: "r = true",
+                    Guard.RESULT_NOT_NULL: "r ~= null"}[self.guard]
+            text = f"if {test} then {text}"
         if self.els:
-            return f"if r ~= null then {then_text} else {els_text}"
-        return f"if r ~= null then {then_text}"
+            text += " else " + "; ".join(c.render(receiver)
+                                         for c in self.els)
+        return text
+
+
+@dataclass(frozen=True)
+class NoInverse:
+    """The undo of a mutator whose family registers no inverse for it:
+    the undo guard refuses every admission against the execution, and
+    a rollback that reaches it raises :class:`~repro.api.UnknownNameError`
+    naming the family and the operation (iterating it, as a rollback
+    iterates an undo's calls, raises)."""
+
+    family: str
+    op: str
+
+    def __iter__(self):
+        from ..api.errors import UnknownNameError
+        raise UnknownNameError(f"inverse for {self.family} operation",
+                               self.op)
 
 
 #: The eight inverse operations of Table 5.10.

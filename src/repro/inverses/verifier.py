@@ -17,7 +17,7 @@ from typing import Any
 from ..eval.enumeration import Scope
 from ..eval.values import Record
 from ..specs import DataStructureSpec
-from .catalog import ArgKind, Guard, InverseCall, InverseSpec
+from .catalog import Guard, InverseSpec
 
 
 def _registry(registry):
@@ -29,41 +29,16 @@ class InverseError(ValueError):
     """The inverse's precondition failed where Property 3 requires it."""
 
 
-def resolve_args(call: InverseCall, params: dict[str, Any],
-                 result: Any) -> tuple[Any, ...]:
-    """Evaluate an inverse call's argument expressions."""
-    values = []
-    for arg in call.args:
-        if arg.kind is ArgKind.PARAM:
-            values.append(params[arg.name])
-        elif arg.kind is ArgKind.NEG_PARAM:
-            values.append(-params[arg.name])
-        else:
-            values.append(result)
-    return tuple(values)
-
-
-def guard_selects_then(guard: Guard, result: Any) -> bool:
-    """Whether the guard routes execution to the *then* branch."""
-    if guard is Guard.NONE:
-        return True
-    if guard is Guard.RESULT_TRUE:
-        return bool(result)
-    return result is not None
-
-
 def apply_inverse(spec: DataStructureSpec, inverse: InverseSpec,
                   state: Record, params: dict[str, Any],
                   result: Any) -> Record:
     """Run the undo program on ``state``; raises on precondition failure."""
-    calls = inverse.then if guard_selects_then(inverse.guard, result) \
-        else inverse.els
-    for call in calls:
-        op = spec.operations[call.op]
-        args = resolve_args(call, params, result)
+    for name, args in inverse.calls(params, result):
+        op = spec.operations[name]
         if not spec.precondition_holds(op, state, args):
             raise InverseError(
-                f"inverse call {call.render()} precondition failed")
+                f"inverse call {name}({', '.join(map(repr, args))}) "
+                f"precondition failed")
         state, _ = op.semantics(state, args)
     return state
 
@@ -175,17 +150,17 @@ class InverseTestingMethod:
         else:
             rtype = java_types[op.result_sort.value]
             first = f"    {rtype} r = {call};"
-        then_text = "; ".join(
-            c.render("s") for c in self.inverse.then) + ";"
-        if self.inverse.guard is Guard.NONE:
+        inverse = self.inverse
+        then_text = "; ".join(c.render("s") for c in inverse.then) + ";"
+        if inverse.guard is Guard.NONE and not inverse.els:
             undo = f"    {then_text}"
-        elif self.inverse.guard is Guard.RESULT_TRUE:
-            undo = f"    if (r) {{ {then_text} }}"
         else:
-            els_text = "; ".join(
-                c.render("s") for c in self.inverse.els) + ";"
-            undo = (f"    if (r != null) {{ {then_text} }} "
-                    f"else {{ {els_text} }}")
+            test = {Guard.NONE: "true", Guard.RESULT_TRUE: "r",
+                    Guard.RESULT_NOT_NULL: "r != null"}[inverse.guard]
+            undo = f"    if ({test}) {{ {then_text} }}"
+        if inverse.els:
+            els_text = "; ".join(c.render("s") for c in inverse.els) + ";"
+            undo += f" else {{ {els_text} }}"
         pre_parts = ["s ~= null"]
         for p in op.params:
             if p.sort.value == "obj":

@@ -9,7 +9,7 @@ from .backend import (AdmissionBackend, LocalAdmissionBackend,
 from .gatekeeper import ConflictManager, LoggedOperation, POLICIES
 from .sharding import (FAMILY_ROUTERS, ShardRouter, single_region_router,
                        stable_hash)
-from .transaction import Transaction, TxnStatus, UndoEntry, rollback
+from .transaction import Transaction, TxnStatus, rollback
 from .executor import (ExecutionReport, RefinementError, RoundsExhausted,
                        SpeculativeExecutor)
 
@@ -20,7 +20,7 @@ __all__ = [
     "WaitDieController", "HybridController", "make_controller",
     "FAMILY_ROUTERS", "ShardRouter", "single_region_router",
     "stable_hash",
-    "Transaction", "TxnStatus", "UndoEntry", "rollback",
+    "Transaction", "TxnStatus", "rollback",
     "ExecutionReport", "RefinementError", "RoundsExhausted",
     "SpeculativeExecutor",
 ]

@@ -270,18 +270,19 @@ class StructureHandle:
         return self._state
 
     def apply(self, op: Any, args: tuple[Any, ...]) -> tuple[Any, Any]:
-        """Execute ``op(args)``; returns :func:`invoke_concrete`'s
-        ``(raw, visible)`` results."""
-        results = invoke_concrete(self.impl, op, args)
+        """Execute ``op(args)``; returns its undo, resolved once from the
+        concrete method's raw return value (the paper: "any system that
+        applies such inverse operations must therefore store the return
+        value"), and the result the client sees."""
+        raw, visible = invoke_concrete(self.impl, op, args)
         if op.mutator:
             self._state = op.semantics(self._state, args)[0]
-        return results
+        return self.registry.resolve_undo(self.family, op, args, raw), visible
 
     def undo(self, undo_log: list) -> None:
-        """Roll ``undo_log`` back through the verified inverses."""
+        """Roll ``undo_log`` back, most recent undo first."""
         state = self._state
-        for op_name, args in rollback(self.impl, self.family, undo_log,
-                                      registry=self.registry):
+        for op_name, args in rollback(self.impl, undo_log):
             state = self._operations[op_name].semantics(state, args)[0]
         self._state = state
 
@@ -599,16 +600,12 @@ class SpeculativeExecutor:
                     # so their behaviour is unchanged.
                     blocked.clear()
             return False
-        # Execute through the canonical concrete dispatch; keep the raw
-        # return value for the undo log even when the client discards it
-        # (the paper: "any system that applies such inverse operations
-        # must therefore store the return value").
-        raw_result, visible = structure.apply(op, args)
+        undo, visible = structure.apply(op, args)
         after = structure.state()
         manager.record(LoggedOperation(
             txn_id=txn.txn_id, op_name=op_name, args=args,
-            result=visible, before=before, after=after))
-        txn.record(op, args, raw_result, visible)
+            result=visible, before=before, after=after, undo=undo))
+        txn.record(op, undo, visible)
         report.operations += 1
         return True
 
@@ -663,14 +660,14 @@ class SpeculativeExecutor:
                 controller.on_outcome(op_shards, not admitted)
             if admitted:
                 with state_lock:
-                    raw_result, visible = structure.apply(op, args)
+                    undo, visible = structure.apply(op, args)
                     after = structure.state()
                     report.operations += 1
                 manager.record(LoggedOperation(
                     txn_id=txn.txn_id, op_name=op_name, args=args,
-                    result=visible, before=before, after=after),
-                    shard_ids=op_shards)
-                txn.record(op, args, raw_result, visible)
+                    result=visible, before=before, after=after,
+                    undo=undo), shard_ids=op_shards)
+                txn.record(op, undo, visible)
                 outcome = "admitted"
             else:
                 action = self.conflict_mode

@@ -47,10 +47,10 @@ from ..compiled.admission import PairPlan, armed
 from ..compiled.lowering import SlotMismatch
 from ..eval.interpreter import EvalContext, EvalError, evaluate
 from ..eval.values import Record
+from ..inverses import NoInverse
 from ..specs import DataStructureSpec
 from .sharding import (ShardRouter, VIRTUAL_REGIONS, check_shard_count,
                        normalize_route, route)
-from .transaction import resolve_inverse_calls
 
 POLICIES = ("commutativity", "read-write", "mutex")
 
@@ -116,6 +116,9 @@ class LoggedOperation:
     before: Record
     #: Abstract state immediately after the operation ran.
     after: Record
+    #: What an abort of the operation applies: the calls its verified
+    #: inverse resolved to (see :meth:`~repro.api.Registry.resolve_undo`).
+    undo: Any
 
 
 class _Shard:
@@ -188,9 +191,6 @@ class ConflictManager:
         #: router registered) never declares a pair disjoint.
         self.router: ShardRouter | None = registry.shard_router(ds_name)
         self._virtual_routes: dict[tuple[str, tuple], frozenset[int] | None] = {}
-        #: (op, args, before) -> resolved abstract undo calls (see
-        #: :meth:`_undo_plan`).
-        self._undo_plans: dict[tuple, tuple | None] = {}
         #: txn_id -> shard ids holding at least one of its entries.
         self._touched: dict[int, set[int]] = {}
         #: Whether the drift guard tries the registry's drift-stable
@@ -213,10 +213,10 @@ class ConflictManager:
             armed(registry, ds_name, stable)
             if policy == "commutativity" else None)
         #: The undo-commutation memo: the verdict of
-        #: :meth:`_undo_commutes` is a pure function of immutable
-        #: values (the logged call, its pre-state, the incoming call,
-        #: the current state — abstract semantics are deterministic),
-        #: and hot-key traffic re-asks the same question constantly.
+        #: :meth:`_undo_commutes_fresh` is a pure function of immutable
+        #: values (the logged undo, the incoming call, the current
+        #: state — abstract semantics are deterministic), and hot-key
+        #: traffic re-asks the same question constantly.
         #: A Record caches its hash on first use, so keys are cheap.
         #: Benign races on the dict are fine (concurrent shards compute
         #: identical values), same as the virtual-route memo.
@@ -519,10 +519,11 @@ class ConflictManager:
         ``T1: put_(k, x); T2: put_(k, x)`` admits, ``T1`` aborts, and
         the rollback rewrites ``k`` to its old value *under* ``T2``'s
         logically-committed write — a lost update the serial replay
-        exposes.  The guard re-runs the inverse calls and ``op2``
-        abstractly, in both orders, from the current state, and refuses
-        the admission when they disagree (counted per shard, under the
-        shard's lock, like every other admission counter).
+        exposes.  The guard runs the logged entry's resolved undo calls
+        and ``op2`` abstractly, in both orders, from the current state,
+        and refuses the admission when they disagree (counted per
+        shard, under the shard's lock, like every other admission
+        counter).
         """
         if not self._undo_commutes(plan, logged, args2, current):
             shard.undo_refusals += 1
@@ -546,39 +547,35 @@ class ConflictManager:
             # skipping the abstract re-execution here keeps the guard
             # off the fast path for region-disjoint traffic.
             return True
-        # ``logged.after`` is determined by (op, args, before) —
-        # abstract semantics are deterministic — so this key covers
-        # every input of the verdict.
-        key = (logged.op_name, logged.args, logged.before, op2.name,
-               args2, current)
+        # The key covers every input of the verdict, so equal undo
+        # programs share one.
+        key = (logged.undo, op2.name, args2, current)
         try:
             return self._undo_memo[key]
         except KeyError:
             pass
-        verdict = self._undo_commutes_fresh(logged, op1, op2, args2,
+        verdict = self._undo_commutes_fresh(logged.undo, op2, args2,
                                             current)
         self._undo_memo[key] = verdict
         return verdict
 
-    def _undo_commutes_fresh(self, logged: LoggedOperation, op1, op2,
-                             args2: tuple[Any, ...],
+    def _undo_commutes_fresh(self, undo, op2, args2: tuple[Any, ...],
                              current: Record) -> bool:
         """The uncached undo-commutation check (both orders, from
         scratch); see :meth:`_undo_commutes` for the contract."""
-        undo_ops = self._undo_plan(logged, op1)
-        if undo_ops is None:
+        if isinstance(undo, NoInverse):
             # No registered inverse: an abort could not undo the logged
             # operation at all, so admitting against it proves nothing.
             return False
-        if not undo_ops:
+        if not undo:
             return True  # guard decided the inverse away (no-op undo)
         # Order A: op2 now, the undo later (the actual history shape).
         if not self.spec.precondition_holds(op2, current, args2):
             return False
         mid_a, r2_a = op2.semantics(current, args2)
-        fin_a = self._run_abstract(mid_a, undo_ops)
+        fin_a = self._run_abstract(mid_a, undo)
         # Order B: the undo first, op2 after (op2 serialized past it).
-        mid_b = self._run_abstract(current, undo_ops)
+        mid_b = self._run_abstract(current, undo)
         if fin_a is None or mid_b is None:
             return False  # some order is undefined: conservative
         if not self.spec.precondition_holds(op2, mid_b, args2):
@@ -590,39 +587,13 @@ class ConflictManager:
             return False
         return True
 
-    def _undo_plan(self, logged: LoggedOperation, op1):
-        """The abstract inverse calls an abort of ``logged`` would
-        apply: ``None`` when no inverse is registered, ``()`` when the
-        guard decides the undo away.  Fixed per (operation, arguments,
-        pre-state), so memoized — benign races on the dict are fine
-        (concurrent shards compute identical values), same as the
-        virtual-route memo."""
-        key = (logged.op_name, logged.args, logged.before)
-        try:
-            return self._undo_plans[key]
-        except KeyError:
-            pass
-        base_name = op1.base_name or op1.name
-        base = self.spec.operations[base_name]
-        try:
-            inverse = self.registry.inverse(self.ds_name, base_name)
-        except UnknownNameError:
-            plan = None
-        else:
-            # The undo log keeps the *raw* result even for discard
-            # variants; recover it by replaying the abstract semantics.
-            _, raw_result = base.semantics(logged.before, logged.args)
-            plan = tuple(
-                (self.spec.operations[name], call_args)
-                for name, call_args in resolve_inverse_calls(
-                    inverse, base, logged.args, raw_result))
-        self._undo_plans[key] = plan
-        return plan
-
-    def _run_abstract(self, state: Record | None, seq):
-        """Thread a state through abstract semantics; ``None`` when a
-        precondition fails along the way."""
-        for op, args in seq:
+    def _run_abstract(self, state: Record | None, calls):
+        """Thread a state through the abstract semantics of ``(operation,
+        arguments)`` calls; ``None`` when a precondition fails along the
+        way."""
+        operations = self.spec.operations
+        for name, args in calls:
+            op = operations[name]
             if not self.spec.precondition_holds(op, state, args):
                 return None
             state, _ = op.semantics(state, args)

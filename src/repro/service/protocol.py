@@ -43,10 +43,10 @@ Request frames (``t`` field):
   of the routed set (cluster workers own
   ``shard_id % workers == worker_id``).
 - ``record``  — log an executed ``(txn, op, args, result)``; the server
-  derives the logged ``before`` and ``after`` states itself and keeps
-  the undo entry a mutator needs.  An explicit ``shards`` list
-  restricts storage to that slice (possibly empty: every cluster worker
-  sees every record, to keep its state).
+  derives the logged ``before`` and ``after`` states itself and
+  resolves a mutator's undo from its kept state.  An explicit
+  ``shards`` list restricts storage to that slice (possibly empty:
+  every cluster worker sees every record, to keep its state).
 - ``release`` — drop a transaction's outstanding ops; ``reason="abort"``
   first undoes its mutations on the kept state.
 - ``reset``   — clear a domain's log, kept state, counters and outcomes

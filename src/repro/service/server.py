@@ -42,7 +42,6 @@ from ..eval.interpreter import EvalError
 from ..eval.values import Record
 from ..reporting.tables import percentile
 from ..runtime.gatekeeper import ConflictManager, LoggedOperation
-from ..runtime.transaction import UndoEntry, undo_calls
 from . import protocol
 from .metrics import prometheus_text, snapshot_json
 
@@ -75,8 +74,9 @@ class _Domain:
         #: ``state`` frame on; ``None`` until one arrives.
         self.state = None
         #: txn id -> the undo log of a transaction with recorded,
-        #: unreleased operations (empty when it only read).
-        self.txns: dict[int, list[UndoEntry]] = {}
+        #: unreleased operations (empty when it only read): one undo
+        #: per mutator, as :class:`~repro.runtime.Transaction` keeps it.
+        self.txns: dict[int, list] = {}
         self.structure = structure
         self.policy = policy
         self.shards = shards
@@ -108,31 +108,35 @@ class _Domain:
 
     def apply(self, txn_id: int, op, args: tuple[Any, ...]):
         """Advance the kept state by ``op(args)``, as the executor's
-        structure handle does, and log the undo entry a mutator needs;
-        returns the ``(before, after)`` states."""
+        structure handle does, and log a mutator's undo; returns the
+        ``(before, after)`` states and the undo."""
         before = after = self.kept_state()
         undo_log = self.txns.setdefault(txn_id, [])
+        undo = ()
         if op.mutator:
             # A discard variant steps as its base operation, whose
-            # result its undo needs (compare ConflictManager._undo_plan).
+            # result its undo is resolved from.
+            manager = self.manager
             base_name = op.base_name or op.name
-            after, raw = self.manager.spec.operations[base_name].semantics(
+            after, raw = manager.spec.operations[base_name].semantics(
                 before, args)
-            undo_log.append(UndoEntry(base_name, args, raw))
+            undo = manager.registry.resolve_undo(manager.ds_name, op,
+                                                 args, raw)
+            undo_log.append(undo)
             self.state = after
-        return before, after
+        return before, after, undo
 
     def undo(self, txn_id: int) -> None:
-        """Drop ``txn_id``'s undo log after applying its inverse calls,
-        most recent first, to the kept state."""
+        """Drop ``txn_id``'s undo log after stepping the kept state
+        through its calls, most recent undo first."""
         undo_log = self.txns.pop(txn_id, None)
         if not undo_log:
             return
         operations = self.manager.spec.operations
         state = self.state
-        for op_name, args in undo_calls(self.manager.ds_name, undo_log,
-                                        self.manager.registry):
-            state = operations[op_name].semantics(state, args)[0]
+        for undo in reversed(undo_log):
+            for op_name, args in undo:
+                state = operations[op_name].semantics(state, args)[0]
         self.state = state
 
     def close(self) -> None:
@@ -459,11 +463,11 @@ class AdmissionServer:
             shard_ids = manager.shards_for(op.name, args)
         else:
             shard_ids = self._shard_slice(manager, frame["shards"])
-        before, after = domain.apply(frame["txn"], op, args)
+        before, after, undo = domain.apply(frame["txn"], op, args)
         if shard_ids:
             entry = LoggedOperation(txn_id=frame["txn"], op_name=op.name,
                                     args=args, result=result,
-                                    before=before, after=after)
+                                    before=before, after=after, undo=undo)
             manager.record(entry, shard_ids=shard_ids)
         return {"ok": True, "shards": list(shard_ids)}
 

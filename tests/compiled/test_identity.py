@@ -142,7 +142,8 @@ def test_plain_gatekeeper_decides_through_closures():
     before = Record(contents=frozenset({"a"}), size=1)
     after = Record(contents=frozenset({"a", "b"}), size=2)
     gk.record(LoggedOperation(txn_id=1, op_name="add", args=("b",),
-                              result=True, before=before, after=after))
+                              result=True, before=before, after=after,
+                              undo=(("remove", ("b",)),)))
     assert gk.admits(2, "contains", ("c",), after)
     assert gk.counters()["compiled_hits"] > 0
 
@@ -185,7 +186,8 @@ def _arraylist_eval_error():
     gk = ConflictManager("ArrayList")
     state = Record(elems=("a",))
     gk.record(LoggedOperation(txn_id=1, op_name="get", args=(0,),
-                              result="a", before=state, after=state))
+                              result="a", before=state, after=state,
+                              undo=()))
     gk.admits(2, "set", (1, "x"), state)
     return gk
 

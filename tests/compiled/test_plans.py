@@ -26,9 +26,11 @@ EMPTY = Record(contents=frozenset(), size=0)
 HOLDS_A = Record(contents=frozenset({"a"}), size=1)
 
 
-def _logged(op_name, args, result, before=HOLDS_A, after=HOLDS_A):
+def _logged(op_name, args, result, before=HOLDS_A, after=HOLDS_A,
+            undo=()):
     return LoggedOperation(txn_id=1, op_name=op_name, args=args,
-                           result=result, before=before, after=after)
+                           result=result, before=before, after=after,
+                           undo=undo)
 
 
 def _only(**counts):
@@ -117,7 +119,8 @@ def test_constant_pair_after_a_mutator_keeps_the_undo_guard(closure_calls):
     plan = armed(registry, "HashSet", False)["contains"]["add"]
     assert plan.between.is_const and not plan.reads_true
     gk = ConflictManager("HashSet", registry=registry)
-    gk.record(_logged("add", ("a",), True, before=EMPTY, after=HOLDS_A))
+    gk.record(_logged("add", ("a",), True, before=EMPTY, after=HOLDS_A,
+                      undo=(("remove", ("a",)),)))
     assert not gk.admits(2, "contains", ("a",), HOLDS_A)
     assert closure_calls == [plan.between]
     assert gk.counters() == _only(conflict_checks=1, conflicts=1,

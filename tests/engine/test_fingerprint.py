@@ -134,3 +134,35 @@ def test_inverse_plan_keys(register_registry, register_scope):
     task = plan.tasks[0]
     assert task.kind == "inverse" and task.inverse_op == "write"
     assert task.key
+
+
+def _inverse_key(inverse):
+    """The task key of ``inverse``, registered as HashSet's only one."""
+    from repro.api import Registry
+    from repro.specs import set_spec
+
+    registry = Registry()
+    registry.register_spec("Set", set_spec.make_spec, aliases=("HashSet",))
+    registry.register_inverses("HashSet", [inverse])
+    [task] = TaskPlanner(registry).plan_inverses(("HashSet",), SCOPE).tasks
+    return task.key
+
+
+def test_inverse_keys_cover_every_branch_and_argument_kind():
+    """Two undo programs share a key only if they are the same program:
+    a key sees the else branch under every guard, and each argument's
+    kind, not just how the program prints."""
+    from repro.inverses import Arg, Guard, InverseCall, InverseSpec
+
+    def add_inverse(then, els=()):
+        return InverseSpec(family="Set", op="add", guard=Guard.RESULT_TRUE,
+                           then=then, els=els)
+
+    remove_v = InverseCall("remove", (Arg.param("v"),))
+    add_v = InverseCall("add", (Arg.param("v"),))
+    assert _inverse_key(add_inverse((remove_v,))) \
+        != _inverse_key(add_inverse((remove_v,), (add_v,)))
+    by_result = add_inverse((InverseCall("remove", (Arg.result(),)),))
+    by_param = add_inverse((InverseCall("remove", (Arg.param("r"),)),))
+    assert by_result.render() == by_param.render()
+    assert _inverse_key(by_result) != _inverse_key(by_param)

@@ -27,7 +27,8 @@ def test_empty_shard_set_checks_nothing():
     state = _seq_state("a")
     gk.record(LoggedOperation(txn_id=1, op_name="set", args=(0, "b"),
                               result=None, before=state,
-                              after=_seq_state("b")))
+                              after=_seq_state("b"),
+                              undo=(("set", (0, "a")),)))
     admitted, holder = gk.check_many(2, "set", (0, "x"),
                                      _seq_state("b"), shard_ids=())
     assert admitted is True and holder is None
@@ -39,7 +40,8 @@ def test_own_operations_are_skipped():
     state = _seq_state("a")
     gk.record(LoggedOperation(txn_id=1, op_name="set", args=(0, "b"),
                               result=None, before=state,
-                              after=_seq_state("b")))
+                              after=_seq_state("b"),
+                              undo=(("set", (0, "a")),)))
     admitted, holder = gk.check_many(1, "set", (0, "x"), _seq_state("b"))
     assert admitted is True and holder is None
     assert gk.counters()["conflict_checks"] == 0  # self-pairs are not checks
@@ -59,11 +61,12 @@ def test_partial_admission_stops_at_the_first_conflict():
     # disjoint bands.
     gk.record(LoggedOperation(txn_id=1, op_name="get", args=(0,),
                               result="a", before=_seq_state("a"),
-                              after=_seq_state("a")))
+                              after=_seq_state("a"), undo=()))
     # Pair 2: an outstanding write to the same index — a certain
     # conflict.
     gk.record(LoggedOperation(txn_id=1, op_name="set", args=(8, "b"),
-                              result=None, before=wide, after=wide))
+                              result=None, before=wide, after=wide,
+                              undo=(("set", (8, "a")),)))
     admitted, holder = gk.check_many(2, "set", (8, "x"), wide)
     assert admitted is False and holder == 1
     assert gk.counters()["drift_fallbacks"] == 1
@@ -79,7 +82,8 @@ def test_holder_identifies_the_conflicting_transaction():
     for txn_id in (4, 7):
         gk.record(LoggedOperation(txn_id=txn_id, op_name="set",
                                   args=(0, f"v{txn_id}"), result=None,
-                                  before=state, after=state))
+                                  before=state, after=state,
+                                  undo=(("set", (0, "a")),)))
     admitted, holder = gk.check_many(9, "set", (0, "x"), state)
     assert admitted is False and holder == 4
 
@@ -94,7 +98,8 @@ def test_eval_error_mid_batch_is_decided_per_pair():
     # Same-band unevaluable pair: conservative conflict.
     state = _seq_state("a")
     gk.record(LoggedOperation(txn_id=1, op_name="get", args=(0,),
-                              result="a", before=state, after=state))
+                              result="a", before=state, after=state,
+                              undo=()))
     admitted, holder = gk.check_many(2, "set", (1, "x"), state)
     assert admitted is False and holder == 1
     assert gk.counters()["drift_fallbacks"] == 1
@@ -115,7 +120,8 @@ def test_sharded_check_many_respects_the_shard_ids_contract():
     gk = ConflictManager("ArrayList", shards=4)
     state = _seq_state("a", "b", "c")
     gk.record(LoggedOperation(txn_id=1, op_name="get", args=(0,),
-                              result="a", before=state, after=state))
+                              result="a", before=state, after=state,
+                              undo=()))
     shard_ids = gk.shards_for("set", (0, "x"))
     admitted, holder = gk.check_many(2, "set", (0, "x"), state,
                                      shard_ids=shard_ids)

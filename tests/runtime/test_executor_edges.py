@@ -246,17 +246,18 @@ def test_executor_dispatches_custom_discard_variant_via_base_name():
 
 
 def test_transaction_record_logs_base_name():
-    """The fixed ``Transaction.record``: undo entries key by the base
-    operation so rollback's inverse lookup (Table 5.10) matches."""
+    """A discard variant's undo resolves through its base operation's
+    inverse (Table 5.10), from the raw result the client never sees,
+    and ``Transaction.record`` logs it."""
     from repro.api import DEFAULT_REGISTRY
     op = DEFAULT_REGISTRY.spec("HashSet").operations["add_"]
+    undo = DEFAULT_REGISTRY.resolve_undo("HashSet", op, ("a",), True)
+    assert undo == (("remove", ("a",)),)  # add's inverse, raw result True
     txn = Transaction(0, [("add_", ("a",))])
-    txn.record(op, ("a",), True, None)
+    txn.record(op, undo, None)
     assert txn.next_op == 1
     assert txn.results == [None]
-    [entry] = txn.undo_log
-    assert entry.op_name == "add"        # base name, not "add_"
-    assert entry.result is True          # raw result, not the None
+    assert txn.undo_log == [undo]
 
 
 def test_rollback_of_discard_variants_after_record():
@@ -287,7 +288,7 @@ def test_unevaluable_condition_reports_conflict_instead_of_raising():
     from repro.runtime import LoggedOperation
     gk.record(LoggedOperation(txn_id=1, op_name="lastIndexOf",
                               args=("v0",), result=0, before=before,
-                              after=before))
+                              after=before, undo=()))
     assert gk.admits(2, "remove_at", (3,), current) is False
     assert gk.counters()["conflicts"] == 1
 

@@ -9,10 +9,10 @@ from repro.runtime import (ConflictManager, LoggedOperation,
                            SpeculativeExecutor)
 
 
-def _logged(txn_id, op, args, result, before):
+def _logged(txn_id, op, args, result, before, undo=()):
     return LoggedOperation(txn_id=txn_id, op_name=op, args=args,
                            result=result, before=before,
-                           after=before)
+                           after=before, undo=undo)
 
 
 def test_gatekeeper_admits_commuting_ops():
@@ -59,7 +59,8 @@ def test_gatekeeper_policies_ordering():
 def test_gatekeeper_release():
     gk = ConflictManager("HashSet")
     s0 = Record(contents=frozenset(), size=0)
-    gk.record(_logged(1, "add", ("a",), True, s0))
+    gk.record(_logged(1, "add", ("a",), True, s0,
+                      undo=(("remove", ("a",)),)))
     assert len(gk.outstanding()) == 1
     gk.release(1)
     assert gk.outstanding() == []

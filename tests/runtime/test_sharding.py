@@ -156,16 +156,18 @@ def test_custom_structure_without_router_is_single_region():
 
 # -- counters ------------------------------------------------------------------
 
-def _entry(txn_id, op, args, result, state):
+def _entry(txn_id, op, args, result, state, undo=()):
     return LoggedOperation(txn_id=txn_id, op_name=op, args=args,
-                           result=result, before=state, after=state)
+                           result=result, before=state, after=state,
+                           undo=undo)
 
 
 def test_per_shard_counters_sum_to_totals():
     manager = ConflictManager("HashSet", shards=4)
     s0 = Record(contents=frozenset(), size=0)
     for i, key in enumerate(("a", "b", "c", "d")):
-        manager.record(_entry(1, "add", (key,), True, s0))
+        manager.record(_entry(1, "add", (key,), True, s0,
+                              undo=(("remove", (key,)),)))
     manager.admits(2, "size", (), s0)       # scans everything
     manager.admits(2, "add", ("a",), s0)    # scans one shard + global
     stats = manager.shard_stats()
@@ -194,7 +196,8 @@ def test_release_clears_all_regions():
     manager = ConflictManager("HashSet", shards=4)
     s0 = Record(contents=frozenset(), size=0)
     manager.record(_entry(1, "size", (), 0, s0))
-    manager.record(_entry(1, "add", ("a",), True, s0))
+    manager.record(_entry(1, "add", ("a",), True, s0,
+                          undo=(("remove", ("a",)),)))
     assert len(manager.outstanding(1)) == 2
     assert manager.touched(1)
     manager.release(1)

@@ -149,7 +149,8 @@ def test_interleaved_batches_across_two_pooled_connections(live_cluster):
             after = _seq_state(*elems)
             manager.record(LoggedOperation(
                 txn_id=1, op_name="set", args=(index, "b"),
-                result="a", before=before, after=after))
+                result="a", before=before, after=after,
+                undo=(("set", (index, "a")),)))
         # Every worker sees every record, behind the run's state frame,
         # so that each keeps the client's state.
         assert [[frame["t"] for frame in pending]

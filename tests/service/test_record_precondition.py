@@ -24,11 +24,13 @@ def _logged(domain):
     ("ArrayList", Record(elems=("a", "b", "c"), size=3),
      [("remove_at", (-1,)), ("remove_at", (3,)), ("add_at", (4, "z")),
       ("set", (0, None)), ("remove_at", (0, 1))],
-     ("remove_at", (2,), "c", Record(elems=("a", "b"), size=2))),
+     ("remove_at", (2,), "c", Record(elems=("a", "b"), size=2),
+      (("add_at", (2, "c")),))),
     ("HashSet", Record(contents=frozenset({"a"}), size=1),
      [("add", (None,)), ("remove_", (None,)), ("add", ())],
      ("add", ("b",), True,
-      Record(contents=frozenset({"a", "b"}), size=2))),
+      Record(contents=frozenset({"a", "b"}), size=2),
+      (("remove", ("b",)),))),
 ])
 def test_a_record_outside_the_precondition_changes_nothing(
         client, live_server, structure, state, bad, good):
@@ -43,8 +45,8 @@ def test_a_record_outside_the_precondition_changes_nothing(
         assert domain.state is state or domain.state == state
         assert domain.txns == {}
         assert all(not log for log in _logged(domain))
-    op, args, result, after = good
+    op, args, result, after, undo = good
     client.call(protocol.record_frame(domain_id, 1, op, args, result))
     assert domain.state == after
-    assert [entry.op_name for entry in domain.txns[1]] == [op]
+    assert domain.txns[1] == [undo]
     assert any(log for log in _logged(domain))

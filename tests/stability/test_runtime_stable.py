@@ -57,7 +57,8 @@ def test_stable_condition_admits_drifted_disjoint_pair():
         gk = ConflictManager("HashTable", registry=registry, stable=stable)
         gk.record(LoggedOperation(txn_id=1, op_name="put_",
                                   args=("k1", "x"), result=None,
-                                  before=before, after=after))
+                                  before=before, after=after,
+                                  undo=(("remove", ("k1",)),)))
         assert gk.admits(2, "get", ("k2",), drifted)
         if stable:
             assert gk.counters()["stable_hits"] == 1
@@ -75,7 +76,8 @@ def test_stable_condition_false_falls_back_conservatively():
     before, after, drifted = _drifted_map_states()
     gk = ConflictManager("HashTable", registry=registry, stable=True)
     gk.record(LoggedOperation(txn_id=1, op_name="put_", args=("k1", "x"),
-                              result=None, before=before, after=after))
+                              result=None, before=before, after=after,
+                              undo=(("remove", ("k1",)),)))
     # Same key: the weakening is false, the router sees one region.
     assert not gk.admits(2, "get", ("k1",), drifted)
     assert gk.counters()["stable_hits"] == 0
