@@ -19,20 +19,18 @@ Commands:
   condition into a drift-stability verdict (stable / weakened / proved
   / synthesized / fragile) plus, where possible, a drift-stable
   weakening, through the cached engine;
-- ``bench [--suite verify|runtime|nogil] [--arm TIER] [--seeds N]`` —
-  ``verify``: time a cold verification sweep per structure into
-  ``BENCH_verify.json``; ``runtime``: sweep the throughput harness
-  over every structure and policy into ``BENCH_runtime.json``
-  (``--arm weakened`` adds the drift-admission gate on preloaded
-  hot-key workloads, ``proved`` its prover leg, ``synthesized`` the
-  abduction gate; ``--seeds N`` the p50/p95 seed matrix);
-  ``nogil``: the informational free-threaded scaling sweep into
-  ``BENCH_nogil.json``; ``service``: the client/server admission bench
-  into ``BENCH_service.json`` (four-leg decision identity across
-  local/served/cluster deployments, cross-process latency/throughput,
-  /metrics, and — with ``--soak`` — the saturation-knee gate: a
-  multi-worker cluster must out-knee the single process);
-  verify/runtime optionally gate against a checked-in baseline;
+- ``bench [--suite verify|runtime|service] [--shards S] [--arm TIER]``
+  — the timing gates, plus the one drift-stable gate whose
+  ``--shards 4`` row is red (the deterministic gates are the tier-1
+  table ``tests/test_gates.py``).  ``verify``: time a cold
+  verification sweep per structure into ``BENCH_verify.json``;
+  ``runtime``: sweep the throughput harness over every structure and
+  policy into ``BENCH_runtime.json`` (``--shards S > 1`` adds the
+  flat-vs-sharded scaling gate, ``--arm weakened`` the drift-admission
+  gate on preloaded hot-key workloads); ``service``: the soak into
+  ``BENCH_service.json``, whose saturation-knee gate requires a
+  multi-worker cluster to out-knee the single process; verify/runtime
+  optionally gate against a checked-in baseline;
 - ``serve [--host H] [--port P] [--workers N]`` — run the admission
   server (frame RPCs + HTTP ``/metrics`` on one port) until SIGTERM,
   then drain; ``--workers N > 1`` spawns a shard-partitioned cluster
@@ -253,8 +251,6 @@ def _cmd_run(args: argparse.Namespace, registry: Registry) -> int:
 def _cmd_bench(args: argparse.Namespace, registry: Registry) -> int:
     if args.suite == "runtime":
         return _cmd_bench_runtime(args, registry)
-    if args.suite == "nogil":
-        return _cmd_bench_nogil(args, registry)
     if args.suite == "service":
         return _cmd_bench_service(args, registry)
     return _cmd_bench_verify(args, registry)
@@ -262,131 +258,82 @@ def _cmd_bench(args: argparse.Namespace, registry: Registry) -> int:
 
 def _cmd_bench_service(args: argparse.Namespace,
                        registry: Registry) -> int:
-    """Client/server admission bench -> ``BENCH_service.json``.
+    """The service soak -> ``BENCH_service.json``.
 
-    Starts an admission-server subprocess, runs the four-leg
-    decision-identity sweep over every runnable builtin (local,
-    single-process served, 2- and 4-worker clusters — all digests must
-    be byte-identical), fans out ``--service-workers`` client
-    processes for the cross-process throughput/latency leg, scrapes
-    ``/metrics``, and SIGTERMs the server (graceful drain).  With
-    ``--soak`` it also ramps looping client processes to the
-    saturation knee against the single process and against a
-    ``--cluster-workers`` cluster; the cluster's knee must strictly
-    beat the single process's committed-ops/s.  Gated: identity
-    divergence, a client error, a missing metrics counter, zero
-    admission RPCs, or a losing cluster knee all fail the bench.
+    Ramps looping client processes to the saturation knee against an
+    admission-server subprocess, then against a ``--cluster-workers``
+    cluster, and SIGTERMs each (graceful drain).  The cluster's knee
+    must strictly beat the single process's committed-ops/s.  Gated: a
+    client error, a missing knee or a losing cluster knee fails the
+    bench.
     """
-    from .reporting.tables import service_latency_table, service_soak_table
+    from .reporting.tables import service_soak_table
     from .service import bench as service_bench
+    from .service.cluster import start_cluster, stop_cluster
     from .service.protocol import PROTOCOL_VERSION
     output = args.output or "BENCH_service.json"
-    workers = max(2, args.service_workers)
     start = time.perf_counter()
     process, port = service_bench.start_server()
     try:
-        identity = service_bench.identity_leg(registry, "127.0.0.1",
-                                              port)
-        throughput = service_bench.throughput_leg("127.0.0.1", port,
-                                                  workers)
-        metrics = service_bench.metrics_leg("127.0.0.1", port)
-        soak_single = service_bench.soak_leg(
+        single = service_bench.soak_leg(
             "127.0.0.1", port, point_seconds=args.soak_seconds,
-            time_budget=args.soak_budget) if args.soak else None
+            time_budget=args.soak_budget)
     finally:
         service_bench.stop_server(process)
-    soak = None
-    if args.soak:
-        from .service.cluster import start_cluster, stop_cluster
-        processes, ports = start_cluster(args.cluster_workers)
-        try:
-            soak_cluster = service_bench.soak_leg(
-                "127.0.0.1", ports[0],
-                point_seconds=args.soak_seconds,
-                time_budget=args.soak_budget)
-        finally:
-            stop_cluster(processes)
-        soak = {
-            "cluster_workers": args.cluster_workers,
-            "point_seconds": args.soak_seconds,
-            "single": soak_single,
-            "cluster": soak_cluster,
-            "cluster_beats_single": bool(
-                soak_single["knee"] and soak_cluster["knee"]
-                and soak_cluster["knee"]["committed_ops_per_second"]
-                > soak_single["knee"]["committed_ops_per_second"]),
-        }
+    processes, ports = start_cluster(args.cluster_workers)
+    try:
+        cluster = service_bench.soak_leg(
+            "127.0.0.1", ports[0], point_seconds=args.soak_seconds,
+            time_budget=args.soak_budget)
+    finally:
+        stop_cluster(processes)
+    soak = {
+        "cluster_workers": args.cluster_workers,
+        "point_seconds": args.soak_seconds,
+        "single": single,
+        "cluster": cluster,
+        "cluster_beats_single": bool(
+            single["knee"] and cluster["knee"]
+            and cluster["knee"]["committed_ops_per_second"]
+            > single["knee"]["committed_ops_per_second"]),
+    }
     payload = {
-        "schema": 2,
+        "schema": 3,
         "suite": "service",
         "python": sys.version,
         "protocol_version": PROTOCOL_VERSION,
         "shards": service_bench.BENCH_SHARDS,
-        "service_workers": workers,
-        "cluster_axis": list(service_bench.CLUSTER_AXIS),
-        "identity": identity,
-        "throughput": throughput,
-        "metrics": metrics,
         "soak": soak,
         "wall_seconds": round(time.perf_counter() - start, 4),
     }
     with open(output, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"bench: service suite, {workers} client processes against "
-          f"one server (shards={service_bench.BENCH_SHARDS}, cluster "
-          f"axis {list(service_bench.CLUSTER_AXIS)}), wall "
+    print(f"bench: service soak, single process vs "
+          f"{args.cluster_workers}-worker cluster "
+          f"(shards={service_bench.BENCH_SHARDS}), wall "
           f"{payload['wall_seconds']:.2f}s -> {output}")
-    print(service_latency_table(throughput))
     failures = []
-    for name, entry in identity.items():
-        state = "identical" if entry["identical"] else "DIVERGED"
-        print(f"bench: service identity {name}: {state} across local, "
-              f"served, and cluster {list(service_bench.CLUSTER_AXIS)} "
-              f"({entry['admission_rpcs']} admission RPCs)")
-        if not entry["identical"]:
-            failures.append(f"{name}: served or cluster decisions "
-                            f"diverged from local ones")
-    failures += [f"client worker failed: {err}"
-                 for err in throughput["errors"]]
-    for entry in throughput["per_worker"]:
-        if not entry["serializable"]:
-            failures.append(f"worker {entry['worker']} "
-                            f"({entry['structure']}): not serializable")
-    if throughput["admission_rpcs"] == 0:
-        failures.append("no admission RPCs were measured")
-    if not metrics["ok"]:
-        failures.append(
-            f"/metrics scrape failed: status {metrics['status']}, "
-            f"missing {', '.join(metrics['missing']) or 'nothing'}")
-    else:
-        print(f"bench: service /metrics OK ({metrics['lines']} lines, "
-              f"all per-shard counters exposed)")
-    if soak is not None:
-        for label, leg in (("single", soak["single"]),
-                           ("cluster", soak["cluster"])):
-            print(f"bench: soak {label} "
-                  f"({leg['structure']}, {leg['workload']}):")
-            print(service_soak_table(leg))
-            failures += [f"soak {label}: {err}"
-                         for err in leg["errors"]]
-            if leg["knee"] is None:
-                failures.append(f"soak {label}: no knee was measured")
-        if soak["single"]["knee"] and soak["cluster"]["knee"]:
-            single_ops = soak["single"]["knee"][
-                "committed_ops_per_second"]
-            cluster_ops = soak["cluster"]["knee"][
-                "committed_ops_per_second"]
-            verdict = ("beats" if soak["cluster_beats_single"]
-                       else "DOES NOT BEAT")
-            print(f"bench: soak knee: cluster "
-                  f"({soak['cluster_workers']} workers) "
-                  f"{cluster_ops:,.0f} committed ops/s {verdict} "
-                  f"single-process {single_ops:,.0f}")
-            if not soak["cluster_beats_single"]:
-                failures.append(
-                    f"soak: cluster knee {cluster_ops:,.0f} committed "
-                    f"ops/s <= single-process {single_ops:,.0f}")
+    for label, leg in (("single", single), ("cluster", cluster)):
+        print(f"bench: soak {label} "
+              f"({leg['structure']}, {leg['workload']}):")
+        print(service_soak_table(leg))
+        failures += [f"soak {label}: {err}" for err in leg["errors"]]
+        if leg["knee"] is None:
+            failures.append(f"soak {label}: no knee was measured")
+    if single["knee"] and cluster["knee"]:
+        single_ops = single["knee"]["committed_ops_per_second"]
+        cluster_ops = cluster["knee"]["committed_ops_per_second"]
+        verdict = ("beats" if soak["cluster_beats_single"]
+                   else "DOES NOT BEAT")
+        print(f"bench: soak knee: cluster "
+              f"({args.cluster_workers} workers) "
+              f"{cluster_ops:,.0f} committed ops/s {verdict} "
+              f"single-process {single_ops:,.0f}")
+        if not soak["cluster_beats_single"]:
+            failures.append(
+                f"soak: cluster knee {cluster_ops:,.0f} committed "
+                f"ops/s <= single-process {single_ops:,.0f}")
     if failures:
         print("bench: service suite failed:\n  "
               + "\n  ".join(failures), file=sys.stderr)
@@ -486,30 +433,18 @@ def _cmd_bench_runtime(args: argparse.Namespace, registry: Registry) -> int:
                 "ops_per_second": round(operations / elapsed, 1)
                 if elapsed > 0 else 0.0,
             }
-        strict_wins = [
-            w.label for w in BENCH_WORKLOADS
-            if _aborts_of(mine, w.label, "commutativity")
-            < _aborts_of(mine, w.label, "read-write")]
         payload["structures"][name] = {
             "elapsed": round(sum(r.wall_seconds for r in mine), 4),
             "operations": sum(r.operations for r in mine),
             "policies": policies,
-            "commutativity_beats_read_write_on": strict_wins,
         }
-    # The scaling, stability, seed-matrix and abduction sections run
-    # (and mutate the payload) before it is written, so the emitted
-    # JSON carries their numbers.
+    # The scaling and stability sections run (and mutate the payload)
+    # before it is written, so the emitted JSON carries their numbers.
     scaling_failed = (args.shards > 1
                       and _bench_scaling_section(payload, registry, args))
     stability_failed = (args.arm != "between"
                         and _bench_stability_section(payload, registry,
                                                      args))
-    seeds_failed = (args.seeds > 1
-                    and _bench_seed_matrix_section(payload, registry,
-                                                   args))
-    abduce_failed = (args.arm == "synthesized"
-                     and _bench_abduction_section(payload, registry,
-                                                  args))
     with open(output, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -517,25 +452,13 @@ def _cmd_bench_runtime(args: argparse.Namespace, registry: Registry) -> int:
           f"policies x {len(BENCH_WORKLOADS)} workloads, "
           f"workers={args.workers}, wall {wall:.2f}s -> {output}")
     print(policy_comparison_table(runs))
-    failed = (scaling_failed or stability_failed or seeds_failed
-              or abduce_failed)
+    failed = scaling_failed or stability_failed
     not_serializable = [r for r in runs if not r.serializable]
     if not_serializable:
         print("bench: NOT SERIALIZABLE: "
               + "; ".join(r.summary() for r in not_serializable),
               file=sys.stderr)
         failed = True
-    if args.workers == 1:
-        # Deterministic at one worker: the paper-shaped result must hold
-        # (commutativity strictly beats read-write somewhere per
-        # structure).  Multi-worker abort counts are scheduling-
-        # dependent, so the shape is only gated serially.
-        missing = [n for n, e in payload["structures"].items()
-                   if not e["commutativity_beats_read_write_on"]]
-        if missing:
-            print("bench: commutativity did not beat read-write on any "
-                  f"workload for: {', '.join(missing)}", file=sys.stderr)
-            failed = True
     if failed:
         return 1
     if args.baseline:
@@ -549,10 +472,7 @@ def _cmd_bench_runtime(args: argparse.Namespace, registry: Registry) -> int:
 #: checks routinely outlive their verified environment, which is
 #: exactly where the PR 4 drift guard turns conservative and the
 #: compiled stable conditions earn their keep.  Serial and seeded, so
-#: the gate is deterministic; the seed is pinned to traffic in which
-#: the prover's observer-pinned conditions (``indexOf;set`` and
-#: friends) actually evaluate under drift, so the proved leg
-#: measures real admissions rather than an empty intersection.
+#: the gate is deterministic.
 def _stability_gate_workloads():
     from .workloads import WorkloadSpec
     shape = dict(profile="write-heavy", distribution="hot-key",
@@ -574,16 +494,6 @@ def _bench_stability_section(payload: dict, registry: Registry,
     vs the plain PR 4 drift guard on every gated structure, restore at
     least one semantic admission under drift, and keep both executions
     serializable — with flat and sharded decisions identical.
-
-    With ``--arm proved`` (or ``synthesized``) a third variant
-    recompiles the conditions with the symbolic prover and repeats the
-    gate workloads; across the gate structures in aggregate, the proved
-    conditions must strictly increase semantic admissions
-    (``stable_hits + proved_hits``) and strictly reduce conservative
-    fallbacks vs the weakened tier alone —
-    the proved tier arms state-reading candidates the bounded sweep
-    passes but refuses to arm, so the gate fails if the proofs buy
-    nothing at run time.
     """
     from .reporting.tables import drift_admission_table
     from .workloads import ThroughputHarness
@@ -598,7 +508,6 @@ def _bench_stability_section(payload: dict, registry: Registry,
         "structures": {}}
     regressions = []
     runs = []
-    stable_runs: dict[str, object] = {}
     for name, workload in _stability_gate_workloads():
         plain = harness.run_one(name, workload, policy="commutativity",
                                 workers=1, shards=args.shards)
@@ -606,7 +515,6 @@ def _bench_stability_section(payload: dict, registry: Registry,
                                  workers=1, shards=args.shards,
                                  stable=True)
         runs += [plain, stable]
-        stable_runs[name] = stable
         section["structures"][name] = {
             "workload": workload.label,
             "plain_fallbacks": plain.drift_fallbacks,
@@ -636,407 +544,16 @@ def _bench_stability_section(payload: dict, registry: Registry,
                         stable.report.commit_order):
                 regressions.append(f"{name}: flat and sharded stable "
                                    f"decisions diverged")
-    if args.arm in ("proved", "synthesized"):
-        regressions += _bench_prover_gate(section, registry, harness,
-                                          args, stable_runs, runs)
     payload["stability"] = section
     print(drift_admission_table(runs))
     for name, entry in section["structures"].items():
-        line = (f"bench: stability {name}: fallbacks "
-                f"{entry['plain_fallbacks']} -> "
-                f"{entry['stable_fallbacks']}"
-                f", {entry['stable_hits']} stable hits")
-        if "proved_hits" in entry:
-            line += (f"; with prover: fallbacks "
-                     f"{entry['proved_fallbacks']}, "
-                     f"{entry['proved_stable_hits']} stable + "
-                     f"{entry['proved_hits']} proved hits")
-        print(line)
+        print(f"bench: stability {name}: fallbacks "
+              f"{entry['plain_fallbacks']} -> "
+              f"{entry['stable_fallbacks']}"
+              f", {entry['stable_hits']} stable hits")
     if regressions:
         print("bench: drift-stable admission gate failed:\n  "
               + "\n  ".join(regressions), file=sys.stderr)
-        return True
-    return False
-
-
-def _bench_prover_gate(section: dict, registry: Registry, harness,
-                       args: argparse.Namespace, stable_runs: dict,
-                       runs: list) -> list[str]:
-    """The proved leg of the stability gate (see above):
-    recompile with symbolic proofs, rerun the gate workloads, and
-    enforce the aggregate strict improvements."""
-    proved_reports = _compile_stable(registry, None, tier="proved")
-    section["prover"] = {
-        name: {"proved": report.proved_count,
-               "weakened": report.weakened_count}
-        for name, report in proved_reports.items()}
-    regressions: list[str] = []
-    base_hits = base_fallbacks = hits = fallbacks = 0
-    for name, workload in _stability_gate_workloads():
-        proved = harness.run_one(name, workload, policy="commutativity",
-                                 workers=1, shards=args.shards,
-                                 stable=True)
-        runs.append(proved)
-        stable = stable_runs[name]
-        base_hits += stable.stable_hits + stable.proved_hits
-        base_fallbacks += stable.drift_fallbacks
-        hits += proved.stable_hits + proved.proved_hits
-        fallbacks += proved.drift_fallbacks
-        section["structures"][name].update({
-            "proved_fallbacks": proved.drift_fallbacks,
-            "proved_stable_hits": proved.stable_hits,
-            "proved_hits": proved.proved_hits,
-            "proved_aborts": proved.aborts,
-        })
-        if not proved.serializable:
-            regressions.append(f"{name}: not serializable with "
-                               "--arm proved")
-        if args.shards > 1:
-            flat = harness.run_one(name, workload,
-                                   policy="commutativity", workers=1,
-                                   shards=1, stable=True)
-            if (flat.commits, flat.aborts, flat.report.commit_order) \
-                    != (proved.commits, proved.aborts,
-                        proved.report.commit_order):
-                regressions.append(f"{name}: flat and sharded proved "
-                                   f"decisions diverged")
-    if hits <= base_hits:
-        regressions.append(
-            f"prover: {hits} semantic admissions with --arm proved <= "
-            f"{base_hits} with --arm weakened")
-    if fallbacks >= base_fallbacks:
-        regressions.append(
-            f"prover: {fallbacks} conservative fallbacks with --arm "
-            f"proved >= {base_fallbacks} with --arm weakened")
-    return regressions
-
-
-#: The abduction gate's custom-structure leg: hot-key write-heavy
-#: traffic over the projector-less RegisterCell — repeated same-value
-#: overwrites are exactly what the abduced ``(v1 = v2) & (v2 = r1)``
-#: conditions admit, while the routerless conservative fallback admits
-#: nothing, so the leg guarantees the aggregate gate is strict.
-def _abduction_gate_workloads(registry: Registry):
-    from .abduction.demo import DEMO_FAMILY, register_demo_structure
-    from .workloads import WorkloadSpec
-    if DEMO_FAMILY not in registry.names():
-        register_demo_structure(registry)
-    demo = WorkloadSpec(name="abduction-hotkey-register",
-                        profile="write-heavy", distribution="hot-key",
-                        transactions=12, ops_per_transaction=6,
-                        key_space=24, value_space=3, seed=9)
-    return _stability_gate_workloads() + ((DEMO_FAMILY, demo),)
-
-
-def _served_run(registry: Registry, harness, name, workload, shards):
-    """One stable workload run whose admission decisions come from an
-    in-thread admission server *sharing this registry* — so the served
-    drift guard arms exactly the locally compiled conditions, abduced
-    tiers included, and the local==served digest identity is a real
-    invariant rather than a recompilation coincidence."""
-    import asyncio
-    import threading
-    from .service.client import ServiceBackend
-    from .service.server import AdmissionServer
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever,
-                              name="abduction-gate-server", daemon=True)
-    thread.start()
-
-    def call(coro, timeout: float = 60.0):
-        return asyncio.run_coroutine_threadsafe(coro, loop).result(timeout)
-
-    server = AdmissionServer("127.0.0.1", 0, registry=registry)
-    call(server.start())
-    serving = asyncio.run_coroutine_threadsafe(server.serve_forever(),
-                                               loop)
-    try:
-        backend = ServiceBackend(server.host, server.port,
-                                 registry=registry)
-        try:
-            return harness.run_one(name, workload,
-                                   policy="commutativity", workers=1,
-                                   shards=shards, stable=True,
-                                   backend=backend)
-        finally:
-            backend.close()
-    finally:
-        serving.cancel()
-        call(server.shutdown(grace=1.0))
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(10.0)
-        loop.close()
-
-
-def _bench_abduction_section(payload: dict, registry: Registry,
-                             args: argparse.Namespace) -> bool:
-    """The ``--arm synthesized`` gate: recompile with the CEGIS
-    abduction loop and rerun the stability-gate workloads plus the
-    projector-less custom-structure leg.  Returns True on gate failure
-    — across the legs in aggregate, the abduced conditions must
-    strictly increase the armed semantic admission *rate* (``stable +
-    proved + synthesized`` hits per drift check — a rate, not a count,
-    because the weaker abduced guard admits more operations early,
-    diverging the retry trace and with it the raw check volume) and
-    strictly reduce conservative fallbacks vs the proved tier; every
-    leg must stay serializable with byte-identical decision digests
-    flat==sharded and local==served; and a warm rerun must serve every
-    ABDUCTION task from the engine cache."""
-    from .engine.tasks import ABDUCTION
-    from .reporting.tables import drift_admission_table
-    from .workloads import ThroughputHarness
-    workloads = _abduction_gate_workloads(registry)
-    names = tuple(name for name, _ in workloads)
-    harness = ThroughputHarness(registry=registry)
-    regressions: list[str] = []
-    # Baseline: the full pre-abduction pipeline (the proved tier).
-    _compile_stable(registry, names, tier="proved")
-    baselines = {name: harness.run_one(name, workload,
-                                       policy="commutativity",
-                                       workers=1, shards=args.shards,
-                                       stable=True)
-                 for name, workload in workloads}
-    # Abduced: same workloads with the CEGIS loop armed on top.
-    reports = _compile_stable(registry, names, tier="synthesized")
-    section: dict = {
-        "policy": "commutativity", "shards": args.shards,
-        "compiled": {name: {"synthesized": report.synthesized_count,
-                            "proved": report.proved_count,
-                            "weakened": report.weakened_count,
-                            "fragile": report.fragile_count}
-                     for name, report in reports.items()},
-        "structures": {}}
-    runs = []
-    base_hits = base_fallbacks = hits = fallbacks = 0
-    base_checks = checks = 0
-    for name, workload in workloads:
-        abduced = harness.run_one(name, workload,
-                                  policy="commutativity", workers=1,
-                                  shards=args.shards, stable=True)
-        runs += [baselines[name], abduced]
-        base = baselines[name]
-        base_hits += (base.stable_hits + base.proved_hits
-                      + base.synthesized_hits)
-        base_fallbacks += base.drift_fallbacks
-        base_checks += base.drift_checks
-        hits += (abduced.stable_hits + abduced.proved_hits
-                 + abduced.synthesized_hits)
-        fallbacks += abduced.drift_fallbacks
-        checks += abduced.drift_checks
-        # Decision-identity legs: the sharded and served guards must
-        # reproduce the local flat run's decisions byte-for-byte.
-        flat = (abduced if args.shards == 1
-                else harness.run_one(name, workload,
-                                     policy="commutativity", workers=1,
-                                     shards=1, stable=True))
-        sharded = (abduced if args.shards > 1
-                   else harness.run_one(name, workload,
-                                        policy="commutativity",
-                                        workers=1, shards=2,
-                                        stable=True))
-        served = _served_run(registry, harness, name, workload,
-                             args.shards)
-        flat_sharded = (flat.report.decision_digest()
-                        == sharded.report.decision_digest())
-        local_served = (abduced.report.decision_digest()
-                        == served.report.decision_digest())
-        section["structures"][name] = {
-            "workload": workload.label,
-            "baseline_hits": (base.stable_hits + base.proved_hits
-                              + base.synthesized_hits),
-            "baseline_fallbacks": base.drift_fallbacks,
-            "abduced_stable_hits": abduced.stable_hits,
-            "abduced_proved_hits": abduced.proved_hits,
-            "synthesized_hits": abduced.synthesized_hits,
-            "abduced_fallbacks": abduced.drift_fallbacks,
-            "fallback_admits": abduced.fallback_admits,
-            "flat_sharded_identical": flat_sharded,
-            "local_served_identical": local_served,
-        }
-        if not (base.serializable and abduced.serializable
-                and served.serializable):
-            regressions.append(f"{name}: not serializable")
-        if not flat_sharded:
-            regressions.append(f"{name}: flat and sharded abduced "
-                               f"decisions diverged")
-        if not local_served:
-            regressions.append(f"{name}: local and served abduced "
-                               f"decisions diverged")
-    # Warm rerun: every ABDUCTION task must come from the engine cache.
-    warm = _compile_stable(registry, names, tier="synthesized")
-    abduction_timings = [t for report in warm.values()
-                         for t in report.task_timings
-                         if t.kind == ABDUCTION]
-    warm_cached = bool(abduction_timings) and all(
-        t.cached for t in abduction_timings)
-    base_rate = base_hits / base_checks if base_checks else 0.0
-    rate = hits / checks if checks else 0.0
-    section["baseline_semantic_hits"] = base_hits
-    section["abduced_semantic_hits"] = hits
-    section["baseline_hit_rate"] = round(base_rate, 4)
-    section["abduced_hit_rate"] = round(rate, 4)
-    section["armed_hits_delta"] = round(rate - base_rate, 4)
-    section["fallback_delta"] = fallbacks - base_fallbacks
-    section["digests_identical"] = all(
-        entry["flat_sharded_identical"] and
-        entry["local_served_identical"]
-        for entry in section["structures"].values())
-    section["warm_cache_served"] = warm_cached
-    payload["abduction_gate"] = section
-    if rate <= base_rate:
-        regressions.append(
-            f"abduce: {rate:.2%} armed semantic admission rate with "
-            f"--arm synthesized <= {base_rate:.2%} with --arm proved")
-    if fallbacks >= base_fallbacks:
-        regressions.append(
-            f"abduce: {fallbacks} conservative fallbacks with --arm "
-            f"synthesized >= {base_fallbacks} with --arm proved")
-    if not warm_cached:
-        regressions.append("abduce: warm rerun did not serve every "
-                           "ABDUCTION task from .repro-cache")
-    print(drift_admission_table(runs))
-    for name, entry in section["structures"].items():
-        print(f"bench: abduction {name}: hits "
-              f"{entry['baseline_hits']} -> "
-              f"{entry['abduced_stable_hits'] + entry['abduced_proved_hits'] + entry['synthesized_hits']} "
-              f"({entry['synthesized_hits']} synthesized), fallbacks "
-              f"{entry['baseline_fallbacks']} -> "
-              f"{entry['abduced_fallbacks']}, digests "
-              f"flat==sharded={entry['flat_sharded_identical']} "
-              f"local==served={entry['local_served_identical']}")
-    if regressions:
-        print("bench: abduction gate failed:\n  "
-              + "\n  ".join(regressions), file=sys.stderr)
-        return True
-    return False
-
-
-#: Repetitions per nogil scaling cell (informational; best run kept).
-NOGIL_REPEATS = 2
-
-#: The nogil sweep's axes: worker-thread and shard counts.  Purely
-#: informational — free-threaded speedups depend on the host — but the
-#: report gives the 3.13t CI leg a scaling curve to publish.
-NOGIL_WORKERS = (1, 2, 4)
-NOGIL_SHARDS = (1, 8)
-NOGIL_STRUCTURES = ("HashSet", "ArrayList")
-
-
-def _cmd_bench_nogil(args: argparse.Namespace, registry: Registry) -> int:
-    """Free-threaded scaling sweep -> ``BENCH_nogil.json``.
-
-    Runs admission (compiled checks, as everywhere) under blocking
-    conflict resolution across worker-thread and shard axes and
-    records committed-operation throughput plus whether the
-    interpreter actually ran free-threaded (``sys._is_gil_enabled()``,
-    absent before 3.13).  Informational: the only failure is a
-    non-serializable execution — thread-scaling numbers are
-    host-dependent and never gated."""
-    from .workloads import SCALING_WORKLOADS, ThroughputHarness
-    output = args.output or "BENCH_nogil.json"
-    gil_probe = getattr(sys, "_is_gil_enabled", None)
-    harness = ThroughputHarness(registry=registry, max_rounds=500_000)
-    structures = [name for name in NOGIL_STRUCTURES
-                  if name in harness.runnable_structures()]
-    workloads = SCALING_WORKLOADS[:2]
-    payload: dict = {
-        "schema": 1,
-        "suite": "nogil",
-        "python": sys.version,
-        "gil_enabled": gil_probe() if gil_probe is not None else None,
-        "workers_axis": list(NOGIL_WORKERS),
-        "shards_axis": list(NOGIL_SHARDS),
-        "policy": "commutativity",
-        "conflict_mode": "block",
-        "workloads": {w.label: w.describe() for w in workloads},
-        "structures": {},
-    }
-    broken = []
-    start = time.perf_counter()
-    for name in structures:
-        entry: dict = {}
-        for workload in workloads:
-            cells: dict = {}
-            for workers in NOGIL_WORKERS:
-                for shards in NOGIL_SHARDS:
-                    throughput = 0.0
-                    for _ in range(NOGIL_REPEATS):
-                        run = harness.run_one(
-                            name, workload, policy="commutativity",
-                            conflict_mode="block", workers=workers,
-                            shards=shards)
-                        if not run.serializable:
-                            broken.append(f"{name}/{workload.label}/"
-                                          f"w{workers}s{shards}")
-                            continue
-                        throughput = max(
-                            throughput, run.committed_ops_per_second)
-                    cells[f"w{workers}s{shards}"] = round(throughput, 1)
-            entry[workload.label] = cells
-        payload["structures"][name] = entry
-    payload["wall_seconds"] = round(time.perf_counter() - start, 4)
-    with open(output, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    gil_note = {True: "GIL on", False: "free-threaded",
-                None: "pre-3.13"}[payload["gil_enabled"]]
-    print(f"bench: nogil sweep ({gil_note}) over "
-          f"{len(structures)} structures x {len(workloads)} workloads "
-          f"x workers {list(NOGIL_WORKERS)} x shards "
-          f"{list(NOGIL_SHARDS)}, wall "
-          f"{payload['wall_seconds']:.2f}s -> {output}")
-    for name, entry in payload["structures"].items():
-        for label, cells in entry.items():
-            curve = ", ".join(f"{k}={v:,.0f}"
-                              for k, v in sorted(cells.items()))
-            print(f"bench: nogil {name} [{label}]: {curve}")
-    if broken:
-        print("bench: nogil runs NOT SERIALIZABLE: "
-              + "; ".join(broken), file=sys.stderr)
-        return 1
-    return 0
-
-
-def _bench_seed_matrix_section(payload: dict, registry: Registry,
-                               args: argparse.Namespace) -> bool:
-    """The ``--seeds N`` matrix: rerun the bench sweep over N seeds and
-    report p50/p95 percentiles per (structure, workload, policy).
-    Returns True on gate failure (a non-serializable cell)."""
-    from .reporting.tables import percentile, seed_matrix_table
-    from .runtime.gatekeeper import POLICIES
-    from .workloads import BENCH_WORKLOADS, ThroughputHarness
-    harness = ThroughputHarness(registry=registry, workers=args.workers,
-                                shards=args.shards)
-    structures = harness.runnable_structures()
-    runs = [harness.run_one(structure, workload.with_(
-                seed=workload.seed + offset), policy=policy)
-            for structure in structures
-            for workload in BENCH_WORKLOADS
-            for policy in POLICIES
-            for offset in range(args.seeds)]
-    section: dict = {"seeds": args.seeds, "structures": {}}
-    for run in runs:
-        cell = section["structures"] \
-            .setdefault(run.structure, {}) \
-            .setdefault(run.workload.label, {}) \
-            .setdefault(run.policy, {"ops_per_second": [], "aborts": []})
-        cell["ops_per_second"].append(round(run.ops_per_second, 1))
-        cell["aborts"].append(run.aborts)
-    for by_workload in section["structures"].values():
-        for by_policy in by_workload.values():
-            for cell in by_policy.values():
-                cell["ops_per_second_p50"] = percentile(
-                    cell["ops_per_second"], 50)
-                cell["ops_per_second_p95"] = percentile(
-                    cell["ops_per_second"], 95)
-                cell["aborts_p50"] = percentile(cell["aborts"], 50)
-                cell["aborts_p95"] = percentile(cell["aborts"], 95)
-    payload["seed_matrix"] = section
-    print(seed_matrix_table(runs))
-    broken = [run.summary() for run in runs if not run.serializable]
-    if broken:
-        print("bench: seed matrix NOT SERIALIZABLE: "
-              + "; ".join(broken), file=sys.stderr)
         return True
     return False
 
@@ -1111,12 +628,6 @@ def _bench_scaling_section(payload: dict, registry: Registry,
               f"families: {', '.join(losing)}", file=sys.stderr)
         return True
     return False
-
-
-def _aborts_of(runs, workload_label: str, policy: str) -> int:
-    return sum(r.aborts for r in runs
-               if r.workload.label == workload_label
-               and r.policy == policy)
 
 
 def _cmd_bench_verify(args: argparse.Namespace, registry: Registry) -> int:
@@ -1382,14 +893,12 @@ def build_parser(registry: Registry | None = None) -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="regression-gated benchmarks (verification or runtime)")
+        help="timing-gated benchmarks (verification, runtime, service)")
     bench.add_argument("--suite", default="verify",
-                       choices=("verify", "runtime", "nogil", "service"),
+                       choices=("verify", "runtime", "service"),
                        help="verify: cold verification sweep; runtime: "
-                            "workload-throughput sweep; nogil: "
-                            "informational free-threaded scaling sweep; "
-                            "service: client/server admission bench "
-                            "(identity + latency + metrics gates)")
+                            "workload-throughput sweep; service: the "
+                            "saturation-knee soak")
     bench.add_argument("--backend", default="symbolic",
                        choices=("symbolic", "bounded"))
     bench.add_argument("--max-seq-len", type=int, default=3)
@@ -1400,41 +909,23 @@ def build_parser(registry: Registry | None = None) -> argparse.ArgumentParser:
                        help="conflict-manager shards for --suite "
                             "runtime (powers of two); > 1 adds the "
                             "flat-vs-sharded scaling comparison")
-    bench.add_argument("--arm", default="between", choices=ARM_TIERS,
+    bench.add_argument("--arm", default="between",
+                       choices=ARM_TIERS[:2],
                        help="--suite runtime: weakened adds the "
                             "drift-stable admission section and its "
-                            "gate; proved adds the prover leg to it "
-                            "(proved admissions must strictly beat the "
-                            "weakened tier); synthesized adds the "
-                            "abduction gate (synthesized conditions "
-                            "must strictly beat the proved tier on "
-                            "semantic admissions and fallbacks, with "
-                            "flat==sharded and local==served decision "
-                            "digests, warm-cache served reruns)")
-    bench.add_argument("--seeds", type=int, default=1,
-                       help="--suite runtime: rerun the sweep over this "
-                            "many seeds and report p50/p95 percentiles")
-    bench.add_argument("--service-workers", type=int, default=2,
-                       help="--suite service: client worker processes "
-                            "against the one server (min 2)")
-    bench.add_argument("--soak", action="store_true",
-                       help="--suite service: ramp looping client "
-                            "processes to the saturation knee, single-"
-                            "process vs --cluster-workers cluster; "
-                            "the cluster knee must strictly beat the "
-                            "single process's committed-ops/s")
+                            "gate (the weakened tier must strictly cut "
+                            "each gate structure's conservative "
+                            "fallbacks)")
     bench.add_argument("--cluster-workers", type=int, default=2,
-                       help="--suite service, with --soak: worker "
-                            "processes in the soaked cluster "
-                            "(default 2)")
+                       help="--suite service: worker processes in the "
+                            "soaked cluster (default 2)")
     bench.add_argument("--soak-seconds", type=float, default=2.0,
-                       help="--suite service, with --soak: seconds "
-                            "each ramp point keeps its clients "
-                            "running (default 2.0)")
+                       help="--suite service: seconds each ramp point "
+                            "keeps its clients running (default 2.0)")
     bench.add_argument("--soak-budget", type=float, default=300.0,
-                       help="--suite service, with --soak: wall-clock "
-                            "cap per soak ramp in seconds; the ramp "
-                            "is truncated past it (default 300)")
+                       help="--suite service: wall-clock cap per soak "
+                            "ramp in seconds; the ramp is truncated "
+                            "past it (default 300)")
     bench.add_argument("--output", default=None,
                        help="where to write the timing report (default "
                             "BENCH_<suite>.json)")

@@ -384,40 +384,9 @@ def stability_table(reports) -> str:
     return _format_table(headers, rows)
 
 
-def service_latency_table(section: dict) -> str:
-    """Admission-service latency/throughput columns from a
-    ``BENCH_service.json`` throughput section (``bench --suite
-    service``): one row per client worker process plus an aggregate
-    row — RPC round-trips, admission-latency p50/p95, and committed
-    operations over the cross-process wall clock."""
-    rows = []
-    for entry in section.get("per_worker", ()):
-        rows.append([
-            str(entry["worker"]), entry["structure"],
-            entry["workload"], str(entry["admission_rpcs"]),
-            f"{entry['latency_ms']['p50']:.3f}",
-            f"{entry['latency_ms']['p95']:.3f}",
-            str(entry["committed_operations"]),
-            f"{entry['wall_seconds']:.3f}",
-            "yes" if entry["serializable"] else "NO"])
-    if not rows:
-        return "(no service client runs to report)"
-    latency = section.get("latency_ms", {})
-    rows.append([
-        "all", "-", "-", str(section.get("admission_rpcs", 0)),
-        f"{latency.get('p50', 0.0):.3f}", f"{latency.get('p95', 0.0):.3f}",
-        str(section.get("committed_operations", 0)),
-        f"{section.get('wall_seconds', 0.0):.3f}",
-        "-"])
-    headers = ["worker", "structure", "workload", "rpcs",
-               "latency p50 ms", "latency p95 ms", "committed ops",
-               "wall s", "serializable"]
-    return _format_table(headers, rows)
-
-
 def service_soak_table(leg: dict) -> str:
     """The soak ramp of one deployment from a ``BENCH_service.json``
-    soak leg (``bench --suite service --soak``): one row per ramp
+    soak leg (``bench --suite service``): one row per ramp
     point — client processes, workload runs, committed-ops/s, latency
     percentiles, pooled-domain reuses — with the knee row starred."""
     points = leg.get("points", ())
@@ -449,37 +418,13 @@ def service_soak_table(leg: dict) -> str:
 
 def percentile(values, q: float) -> float:
     """Nearest-rank percentile (``q`` in [0, 100]) of a non-empty
-    sample — deliberately interpolation-free so tiny seed matrices
-    report values that actually occurred."""
+    sample — deliberately interpolation-free so small samples report
+    values that actually occurred."""
     if not values:
         raise ValueError("percentile of an empty sample")
     ordered = sorted(values)
     rank = max(1, -(-len(ordered) * q // 100))  # ceil without math
     return ordered[int(rank) - 1]
-
-
-def seed_matrix_table(runs) -> str:
-    """The seed-matrix extension of the workload report table: one row
-    per (structure, workload, policy) with p50/p95 percentile columns
-    over the per-seed samples (``bench --suite runtime --seeds N``)."""
-    groups: dict[tuple, list] = {}
-    for run in runs:
-        groups.setdefault(
-            (run.structure, run.workload.label, run.policy), []).append(run)
-    rows = []
-    for (structure, label, policy), sample in groups.items():
-        ops = [r.ops_per_second for r in sample]
-        aborts = [r.aborts for r in sample]
-        rows.append([
-            structure, label, policy, str(len(sample)),
-            f"{percentile(ops, 50):,.0f}", f"{percentile(ops, 95):,.0f}",
-            f"{percentile(aborts, 50):.0f}",
-            f"{percentile(aborts, 95):.0f}",
-            "yes" if all(r.serializable for r in sample) else "NO"])
-    headers = ["structure", "workload", "policy", "seeds",
-               "ops/s p50", "ops/s p95", "aborts p50", "aborts p95",
-               "serializable"]
-    return _format_table(headers, rows)
 
 
 @dataclass

@@ -1,51 +1,25 @@
-"""Client/server benchmark orchestration for ``bench --suite service``.
+"""The service soak behind ``bench --suite service``.
 
-One admission-server subprocess (plus shard-partitioned clusters for
-the cluster legs), ≥2 client worker *processes* hammering it
-concurrently, and the parent asserting the things the service must
-deliver:
+An admission-server subprocess (or a shard-partitioned cluster) and a
+ramp of looping client *processes* against it: the client process
+count grows on a preloaded write-heavy workload until committed-ops/s
+stops improving.  The knee (client count, ops/s, p95) of a
+multi-worker cluster must strictly beat the single process's.
 
-1. **Decision identity, four ways** — for every runnable builtin
-   structure, the same (workload, policy, seed) is executed with local
-   admission, against a single-process server, and against 2- and
-   4-worker shard-partitioned clusters; all four ``decision_digest()``
-   values must be byte-identical.
-2. **Cross-process throughput with latency percentiles** — the client
-   workers run concurrently against one server, each reporting its
-   committed operations and per-RPC admission latencies; the parent
-   pools them into p50/p95 and committed-ops/s over the shared wall
-   clock, plus a ``/metrics`` scrape proving the per-shard counters
-   are live.
-3. **The saturation knee** (``--soak``) — ramp the client process
-   count on a preloaded write-heavy workload until committed-ops/s
-   stops improving; the knee (client count, ops/s, p95) of a
-   multi-worker cluster must strictly beat the single process's.
-
-Every client subprocess is reaped in a ``finally`` — a recv failure or
-a gate exception must not leak children.  Everything here is top-level
-(spawn-context picklable); the CLI wiring lives in ``repro.__main__``.
+Every client subprocess is reaped in a ``finally``, and every client
+ends in a result or an error entry within one shared deadline.
+Everything here is top-level (spawn-context picklable); the CLI wiring
+lives in ``repro.__main__``.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import socket
 import time
 from typing import Any, Callable, Sequence
 
-from ..runtime.gatekeeper import COUNTERS
-
-#: Structures the throughput leg drives (one set family, one list
-#: family — the two runtime-condition shapes).  The identity leg
-#: covers *every* runnable builtin instead.
-BENCH_STRUCTURES = ("HashSet", "ArrayList")
-
 #: Shard count of every served domain in this bench.
 BENCH_SHARDS = 4
-
-#: Cluster sizes the identity leg proves digest-identical to local
-#: execution (next to the single-process leg).
-CLUSTER_AXIS = (2, 4)
 
 #: Seconds to wait for the server subprocess to report its port.
 SERVER_START_TIMEOUT = 30.0
@@ -66,16 +40,6 @@ SOAK_POINT_SECONDS = 2.0
 SOAK_STRUCTURE = "HashSet"
 
 
-def _bench_workload(seed_offset: int = 0):
-    """The pinned service-bench workload: mixed ops over a shared key
-    space, serial per client, seeded so every leg is deterministic."""
-    from ..workloads import WorkloadSpec
-    return WorkloadSpec(name="service-mixed", profile="mixed",
-                        distribution="uniform", transactions=8,
-                        ops_per_transaction=6, key_space=16,
-                        value_space=3, preload=8, seed=71 + seed_offset)
-
-
 def _soak_workload(seed_offset: int = 0):
     """The soak workload: write-heavy hot-key traffic over a preloaded
     structure — admission checks scan a deep outstanding log, which is
@@ -88,52 +52,11 @@ def _soak_workload(seed_offset: int = 0):
                         seed=131 + seed_offset)
 
 
-def bench_structures(registry=None) -> tuple[str, ...]:
-    """Every builtin structure the identity leg must cover."""
-    from ..workloads import ThroughputHarness
-    return tuple(ThroughputHarness(registry=registry)
-                 .runnable_structures())
-
-
 def server_entry(conn, host: str) -> None:
     """Subprocess target: run an admission server on an ephemeral port
     and pipe the bound port back; drains on SIGTERM."""
     from .server import run_server
     run_server(host, 0, on_ready=conn.send)
-
-
-def client_entry(worker_id: int, host: str, port: int,
-                 structure: str, conn) -> None:
-    """Subprocess target: one client worker process running its seeded
-    workload serially against the shared server; pipes back a plain
-    result dict."""
-    from ..workloads import ThroughputHarness
-    from .client import ServiceBackend
-    workload = _bench_workload(seed_offset=worker_id)
-    harness = ThroughputHarness(workers=1)
-    backend = ServiceBackend(host, port, label=f"bench-w{worker_id}")
-    try:
-        run = harness.run_one(structure, workload,
-                              policy="commutativity", workers=1,
-                              shards=BENCH_SHARDS, backend=backend)
-        report = run.report
-        conn.send({
-            "worker": worker_id, "structure": structure,
-            "workload": workload.label,
-            "commits": report.commits, "aborts": report.aborts,
-            "committed_operations": report.committed_operations,
-            "wall_seconds": report.wall_seconds,
-            "admission_rpcs": report.admission_rpcs,
-            "latencies": list(report.admission_latencies),
-            "serializable": report.serializable,
-            "digest": report.decision_digest(),
-        })
-    except Exception as exc:
-        conn.send({"worker": worker_id, "structure": structure,
-                   "error": f"{type(exc).__name__}: {exc}"})
-    finally:
-        backend.close()
-        conn.close()
 
 
 def soak_client_entry(worker_id: int, host: str, port: int,
@@ -205,9 +128,11 @@ def _run_clients(target: Callable, count: int,
                  args_of: Callable[[int], tuple], name_prefix: str,
                  timeout: float) -> list[dict[str, Any]]:
     """Spawn ``count`` client subprocesses and collect one result dict
-    from each pipe.  Reaping is unconditional: whatever fails — a
-    spawn, a recv, a timeout — every child is terminated and joined
-    before this returns or raises."""
+    from each pipe, all within one ``timeout`` from the last spawn.  A
+    client that misses the deadline, or exits without sending its
+    result, yields an ``error`` entry.  Reaping is unconditional:
+    whatever fails — a spawn, a recv, a timeout — every child is
+    terminated and joined before this returns or raises."""
     ctx = mp.get_context("spawn")
     jobs: list[tuple[Any, Any]] = []
     results: list[dict[str, Any]] = []
@@ -220,9 +145,17 @@ def _run_clients(target: Callable, count: int,
             process.start()
             child.close()
             jobs.append((process, parent))
-        for process, parent in jobs:
-            results.append(parent.recv() if parent.poll(timeout)
-                           else {"error": "client worker timed out"})
+        deadline = time.monotonic() + timeout
+        for worker_id, (process, parent) in enumerate(jobs):
+            if not parent.poll(max(0.0, deadline - time.monotonic())):
+                results.append({"error": f"client worker {worker_id} "
+                                         f"timed out"})
+                continue
+            try:
+                results.append(parent.recv())
+            except EOFError:
+                results.append({"error": f"client worker {worker_id} "
+                                         f"exited without a result"})
     finally:
         for process, parent in jobs:
             try:
@@ -237,154 +170,6 @@ def _run_clients(target: Callable, count: int,
                 process.kill()
                 process.join(5.0)
     return results
-
-
-def scrape_metrics(host: str, port: int,
-                   path: str = "/metrics") -> tuple[int, str]:
-    """One plain-HTTP GET against the server's frame port; returns
-    (status code, body)."""
-    with socket.create_connection((host, port), timeout=10.0) as sock:
-        sock.sendall(f"GET {path} HTTP/1.1\r\nHost: bench\r\n"
-                     f"Connection: close\r\n\r\n".encode("latin-1"))
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-    raw = b"".join(chunks).decode("utf-8", "replace")
-    head, _, body = raw.partition("\r\n\r\n")
-    status = int(head.split(" ", 2)[1]) if " " in head else 0
-    return status, body
-
-
-def local_digest_leg(registry,
-                     structures: Sequence[str]) -> dict[str, str]:
-    """The reference digests: the pinned workload executed with local
-    (in-process) admission, per structure."""
-    from ..workloads import ThroughputHarness
-    harness = ThroughputHarness(registry=registry, workers=1)
-    workload = _bench_workload()
-    return {structure: harness.run_one(
-                structure, workload, policy="commutativity", workers=1,
-                shards=BENCH_SHARDS).report.decision_digest()
-            for structure in structures}
-
-
-def digest_leg(registry, host: str, port: int,
-               structures: Sequence[str],
-               label: str = "identity") -> dict[str, dict[str, Any]]:
-    """The pinned workload executed against a served deployment (one
-    pooled backend — a cluster port fans out via its partition map),
-    per structure: digest plus RPC count."""
-    from ..workloads import ThroughputHarness
-    from .client import ServiceBackend
-    harness = ThroughputHarness(registry=registry, workers=1)
-    backend = ServiceBackend(host, port, label=label,
-                             registry=registry)
-    workload = _bench_workload()
-    section: dict[str, dict[str, Any]] = {}
-    try:
-        for structure in structures:
-            run = harness.run_one(structure, workload,
-                                  policy="commutativity", workers=1,
-                                  shards=BENCH_SHARDS, backend=backend)
-            section[structure] = {
-                "digest": run.report.decision_digest(),
-                "admission_rpcs": run.report.admission_rpcs,
-            }
-    finally:
-        backend.close()
-    return section
-
-
-def identity_leg(registry, host: str, port: int,
-                 structures: Sequence[str] | None = None,
-                 cluster_axis: Sequence[int] = CLUSTER_AXIS) \
-        -> dict[str, Any]:
-    """Four-leg decision identity over every runnable builtin: local,
-    single-process served (the ``port`` argument), and one
-    shard-partitioned cluster per ``cluster_axis`` size.  All digests
-    of a structure must be byte-identical."""
-    from .cluster import start_cluster, stop_cluster
-    structures = tuple(structures if structures is not None
-                       else bench_structures(registry))
-    local = local_digest_leg(registry, structures)
-    single = digest_leg(registry, host, port, structures)
-    clusters: dict[int, dict[str, dict[str, Any]]] = {}
-    for workers in cluster_axis:
-        processes, ports = start_cluster(workers)
-        try:
-            clusters[workers] = digest_leg(
-                registry, "127.0.0.1", ports[0], structures,
-                label=f"identity-c{workers}")
-        finally:
-            stop_cluster(processes)
-    workload = _bench_workload()
-    section: dict[str, Any] = {}
-    for structure in structures:
-        cluster_digests = {
-            str(workers): clusters[workers][structure]["digest"]
-            for workers in cluster_axis}
-        digests = {local[structure], single[structure]["digest"],
-                   *cluster_digests.values()}
-        section[structure] = {
-            "workload": workload.label,
-            "local_digest": local[structure],
-            "service_digest": single[structure]["digest"],
-            "cluster_digests": cluster_digests,
-            "identical": len(digests) == 1,
-            "admission_rpcs": single[structure]["admission_rpcs"],
-        }
-    return section
-
-
-def throughput_leg(host: str, port: int, workers: int,
-                   structures=BENCH_STRUCTURES) -> dict[str, Any]:
-    """``workers`` client processes against one server, concurrently;
-    pooled latency percentiles and cross-process committed-ops/s."""
-    from ..reporting.tables import percentile
-    started = time.perf_counter()
-    results = _run_clients(
-        client_entry, workers,
-        lambda worker_id: (worker_id, host, port,
-                           structures[worker_id % len(structures)]),
-        "repro-service-client", timeout=120.0)
-    wall = time.perf_counter() - started
-    errors = [r["error"] for r in results if "error" in r]
-    latencies = [latency for r in results
-                 for latency in r.get("latencies", ())]
-    committed = sum(r.get("committed_operations", 0) for r in results)
-    return {
-        "workers": workers,
-        "errors": errors,
-        "committed_operations": committed,
-        "wall_seconds": round(wall, 4),
-        "committed_ops_per_second": round(committed / wall, 1)
-        if wall > 0 else 0.0,
-        "admission_rpcs": len(latencies),
-        "latency_ms": {
-            "p50": round(percentile(latencies, 50) * 1000, 4)
-            if latencies else 0.0,
-            "p95": round(percentile(latencies, 95) * 1000, 4)
-            if latencies else 0.0,
-        },
-        "per_worker": [
-            {"worker": r["worker"], "structure": r["structure"],
-             "workload": r["workload"],
-             "commits": r["commits"], "aborts": r["aborts"],
-             "committed_operations": r["committed_operations"],
-             "wall_seconds": round(r["wall_seconds"], 4),
-             "admission_rpcs": r["admission_rpcs"],
-             "latency_ms": {
-                 "p50": round(percentile(r["latencies"], 50) * 1000, 4)
-                 if r["latencies"] else 0.0,
-                 "p95": round(percentile(r["latencies"], 95) * 1000, 4)
-                 if r["latencies"] else 0.0,
-             },
-             "serializable": r["serializable"]}
-            for r in results if "error" not in r],
-    }
 
 
 def soak_point(host: str, port: int, clients: int, structure: str,
@@ -474,25 +259,3 @@ def soak_leg(host: str, port: int, *, structure: str = SOAK_STRUCTURE,
         "truncated": truncated,
         "errors": errors,
     }
-
-
-#: Counter families the metrics scrape must surface (one name per
-#: exported per-shard stat plus the server-level cluster gauges; the
-#: gate greps the Prometheus body).
-EXPECTED_METRIC_NAMES = (
-    *(f"repro_shard_{key}" for key in ("outstanding", *COUNTERS)),
-    "repro_txn_outcomes_total", "repro_abort_rate",
-    "repro_server_active_connections", "repro_server_worker_id",
-    "repro_domain_reuse_total",
-)
-
-
-def metrics_leg(host: str, port: int) -> dict[str, Any]:
-    """Scrape ``/metrics`` and check every per-shard counter family is
-    exposed in Prometheus text format."""
-    status, body = scrape_metrics(host, port)
-    missing = [name for name in EXPECTED_METRIC_NAMES
-               if name not in body]
-    return {"status": status, "lines": body.count("\n"),
-            "missing": missing,
-            "ok": status == 200 and not missing}

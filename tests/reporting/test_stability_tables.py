@@ -1,9 +1,9 @@
-"""Rendering of the drift-admission, stability, and seed-matrix tables,
-plus the graceful single-shard / single-policy behaviour of the shard
-and policy tables."""
+"""Rendering of the drift-admission and stability tables, plus the
+graceful single-shard / single-policy behaviour of the shard and
+policy tables."""
 
 from repro.reporting import (drift_admission_table, percentile,
-                             policy_comparison_table, seed_matrix_table,
+                             policy_comparison_table,
                              shard_contention_table, stability_table)
 from repro.workloads import ThroughputHarness, WorkloadSpec
 
@@ -53,15 +53,6 @@ def test_policy_table_keeps_shard_column_for_sharded_runs():
 def test_drift_admission_table_notes_quiet_runs():
     table = drift_admission_table(_runs())
     assert isinstance(table, str)
-
-
-def test_seed_matrix_table_shape():
-    harness = ThroughputHarness()
-    runs = [harness.run_one("HashSet", SMALL.with_(seed=seed))
-            for seed in (1, 2, 3)]
-    table = seed_matrix_table(runs)
-    assert "ops/s p50" in table and "aborts p95" in table
-    assert "seeds" in table and " 3 " in table
 
 
 def test_stability_table_renders_reports():

@@ -1,6 +1,7 @@
-"""The service tests' live servers, in a module of its own: test
-modules import them by this unique name, never from ``conftest``, which
-names a different module in every test directory.
+"""The service tests' live servers and their ``/metrics`` scrape, in a
+module of its own: test modules import them by this unique name, never
+from ``conftest``, which names a different module in every test
+directory.
 
 The server's asyncio loop runs on a daemon thread; tests talk to it
 over real sockets (the blocking :class:`ServiceClient`, the executor's
@@ -9,9 +10,39 @@ worker process would — minus the process-spawn latency.
 """
 
 import asyncio
+import socket
 import threading
 
+from repro.runtime.gatekeeper import COUNTERS
 from repro.service.server import AdmissionServer
+
+#: Counter families ``/metrics`` must surface: one name per exported
+#: per-shard stat plus the server-level cluster gauges.
+EXPECTED_METRIC_NAMES = (
+    *(f"repro_shard_{key}" for key in ("outstanding", *COUNTERS)),
+    "repro_txn_outcomes_total", "repro_abort_rate",
+    "repro_server_active_connections", "repro_server_worker_id",
+    "repro_domain_reuse_total",
+)
+
+
+def scrape_metrics(host: str, port: int,
+                   path: str = "/metrics") -> tuple[int, str]:
+    """One plain-HTTP GET against the server's frame port; returns
+    (status code, body)."""
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(f"GET {path} HTTP/1.1\r\nHost: bench\r\n"
+                     f"Connection: close\r\n\r\n".encode("latin-1"))
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    raw = b"".join(chunks).decode("utf-8", "replace")
+    head, _, body = raw.partition("\r\n\r\n")
+    status = int(head.split(" ", 2)[1]) if " " in head else 0
+    return status, body
 
 
 class LiveServer:

@@ -11,11 +11,12 @@ from repro.eval import Record
 from repro.runtime import LoggedOperation
 from repro.runtime.sharding import arraylist_router, route
 from repro.service import protocol
+from repro.service.bench import start_server, stop_server
 from repro.service.client import (ServiceBackend, ServiceClient,
                                   ServiceError)
 from repro.service.cluster import (PartitionedConflictManager,
                                    merge_verdicts, split_slices,
-                                   worker_of)
+                                   start_cluster, stop_cluster, worker_of)
 from repro.workloads import ThroughputHarness, WorkloadSpec
 
 from service_fixture import LiveCluster
@@ -179,22 +180,16 @@ def test_interleaved_batches_across_two_pooled_connections(live_cluster):
 
 # -- the digest-identity anchor ----------------------------------------------
 
-def test_four_leg_digest_identity_for_every_builtin(
-        live_server, live_cluster, live_cluster4):
-    """Local, single-process served, 2-worker cluster, 4-worker
-    cluster: byte-identical decision digests (and commit order) for
-    every runnable builtin structure."""
+def _assert_digest_identity(seed, nodes):
     harness = ThroughputHarness(workers=1)
-    workload = _workload()
+    workload = _workload(seed)
     for structure in harness.runnable_structures():
         local = harness.run_one(structure, workload,
                                 policy="commutativity", workers=1,
                                 shards=SHARDS)
         digests = {"local": local.report.decision_digest()}
-        for label, node in (("served", live_server),
-                            ("cluster2", live_cluster),
-                            ("cluster4", live_cluster4)):
-            backend = ServiceBackend(node.host, node.port,
+        for label, host, port in nodes:
+            backend = ServiceBackend(host, port,
                                      label=f"{label}-{structure}")
             try:
                 run = harness.run_one(structure, workload,
@@ -205,8 +200,36 @@ def test_four_leg_digest_identity_for_every_builtin(
                 backend.close()
             digests[label] = run.report.decision_digest()
             assert run.report.commit_order \
-                == local.report.commit_order, (structure, label)
-        assert len(set(digests.values())) == 1, (structure, digests)
+                == local.report.commit_order, (structure, label, seed)
+        assert len(set(digests.values())) == 1, (structure, seed, digests)
+
+
+def test_four_leg_digest_identity_for_every_builtin(
+        live_server, live_cluster, live_cluster4):
+    """Local, single-process served, 2-worker cluster, 4-worker
+    cluster: byte-identical decision digests (and commit order) for
+    every runnable builtin structure.  Seed 71 also runs against
+    spawned nodes, a server child and 2- and 4-worker clusters: the
+    in-thread nodes share this process's registry, while each spawned
+    one builds its own."""
+    in_thread = [(label, node.host, node.port)
+                 for label, node in (("served", live_server),
+                                     ("cluster2", live_cluster),
+                                     ("cluster4", live_cluster4))]
+    _assert_digest_identity(7, in_thread)
+    server, port = start_server()
+    clusters = []
+    try:
+        for workers in (2, 4):
+            clusters.append(start_cluster(workers))
+        spawned = [("spawned", "127.0.0.1", port)] + [
+            (f"spawned-cluster{len(ports)}", "127.0.0.1", ports[0])
+            for _, ports in clusters]
+        _assert_digest_identity(71, in_thread + spawned)
+    finally:
+        stop_server(server)
+        for processes, _ in clusters:
+            stop_cluster(processes)
 
 
 # -- domain reuse and epoch bumps --------------------------------------------

@@ -19,11 +19,10 @@ from repro.runtime import (AdmissionBackend, LocalAdmissionBackend,
                            SpeculativeExecutor)
 from repro.runtime.executor import ExecutionReport
 from repro.runtime.gatekeeper import COUNTERS
-from repro.service.bench import scrape_metrics
 from repro.service.client import ServiceBackend
 from repro.workloads import ThroughputHarness, WorkloadSpec
 
-from service_fixture import LiveCluster, LiveServer
+from service_fixture import LiveCluster, LiveServer, scrape_metrics
 
 #: A stable-armed ArrayList run whose seeded serial schedule trips the
 #: drift guard, the conservative fallback and an EvalError, with pair

@@ -63,7 +63,6 @@ def test_bench_parser_accepts_the_service_suite():
     from repro.__main__ import build_parser
     args = build_parser().parse_args(["bench", "--suite", "service"])
     assert args.suite == "service"
-    assert args.service_workers == 2  # CI minimum: >= 2 client procs
 
 
 def test_serve_parser_defaults():

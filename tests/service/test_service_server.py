@@ -9,11 +9,10 @@ import pytest
 from repro.eval import Record
 from repro.runtime import ExecutionReport
 from repro.service import protocol
-from repro.service.bench import EXPECTED_METRIC_NAMES, scrape_metrics
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.metrics import prometheus_text
 
-from service_fixture import LiveServer
+from service_fixture import EXPECTED_METRIC_NAMES, LiveServer, scrape_metrics
 
 
 def _seq_state(*elems):

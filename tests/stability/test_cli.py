@@ -1,6 +1,6 @@
 """CLI surface of the stability subsystem: the ``stability``
-subcommand, ``run --arm weakened``, and the ``bench --suite runtime`` gate
-and seed-matrix sections."""
+subcommand, ``run --arm weakened``, and the ``bench --suite runtime``
+drift-stable gate."""
 
 import json
 
@@ -59,19 +59,3 @@ def test_bench_runtime_stable_gate(tmp_path, capsys):
     assert section["compiled"]["ArrayList"]["weakened"] > 0
     out = capsys.readouterr().out
     assert "bench: stability ArrayList" in out
-
-
-def test_bench_runtime_seed_matrix(tmp_path, capsys):
-    output = tmp_path / "BENCH_runtime.json"
-    code = main(["bench", "--suite", "runtime", "--seeds", "2",
-                 "--output", str(output)])
-    assert code == 0
-    data = json.loads(output.read_text())
-    section = data["seed_matrix"]
-    assert section["seeds"] == 2
-    cell = section["structures"]["HashSet"]["mixed-uniform"]["commutativity"]
-    assert len(cell["ops_per_second"]) == 2
-    assert cell["ops_per_second_p50"] <= cell["ops_per_second_p95"]
-    assert cell["aborts_p50"] <= cell["aborts_p95"]
-    out = capsys.readouterr().out
-    assert "ops/s p50" in out and "aborts p95" in out
