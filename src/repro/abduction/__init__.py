@@ -17,7 +17,7 @@ correction: propose the missing premise, refute, strengthen, repeat):
   pruning and strengthening the lattice, the symbolic prover screening
   every bounded-armed survivor (its countermodels strengthen too);
 - :mod:`.demo` — the projector-less, router-less showcase structure
-  the bench gate, tests, and example share.
+  the gate table, the tests, and the example share.
 
 Results run through the engine as the cached ``ABDUCTION`` task kind
 and merge into each pair's verdict
@@ -26,8 +26,9 @@ and merge into each pair's verdict
 ``synthesized_hits``), never decision-changing (a synthesized
 condition admits exactly like any other armed condition — flat and
 sharded managers, local and served deployments, still agree
-byte-for-byte).  Entry points: :meth:`repro.api.Session.abduce_stable`,
-``stability --arm synthesized``, ``bench --arm synthesized``.
+byte-for-byte).  Entry points: :meth:`repro.api.Session.abduce_stable`
+and ``stability --arm synthesized``; row 3 of ``tests/test_gates.py``
+(synthesized beats proved) is its gate.
 """
 
 from .atoms import atom_pool

@@ -2,7 +2,7 @@
 
 This backend realizes the semantics of the generated testing methods
 (Figures 2-2, 3-1) directly: it enumerates every abstract state and
-argument tuple within a :class:`~repro.eval.enumeration.Scope`, executes
+argument tuple within a :class:`~repro.eval.enumeration.Scope`, runs
 both operation orders of Figure 4-1, and checks
 
 - **soundness** (Property 1): condition true  => both orders defined,
@@ -10,15 +10,20 @@ both operation orders of Figure 4-1, and checks
 - **completeness** (Property 2): condition false => some order undefined,
   or different return values, or different final abstract states.
 
-Within the scope this is a decision procedure; the symbolic backend in
-:mod:`repro.solver` extends the guarantee to unbounded base states.
+Each operation step is run once per engine run and then looked up: the
+cases and their commute verdicts come from the run's
+:class:`~repro.commutativity.transitions.TransitionTable`, in the
+enumeration order, and each distinct formula of a pair is evaluated
+once per case.  Within the scope this is a decision procedure; the
+symbolic backend in :mod:`repro.solver` extends the guarantee to
+unbounded base states.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator
 
 from ..eval.enumeration import Scope
 from ..eval.interpreter import EvalContext
@@ -26,22 +31,7 @@ from ..eval.values import Record
 from ..logic.compile import compile_term
 from ..specs.interface import DataStructureSpec, Operation
 from .conditions import CommutativityCondition, pair_layout
-
-
-class Case(NamedTuple):
-    """One first-order execution of ``m1(args1); m2(args2)`` (Figure 4-1).
-
-    A named tuple, not a frozen dataclass: a verification pass builds
-    about a hundred thousand of them, and a frozen dataclass's
-    ``__init__`` sets each field through ``object.__setattr__``."""
-
-    state: Record
-    args1: tuple[Any, ...]
-    args2: tuple[Any, ...]
-    mid: Record
-    fin: Record
-    r1: Any
-    r2: Any
+from .transitions import Case, transitions
 
 
 @dataclass(frozen=True)
@@ -84,18 +74,8 @@ class CheckResult:
 def enumerate_cases(spec: DataStructureSpec, op1: Operation, op2: Operation,
                     scope: Scope) -> Iterator[Case]:
     """All first-order executions within scope (premises of Props 1-2)."""
-    args1_list = list(spec.arguments(op1, scope))
-    args2_list = list(spec.arguments(op2, scope))
-    for state in spec.states(scope):
-        for args1 in args1_list:
-            if not spec.precondition_holds(op1, state, args1):
-                continue
-            mid, r1 = op1.semantics(state, args1)
-            for args2 in args2_list:
-                if not spec.precondition_holds(op2, mid, args2):
-                    continue
-                fin, r2 = op2.semantics(mid, args2)
-                yield Case(state, args1, args2, mid, fin, r1, r2)
+    for case, _ in transitions(spec).cases(op1, op2, scope):
+        yield case
 
 
 def executions(spec: DataStructureSpec, op1: Operation, op2: Operation,
@@ -168,10 +148,12 @@ def check_conditions(spec: DataStructureSpec,
         -> list[CheckResult]:
     """Check several conditions for the *same* operation pair at once,
     over ``cases`` (the scope's :func:`enumerate_cases` by default; the
-    symbolic engine passes its own).
+    symbolic engine passes its own, which are executed here).
 
-    Sharing the case enumeration across the pair's before/between/after
-    conditions triples throughput, which matters for the ArrayList sweep.
+    The pair's before/between/after conditions share one pass over the
+    cases, each case's commute verdict is a transition-table lookup,
+    and a formula that several conditions share is evaluated once per
+    case.  That matters most for the ArrayList sweep.
     """
     pairs = {(c.m1, c.m2) for c in conditions}
     if len(pairs) != 1:
@@ -180,32 +162,36 @@ def check_conditions(spec: DataStructureSpec,
     op2 = conditions[0].op2
     ctx = EvalContext(observe=spec.observe)
     names = case_layout(op1, op2)
-    formulas = [compile_term(
-        c.dynamic_formula if use_dynamic else c.formula, names, ctx)
+    #: Each distinct formula once; ``slots[i]`` is condition i's.
+    distinct: dict = {}
+    slots = [distinct.setdefault(
+        c.dynamic_formula if use_dynamic else c.formula, len(distinct))
         for c in conditions]
+    formulas = [compile_term(term, names, ctx) for term in distinct]
     results = [CheckResult(condition=c) for c in conditions]
     if cases is None:
-        cases = enumerate_cases(spec, op1, op2, scope)
+        judged = transitions(spec).cases(op1, op2, scope)
+    else:
+        judged = ((case, commutes(spec, op1, op2, case))
+                  for case in cases)
+    count = 0
     start = time.perf_counter()
-    for case in cases:
-        truth = commutes(spec, op1, op2, case)
+    for case, truth in judged:
+        count += 1
         env = case_slots(op1, op2, case)
-        for formula, result in zip(formulas, results):
-            result.cases += 1
-            phi = bool(formula(env))
-            if phi and not truth:
-                direction = "soundness"
-            elif not phi and truth:
-                direction = "completeness"
-            else:
+        values = [bool(formula(env)) for formula in formulas]
+        for slot, result in zip(slots, results):
+            phi = values[slot]
+            if phi == truth:
                 continue
             if len(result.counterexamples) < max_counterexamples:
                 result.counterexamples.append(Counterexample(
-                    direction=direction, state=case.state,
-                    args1=case.args1, args2=case.args2,
+                    direction="soundness" if phi else "completeness",
+                    state=case.state, args1=case.args1, args2=case.args2,
                     condition_value=phi, commuted=truth))
     elapsed = time.perf_counter() - start
     for result in results:
+        result.cases = count
         result.elapsed = elapsed
     return results
 
@@ -226,8 +212,5 @@ def exact_condition_table(spec: DataStructureSpec, op1: Operation,
     Used by the condition synthesizer and by tests that validate the
     catalog against semantics rather than against formulas.
     """
-    table = {}
-    for case in enumerate_cases(spec, op1, op2, scope):
-        table[(case.state, case.args1, case.args2)] = \
-            commutes(spec, op1, op2, case)
-    return table
+    return {(case.state, case.args1, case.args2): truth
+            for case, truth in transitions(spec).cases(op1, op2, scope)}

@@ -4,8 +4,10 @@ condition from the semantics alone.
 Given an operation pair, a kind, and a pool of candidate atomic
 predicates over that kind's vocabulary, the synthesizer evaluates every
 in-scope case (Figure 4-1), records each case's atom valuation and
-ground-truth commutativity, and — when the atoms suffice to separate
-commuting from non-commuting cases — emits a minimized DNF condition.
+ground-truth commutativity (the cases and verdicts are read from the
+run's transition table, :mod:`repro.commutativity.transitions`), and —
+when the atoms suffice to separate commuting from non-commuting cases —
+emits a minimized DNF condition.
 
 This is how the repository cross-validates the hand-derived catalog: the
 synthesized condition must be logically equivalent (both are sound and
@@ -21,9 +23,10 @@ from ..eval.interpreter import EvalContext, evaluate
 from ..logic import parse_formula, pretty
 from ..logic import terms as t
 from ..specs import DataStructureSpec
-from .bounded import case_environment, commutes, enumerate_cases
+from .bounded import case_environment
 from .conditions import (CommutativityCondition, Kind, allowed_variables,
                          condition_symbols)
+from .transitions import transitions
 
 
 @dataclass
@@ -75,11 +78,10 @@ def synthesize(spec: DataStructureSpec, m1: str, m2: str, kind: Kind,
     table: dict[tuple[bool, ...], bool] = {}
     witnesses: dict[tuple[bool, ...], object] = {}
     cases = 0
-    for case in enumerate_cases(spec, op1, op2, scope):
+    for case, truth in transitions(spec).cases(op1, op2, scope):
         cases += 1
         env = case_environment(op1, op2, case)
         valuation = tuple(bool(evaluate(a, env, ctx)) for a in atoms)
-        truth = commutes(spec, op1, op2, case)
         if valuation in table:
             if table[valuation] != truth:
                 return SynthesisResult(
@@ -147,7 +149,7 @@ def validate_against_catalog(cond: CommutativityCondition,
         return False
     ctx = EvalContext(observe=spec.observe)
     op1, op2 = cond.op1, cond.op2
-    for case in enumerate_cases(spec, op1, op2, scope):
+    for case, _ in transitions(spec).cases(op1, op2, scope):
         env = case_environment(op1, op2, case)
         if bool(evaluate(result.formula, env, ctx)) \
                 != bool(evaluate(cond.formula, env, ctx)):

@@ -18,6 +18,11 @@ caller's registry object — no pickling anywhere.  ``jobs>1`` uses a
 ``jobs=None`` honours the ``REPRO_JOBS`` environment variable (the CI
 matrix leg sets ``REPRO_JOBS=2`` to exercise this path on every PR);
 ``jobs=0`` means one worker per CPU.
+
+A run is one :func:`~repro.commutativity.transitions.transition_run`:
+its tasks share one transition table per spec, serially for the whole
+run and in a pool for the life of each worker, and the tables are
+dropped when the run returns.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Iterable, Sequence
 
+from ..commutativity.transitions import start_worker_run, transition_run
 from .tasks import TaskOutcome, VerifyTask, execute_task, set_worker_registry
 
 #: Environment variable consulted when ``jobs`` is not given explicitly.
@@ -71,7 +77,8 @@ class ParallelRunner:
         """All outcomes, ordered by task index (deterministic)."""
         tasks = list(tasks)
         if not self._parallelizable(tasks):
-            return [execute_task(task, self.registry) for task in tasks]
+            with transition_run():
+                return [execute_task(task, self.registry) for task in tasks]
         return self._run_pool(tasks)
 
     def _run_pool(self, tasks: list[VerifyTask]) -> list[TaskOutcome]:
@@ -84,7 +91,8 @@ class ParallelRunner:
         try:
             workers = min(self.jobs, len(tasks))
             with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=context) as pool:
+                                     mp_context=context,
+                                     initializer=start_worker_run) as pool:
                 futures = [pool.submit(execute_task, task) for task in tasks]
                 outcomes = [future.result()
                             for future in as_completed(futures)]

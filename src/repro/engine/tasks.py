@@ -41,7 +41,7 @@ class VerifyTask:
     """One independent proof obligation shard.
 
     Commutativity tasks cover every condition of one operation pair
-    (before/between/after share case enumeration, tripling throughput);
+    (before/between/after share one pass over the pair's cases);
     inverse tasks cover one Property-3 obligation.
     """
 

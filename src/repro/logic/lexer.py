@@ -4,10 +4,15 @@ The surface syntax follows the paper's figures and tables: ``&``, ``|``,
 ``-->``, ``<->``, ``~`` (negation), ``~=`` (disequality), ``:`` and ``~:``
 (set membership), ``ALL``/``EX`` quantifiers, ``s1.contents`` field access,
 ``s1.contains(v1)`` observer calls, and ``s2[i]`` sequence indexing.
+
+Identifiers are interned (:func:`sys.intern`): a catalog's formulas
+name the same few variables, fields and observers thousands of times,
+and every parse of them shares one string per name.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 
@@ -81,7 +86,7 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            word = text[i:j]
+            word = sys.intern(text[i:j])
             tokens.append(Token(_KEYWORDS.get(word, "IDENT"), word, i))
             i = j
             continue

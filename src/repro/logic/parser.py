@@ -20,9 +20,14 @@ The parser is sort-directed: a :class:`~repro.logic.symbols.SymbolTable`
 supplies variable sorts, abstract-state fields, and observer signatures,
 and STATE-sorted expressions silently coerce to their principal collection
 field where a collection is expected (``v : s1`` == ``v : s1.contents``).
+
+Every parse builds one :class:`~repro.logic.terms.Var` per (name, sort),
+so the parsed catalog shares its variable leaves.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .lexer import Token, tokenize
 from .sorts import Sort, SortError
@@ -32,6 +37,11 @@ from . import terms as t
 
 class ParseError(ValueError):
     """Raised on malformed input or sort mismatches."""
+
+
+#: ``_var(name, sort)``: the one Var of every parse, so a parsed
+#: catalog's formulas share their leaves rather than each holding its own.
+_var = functools.cache(t.Var)
 
 
 _BUILTIN_NODES = {
@@ -126,7 +136,7 @@ class Parser:
                 except KeyError:
                     raise ParseError(f"unknown binder sort {ann!r}") from None
             self._expect("DOT")
-            var = t.Var(name, var_sort)
+            var = _var(name, var_sort)
             saved = self._symbols
             self._symbols = saved.with_vars({name: var_sort})
             try:
@@ -333,7 +343,7 @@ class Parser:
             if var_sort is None:
                 raise ParseError(
                     f"unknown identifier {tok.text!r} in {self._text!r}")
-            return t.Var(tok.text, var_sort)
+            return _var(tok.text, var_sort)
         raise ParseError(
             f"unexpected token {tok.text!r} at position {tok.pos} "
             f"in {self._text!r}")

@@ -43,8 +43,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from ..commutativity.bounded import Case, commutes
 from ..commutativity.conditions import CommutativityCondition, pair_layout
+from ..commutativity.transitions import reverse_commutes, transitions
 from ..eval.enumeration import Scope
 from ..eval.interpreter import EvalContext, EvalError
 from ..eval.values import FMap, Record
@@ -368,26 +368,26 @@ def prove_pair(spec: DataStructureSpec, cond: CommutativityCondition,
                 classes)
             live.remove(item)
 
-        commute_cache: dict[tuple, Any] = {}
+        # The stream repeats roots across drift variations; each step
+        # runs once, in the run's transition table.
+        table = transitions(spec)
         for w, args1, args2, drift_fn in _case_stream(spec, op1, op2,
                                                       scope):
             if not free_live and not drift_live:
                 break
-            if not spec.precondition_holds(op1, w, args1):
+            root = table.states.intern(w)
+            row1 = table.row(op1, args1)
+            step = row1[root]
+            if step is None:
                 continue
-            mid, r1 = op1.semantics(w, args1)
-            case_key = (w, args1, args2)
-            truth = commute_cache.get(case_key)
-            if truth is None:
-                if not spec.precondition_holds(op2, mid, args2):
-                    truth = "outside"
-                else:
-                    fin, r2 = op2.semantics(mid, args2)
-                    truth = commutes(spec, op1, op2, Case(
-                        w, args1, args2, mid, fin, r1, r2))
-                commute_cache[case_key] = truth
-            if truth == "outside":
+            mid_id, r1 = step
+            row2 = table.row(op2, args2)
+            step = row2[mid_id]
+            if step is None:
                 continue
+            fin, r2 = step
+            truth = reverse_commutes(row1, row2, root, fin, r1, r2)
+            mid = table.states[mid_id]
             env = [mid, *args1, *args2]
             if op1.result_sort is not None:
                 env.append(r1)

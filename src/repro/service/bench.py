@@ -18,6 +18,8 @@ import multiprocessing as mp
 import time
 from typing import Any, Callable, Sequence
 
+from .cluster import await_report
+
 #: Shard count of every served domain in this bench.
 BENCH_SHARDS = 4
 
@@ -98,19 +100,25 @@ def soak_client_entry(worker_id: int, host: str, port: int,
 
 
 def start_server(host: str = "127.0.0.1"):
-    """Spawn the server subprocess; returns ``(process, port)``."""
+    """Spawn the server subprocess; returns ``(process, port)``.  A
+    server that exits before it reports its port, or takes longer than
+    :data:`SERVER_START_TIMEOUT`, raises :class:`RuntimeError`."""
     ctx = mp.get_context("spawn")
     parent, child = ctx.Pipe()
     process = ctx.Process(target=server_entry, args=(child, host),
                           name="repro-admission-server")
     process.start()
     child.close()
-    if not parent.poll(SERVER_START_TIMEOUT):
+    try:
+        port = await_report(parent, process,
+                            time.monotonic() + SERVER_START_TIMEOUT,
+                            "admission server")
+    except BaseException:
         process.terminate()
         process.join(5.0)
-        raise RuntimeError("admission server did not start in time")
-    port = parent.recv()
-    parent.close()
+        raise
+    finally:
+        parent.close()
     return process, port
 
 

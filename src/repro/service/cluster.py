@@ -64,8 +64,8 @@ from ..eval.values import Record
 from ..runtime.sharding import ShardRouter, route
 from . import protocol
 
-#: Seconds to wait for each cluster worker to report its port (and,
-#: after the map broadcast, its readiness).
+#: Seconds a cluster has to start: every worker reports its port and,
+#: after the map broadcast, its readiness, by one shared deadline.
 CLUSTER_START_TIMEOUT = 30.0
 
 #: A single worker's slices: none, the server routes for itself.
@@ -303,10 +303,26 @@ def worker_entry(conn, host: str) -> None:
                cluster_ports=ports, on_ready=ready)
 
 
+def await_report(conn, process, deadline: float, who: str) -> Any:
+    """The next message ``process`` sends on ``conn`` by ``deadline``
+    (a :func:`time.monotonic` time).  Raises :class:`RuntimeError` when
+    the deadline passes first, or when the process exits first, naming
+    its exit code."""
+    if not conn.poll(max(0.0, deadline - time.monotonic())):
+        raise RuntimeError(f"{who} did not report in time")
+    try:
+        return conn.recv()
+    except EOFError:
+        process.join(5.0)
+        raise RuntimeError(f"{who} exited with code {process.exitcode} "
+                           f"before reporting") from None
+
+
 def start_cluster(workers: int, host: str = "127.0.0.1"):
     """Spawn ``workers`` admission-server processes, broadcast the
     partition map, wait until every worker serves; returns
-    ``(processes, ports)`` with ports in worker-id order."""
+    ``(processes, ports)`` with ports in worker-id order.  The whole
+    start has :data:`CLUSTER_START_TIMEOUT` seconds."""
     import multiprocessing as mp
     ctx = mp.get_context("spawn")
     processes, pipes = [], []
@@ -320,19 +336,15 @@ def start_cluster(workers: int, host: str = "127.0.0.1"):
             child.close()
             processes.append(process)
             pipes.append(parent)
-        ports = []
-        for parent in pipes:
-            if not parent.poll(CLUSTER_START_TIMEOUT):
-                raise RuntimeError(
-                    "cluster worker did not report its port in time")
-            ports.append(parent.recv())
+        deadline = time.monotonic() + CLUSTER_START_TIMEOUT
+        names = [f"cluster worker {worker_id}"
+                 for worker_id in range(workers)]
+        ports = [await_report(parent, process, deadline, who)
+                 for parent, process, who in zip(pipes, processes, names)]
         for worker_id, parent in enumerate(pipes):
             parent.send((worker_id, ports))
-        for parent in pipes:
-            if not parent.poll(CLUSTER_START_TIMEOUT):
-                raise RuntimeError(
-                    "cluster worker did not start serving in time")
-            parent.recv()
+        for parent, process, who in zip(pipes, processes, names):
+            await_report(parent, process, deadline, who)
             parent.close()
     except BaseException:
         stop_cluster(processes)

@@ -49,12 +49,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..commutativity.bounded import Case, commutes
 from ..commutativity.conditions import (CommutativityCondition, Kind,
                                         allowed_variables,
                                         condition_symbols,
                                         formula_references_state,
                                         pair_layout)
+from ..commutativity.transitions import transitions
 from ..eval.enumeration import Scope
 from ..eval.interpreter import EvalContext, EvalError
 from ..logic import ParseError, free_vars, parse_formula
@@ -165,8 +165,9 @@ def check_pair(spec: DataStructureSpec, cond: CommutativityCondition,
                witness_limit: int = 0) -> PairStability:
     """Run the quantified sweep for one drift-fragile between condition.
 
-    One pass over the pair's case enumeration serves every candidate
-    (the sharing trick of
+    One pass over the pair's cases, read from the run's transition
+    table (:mod:`repro.commutativity.transitions`), serves every
+    candidate (the sharing trick of
     :func:`~repro.commutativity.bounded.check_conditions`): the pass
     records, per observation ``(args1, args2, r1)``, whether the pair
     commutes at *every* consistent root, and per candidate the
@@ -191,7 +192,8 @@ def check_pair(spec: DataStructureSpec, cond: CommutativityCondition,
     results = {text: CandidateResult(text=text, passed=False)
                for text, _, _, _ in compiled}
     state_free = {text: free for text, _, _, free in compiled}
-    args2_list = list(spec.arguments(op2, scope))
+    table = transitions(spec)
+    args2_list = table.arguments(op2, scope)
     #: Drifted ``s2`` bindings: every invariant-satisfying in-scope
     #: state (reachability over-approximated — see module docstring),
     #: pre-filtered per argument tuple to the states the runtime could
@@ -200,11 +202,11 @@ def check_pair(spec: DataStructureSpec, cond: CommutativityCondition,
     #: Only built when some candidate actually reads ``s2``.
     drifted_for: dict[tuple, list] = {}
     if any(wants_s2 for _, _, wants_s2, _ in compiled):
-        drifted = [state for state in spec.states(scope)
+        drifted = [(state, sid) for state, sid in table.enumeration(scope)
                    if spec.invariant(state)]
         drifted_for = {
-            args2: [state for state in drifted
-                    if spec.precondition_holds(op2, state, args2)]
+            args2: [state for state, sid in drifted
+                    if table.row(op2, args2)[sid] is not None]
             for args2 in args2_list}
     always_commutes: dict[tuple, bool] = {}
     admitted_under: dict[str, set[tuple]] = {text: set()
@@ -215,37 +217,25 @@ def check_pair(spec: DataStructureSpec, cond: CommutativityCondition,
         results[text].admitted += 1
         admitted_under[text].add(obs)
 
-    args1_list = list(spec.arguments(op1, scope))
-    for state in spec.states(scope):
-        for args1 in args1_list:
-            if not spec.precondition_holds(op1, state, args1):
+    for (state, args1, args2, mid, _, r1, _), truth in table.cases(
+            op1, op2, scope):
+        result = (r1,) if op1.result_sort is not None else ()
+        obs = (args1, args2, r1 if op1.result_sort is not None else None)
+        cases += 1
+        always_commutes[obs] = always_commutes.get(obs, True) and truth
+        env = [state, mid, *args1, *args2, *result]
+        for text, formula, wants_s2, _ in compiled:
+            if not wants_s2:
+                if _holds(formula, env):
+                    admit(text, obs)
                 continue
-            mid, r1 = op1.semantics(state, args1)
-            result = (r1,) if op1.result_sort is not None else ()
-            for args2 in args2_list:
-                if not spec.precondition_holds(op2, mid, args2):
-                    continue
-                obs = (args1, args2,
-                       r1 if op1.result_sort is not None else None)
-                cases += 1
-                fin, r2 = op2.semantics(mid, args2)
-                case = Case(state, args1, args2, mid, fin, r1, r2)
-                truth = commutes(spec, op1, op2, case)
-                always_commutes[obs] = \
-                    always_commutes.get(obs, True) and truth
-                env = [state, mid, *args1, *args2, *result]
-                for text, formula, wants_s2, _ in compiled:
-                    if not wants_s2:
-                        if _holds(formula, env):
-                            admit(text, obs)
-                        continue
-                    # Quantify the drifted binding; ``mid`` (the
-                    # verified no-drift environment) is always included.
-                    drift_env = env.copy()
-                    for drift_state in (mid, *drifted_for[args2]):
-                        drift_env[1] = drift_state
-                        if _holds(formula, drift_env):
-                            admit(text, obs)
+            # Quantify the drifted binding; ``mid`` (the verified
+            # no-drift environment) is always included.
+            drift_env = env.copy()
+            for drift_state in (mid, *drifted_for[args2]):
+                drift_env[1] = drift_state
+                if _holds(formula, drift_env):
+                    admit(text, obs)
     survivors: list[str] = []
     for text, result in results.items():
         violating = [obs for obs in admitted_under[text]

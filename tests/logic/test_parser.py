@@ -1,5 +1,7 @@
 """Parser unit tests: precedence, sort checking, elaboration."""
 
+import dataclasses
+
 import pytest
 
 from repro.logic import ParseError, parse_formula, parse_term
@@ -184,3 +186,22 @@ def test_trailing_garbage_rejected(table):
 def test_bool_eq_true(table):
     f = parse_formula("st.contains(v1) = true", table)
     assert isinstance(f, t.Eq)
+
+
+def test_two_parses_share_their_leaves_and_identifiers(table):
+    """A parsed catalog holds one Var per (name, sort) and one string
+    per identifier, however many formulas name them."""
+    text = "st.contains(v1) & v1 : st.contents | (ALL idx. idx < x)"
+    first = parse_formula("(" + text + ")", table)
+    second = parse_formula(text, table)
+    assert first == second
+    strings = 0
+    for a, b in zip(first.walk(), second.walk()):
+        if isinstance(a, t.Var):
+            assert a is b
+        for field in dataclasses.fields(a):
+            value = getattr(a, field.name)
+            if isinstance(value, str):
+                assert value is getattr(b, field.name)
+                strings += 1
+    assert strings >= 6
