@@ -16,9 +16,11 @@ exactly the same calls as the paper's six built-ins.
 
 from __future__ import annotations
 
+import os
 from typing import Any, Iterable, Sequence
 
 from ..commutativity.conditions import CommutativityCondition, Kind
+from ..engine.cache import DEFAULT_CACHE_DIR, ResultCache
 from ..eval.enumeration import Scope
 from ..inverses.catalog import InverseSpec
 from ..specs.interface import DataStructureSpec
@@ -34,7 +36,11 @@ class Session:
     ``REPRO_JOBS`` environment variable (serial otherwise, ``0`` = all
     CPUs), and ``cache=True`` — the default — serves already-proven
     obligations from the content-addressed ``.repro-cache/`` store.
-    Every verification call accepts per-call overrides.
+    Every verification call accepts per-call overrides.  The session
+    keeps one :class:`~repro.engine.cache.ResultCache` per cache
+    directory across its calls, so the file is read once and each entry
+    serialized once; entries another writer adds between calls are
+    read back in before the session writes.
     """
 
     def __init__(self, registry: Registry | None = None,
@@ -47,12 +53,23 @@ class Session:
         self.backend = backend
         self.jobs = jobs
         self.cache = cache
+        #: Absolute cache directory -> its store, kept across calls.
+        self._stores: dict[str, ResultCache] = {}
 
     def _jobs(self, jobs: int | None) -> int | None:
         return jobs if jobs is not None else self.jobs
 
     def _cache(self, cache):
-        return cache if cache is not None else self.cache
+        """The store of a call's ``cache`` argument (the session's by
+        default): one per directory for the session's life."""
+        cache = cache if cache is not None else self.cache
+        if cache is None or cache is False or isinstance(cache, ResultCache):
+            return cache
+        root = os.path.abspath(DEFAULT_CACHE_DIR if cache is True else cache)
+        store = self._stores.get(root)
+        if store is None:
+            store = self._stores[root] = ResultCache(root)
+        return store
 
     # -- lookups -------------------------------------------------------------
 

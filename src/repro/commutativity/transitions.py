@@ -18,18 +18,22 @@ executions are the opposite pair's forward ones.  A
 :meth:`TransitionTable.cases` is
 :func:`~repro.commutativity.bounded.enumerate_cases` with each case's
 :func:`~repro.commutativity.bounded.commutes` verdict, both answered by
-lookups, in the same order.  The bounded checker, the stability
-re-verifier (:func:`repro.stability.quantified.check_pair`), the native
-prover's case stream (:func:`repro.prover.native.prove_pair`) and the
-condition synthesizer read it.
+lookups, in the same order.  The stability re-verifier
+(:func:`repro.stability.quantified.check_pair`), the native prover's
+case stream (:func:`repro.prover.native.prove_pair`) and the condition
+synthesizer read it.  The bounded checker walks the same rows in the
+same order in a function generated per operation pair
+(:func:`repro.commutativity.bounded.pair_loop`), which decides the
+reverse order as :func:`reverse_commutes` does; the table keeps those
+functions for its run (:attr:`TransitionTable.loops`).
 
 **Lifetime.**  A table lives for one engine run: the serial path of
 :meth:`repro.engine.runner.ParallelRunner.run` enters
 :func:`transition_run`, and each pool worker enters a run for the life
-of its pool.  It is dropped when the run returns.  No spec or report
-refers to a table, and no table outlives its run, so nothing a run
-computed is served to a later one; a caller outside any run gets a
-table of its own for the call.
+of its pool.  It is dropped when the run returns, and the generated
+pair functions with it.  No spec or report refers to a table, and no
+table outlives its run, so nothing a run computed is served to a later
+one; a caller outside any run gets a table of its own for the call.
 """
 
 from __future__ import annotations
@@ -135,6 +139,9 @@ class TransitionTable:
         #: Scope -> the enumerated states with their ids, in order.
         self._enumerations: dict[Scope, list[tuple[Record, int]]] = {}
         self._arguments: dict[tuple[str, Scope], list[tuple]] = {}
+        #: The bounded checker's generated pair functions of this run
+        #: (:func:`repro.commutativity.bounded.pair_loop`).
+        self.loops: dict[tuple, Any] = {}
 
     def enumeration(self, scope: Scope) -> list[tuple[Record, int]]:
         """The scope's states, each as enumerated, with its id."""
@@ -162,6 +169,10 @@ class TransitionTable:
             row = self._rows[key] = Row(self.spec, self.states, op, args)
         return row
 
+    def rows(self, op: Operation, scope: Scope) -> list[Row]:
+        """The row of each of the scope's argument tuples of ``op``."""
+        return [self.row(op, args) for args in self.arguments(op, scope)]
+
     def cases(self, op1: Operation, op2: Operation,
               scope: Scope) -> Iterator[tuple[Case, bool]]:
         """Every first-order execution within ``scope``, with whether
@@ -169,8 +180,8 @@ class TransitionTable:
         arguments, then the second, where both operations are
         defined."""
         states = self.states
-        rows1 = [self.row(op1, args) for args in self.arguments(op1, scope)]
-        rows2 = [self.row(op2, args) for args in self.arguments(op2, scope)]
+        rows1 = self.rows(op1, scope)
+        rows2 = self.rows(op2, scope)
         for state, sid in self.enumeration(scope):
             for row1 in rows1:
                 step = row1[sid]

@@ -14,12 +14,21 @@ arbitrary state values, would bloat the JSON anyway).
 Persistence is one JSON file, ``.repro-cache/verify.json`` by default.
 Corrupt files are treated as empty; entries recorded by a different
 :data:`~repro.engine.fingerprint.ENGINE_VERSION` are dropped at load.
+
+A store lives across calls (a :class:`~repro.api.Session` keeps one
+per cache directory): it reads the file once, serializes each entry
+once and writes the file by joining the kept texts, byte for byte what
+one ``json.dumps(..., sort_keys=True)`` of the whole file would give.
+Before it serves its entries again, and before it writes, it re-stats
+the file; if another writer replaced it, it reads it again and keeps
+its own entries the file lacks.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -40,7 +49,12 @@ class ResultCache:
         self.root = Path(root)
         self.path = self.root / "verify.json"
         self._entries: dict[str, dict[str, Any]] | None = None
+        #: Key -> the entry's ``"key":{...}`` text in the file.
+        self._texts: dict[str, str] = {}
+        #: The file as last read or written (see :func:`_signature`).
+        self._seen: tuple | None = None
         self._dirty = False
+        self._lock = threading.RLock()
 
     @classmethod
     def resolve(cls, cache) -> "ResultCache | None":
@@ -61,11 +75,19 @@ class ResultCache:
     # -- persistence ---------------------------------------------------------
 
     def _load(self) -> dict[str, dict[str, Any]]:
-        if self._entries is not None:
+        with self._lock:
+            if self._entries is None:
+                self._entries = self._read()
             return self._entries
+
+    def _read(self) -> dict[str, dict[str, Any]]:
+        """The file's entries of this engine version; records what was
+        read in :attr:`_seen`."""
         entries: dict[str, dict[str, Any]] = {}
+        self._seen = None
         try:
             with open(self.path, encoding="utf-8") as handle:
+                self._seen = _signature(os.fstat(handle.fileno()))
                 data = json.load(handle)
             if isinstance(data, dict) and data.get("schema") == SCHEMA:
                 raw = data.get("entries", {})
@@ -76,24 +98,57 @@ class ResultCache:
                         and entry.get("engine_version") == ENGINE_VERSION}
         except (OSError, ValueError):
             entries = {}
-        self._entries = entries
         return entries
+
+    def refresh(self) -> None:
+        """Re-stat the file; when another writer replaced it since this
+        store last read or wrote it, read it again, keeping the entries
+        of this store that it lacks (they are written on the next
+        :meth:`save`)."""
+        with self._lock:
+            if self._entries is None:
+                return  # read on first use
+            try:
+                seen = _signature(os.stat(self.path))
+            except OSError:
+                seen = None
+            if seen == self._seen:
+                return
+            entries = self._read()
+            for key, entry in self._entries.items():
+                if entries.setdefault(key, entry) is entry:
+                    self._dirty = True
+                else:
+                    self._texts.pop(key, None)
+            self._entries = entries
 
     def save(self) -> None:
         """Persist new entries (atomic rename; no-op when clean)."""
-        if not self._dirty or self._entries is None:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".json.tmp")
-        # One ``dumps`` call without indent runs the C encoder; ``dump``
-        # always runs the pure-Python one, and every public offline
-        # call rewrites the whole file.
-        text = json.dumps({"schema": SCHEMA, "entries": self._entries},
-                          sort_keys=True, separators=(",", ":"))
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, self.path)
-        self._dirty = False
+        with self._lock:
+            if not self._dirty or self._entries is None:
+                return
+            self.refresh()
+            texts = self._texts
+            parts = []
+            for key in sorted(self._entries):
+                text = texts.get(key)
+                if text is None:
+                    text = texts[key] = json.dumps(key) + ":" + json.dumps(
+                        self._entries[key], sort_keys=True,
+                        separators=(",", ":"))
+                parts.append(text)
+            # What ``json.dumps({"schema": SCHEMA, "entries": entries},
+            # sort_keys=True, separators=(",", ":"))`` writes.
+            text = (f'{{"entries":{{{",".join(parts)}}},'
+                    f'"schema":{json.dumps(SCHEMA)}}}')
+            self.root.mkdir(parents=True, exist_ok=True)
+            tmp = self.path.with_suffix(".json.tmp")
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.flush()
+                self._seen = _signature(os.fstat(handle.fileno()))
+            os.replace(tmp, self.path)
+            self._dirty = False
 
     # -- lookup / store ------------------------------------------------------
 
@@ -128,7 +183,7 @@ class ResultCache:
         """Record a fully verified outcome (failures are never cached)."""
         if not outcome.verified or outcome.cached:
             return
-        self._load()[task.key] = {
+        entry = {
             "engine_version": ENGINE_VERSION,
             "label": task.label,
             "kind": task.kind,
@@ -143,7 +198,16 @@ class ResultCache:
                     else {})}
                 for r in outcome.results],
         }
-        self._dirty = True
+        with self._lock:
+            self._load()[task.key] = entry
+            self._texts.pop(task.key, None)
+            self._dirty = True
 
     def __len__(self) -> int:
         return len(self._load())
+
+
+def _signature(stat: os.stat_result) -> tuple:
+    """What tells one version of the file from another: an atomic
+    rename installs a new inode, a write moves the size or the mtime."""
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns

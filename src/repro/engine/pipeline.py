@@ -36,6 +36,8 @@ def _execute_plan(plan: TaskPlan, registry, jobs, cache) \
         -> dict[int, TaskOutcome]:
     """Serve tasks from the cache, run the misses, persist new proofs."""
     store = ResultCache.resolve(cache)
+    if store is not None:
+        store.refresh()
     outcomes: dict[int, TaskOutcome] = {}
     pending = []
     for task in plan.tasks:

@@ -41,7 +41,12 @@ bump it with any change here that could alter a compiled result.
 
 The same lowering writes every operation's executable semantics from
 its postcondition (:func:`compile_semantics`), a function over the
-state and the arguments rather than a slot list.
+state and the arguments rather than a slot list, and the expressions of
+a loop a caller writes around them (:func:`lower_body`: the bounded
+checker's one function per operation pair), over locals rather than a
+slot list, with the state fields they read hoisted into locals of their
+own.  A field local is never a binding a quantifier sees, so domains
+stay the interpreter's.
 """
 
 from __future__ import annotations
@@ -122,6 +127,43 @@ def compile_term(term: t.Term, names: Sequence[str],
     per name in ``names``, in order.  The function keeps no state
     between calls, so threads may share it."""
     return lower_term(term, names, ctx).function()
+
+
+class Body(NamedTuple):
+    """Terms lowered over locals, for a function its caller writes."""
+
+    #: Each layout name's local; a name listed twice has its last one.
+    locals: dict[str, str]
+    #: Each term's expression, in order.
+    values: list[str]
+    #: Layout name -> ``(local, source)`` of each hoisted field read:
+    #: the caller binds ``local = source`` after the name's local.
+    fields: dict[str, list[tuple[str, str]]]
+    #: Helper function sources, to precede the caller's function.
+    helpers: str
+    #: The names the sources read: constants, helpers, the observer.
+    namespace: dict
+
+
+def lower_body(terms: Sequence[t.Term], names: Sequence[str],
+               states: dict[str, Sequence[str]],
+               ctx: EvalContext | None = None) -> Body:
+    """Lower ``terms`` over one local per name of the layout ``names``,
+    for a caller that binds the locals and evaluates the expressions in
+    a function of its own.  ``states`` maps a name holding a state to
+    the fields every such state has: a read of one of them outside a
+    quantifier reads a local (:attr:`Body.fields`), bound once where the
+    caller binds the state.  A quantifier sees the layout's names only,
+    and inside one a field is read from its state."""
+    gen = _Generator(ctx or EvalContext())
+    scope = {name: gen.fresh("_v") for name in names}
+    gen.hoist = {scope[name]: frozenset(fields)
+                 for name, fields in states.items()}
+    values = [gen.text(gen.lower(term, scope, 0)) for term in terms]
+    return Body(scope, values,
+                {name: list(gen.fields[local].values())
+                 for name, local in scope.items() if local in gen.fields},
+                "".join(gen.helpers), gen.namespace)
 
 
 # -- runtime helpers ---------------------------------------------------------
@@ -237,6 +279,11 @@ class _Generator:
         self.namespace: dict[str, Any] = dict(_RUNTIME)
         self.helpers: list[str] = []
         self.count = 0
+        #: State local -> the fields whose reads become locals (see
+        #: :func:`lower_body`); empty inside a helper function.
+        self.hoist: dict[str, frozenset[str]] = {}
+        #: State local -> {field: (its local, the read it holds)}.
+        self.fields: dict[str, dict[str, tuple[str, str]]] = {}
 
     def fresh(self, prefix: str) -> str:
         self.count += 1
@@ -395,9 +442,15 @@ class _Generator:
                          lambda m, k, v: m.put(k, v))
 
     def _field(self, term: t.Field, scope, depth) -> _Node:
-        return self.node("({})[{}]",
-                         [self.lower(term.state, scope, depth),
-                          self.constant(term.name)],
+        state = self.lower(term.state, scope, depth)
+        if term.name in self.hoist.get(state.text, ()):
+            fields = self.fields.setdefault(state.text, {})
+            if term.name not in fields:
+                fields[term.name] = (
+                    self.fresh("_v"),
+                    f"{state.text}[{self.literal(term.name)}]")
+            return _Node(fields[term.name][0], True, NOT_CONST)
+        return self.node("({})[{}]", [state, self.constant(term.name)],
                          lambda state, name: state[name])
 
     def _indexed(self, term, row, scope, depth) -> _Node:
@@ -448,10 +501,18 @@ class _Generator:
                           *(text for text in scope.values()
                             if not text.startswith("env["))])
 
+    def _helper_body(self, term: t.Term, scope) -> _Node:
+        """``term`` lowered for a helper function, which takes only the
+        scope's locals: no field read in it is hoisted."""
+        hoist, self.hoist = self.hoist, {}
+        node = self.lower(term, scope, 0)
+        self.hoist = hoist
+        return node
+
     def _split(self, term: t.Term, scope) -> _Node:
         """``term`` in a helper function of its own, which returns its
         value."""
-        node = self.lower(term, scope, 0)
+        node = self._helper_body(term, scope)
         if node.text is None:
             return node
         helper, params = self.fresh("_h"), self._params(scope)
@@ -485,7 +546,7 @@ class _Generator:
         var = self.fresh("_v")
         inner = dict(scope)
         inner[term.var.name] = var
-        body = self.lower(term.body, inner, 0)
+        body = self._helper_body(term.body, inner)
         forall = isinstance(term, t.Forall)
         ctx = self.ctx
         if body.const is not NOT_CONST \

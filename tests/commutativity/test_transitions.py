@@ -1,85 +1,36 @@
-"""The transition table against a plain loop, and its lifetime.
+"""The transition table and the generated pair loop against a plain
+loop, and their lifetime.
 
-:func:`reference` is the bounded checker as it reads in the paper:
-for every case run ``m1; m2``, run ``m2; m1``, compare, and evaluate
-each condition through the interpreter.  Nothing is looked up or
-shared, so every result of :func:`check_conditions` (case counts, and
-counterexamples in order) must equal it.  The catalog checks run
-inside one :func:`transition_run`, as the engine runs them: every pair
-of a structure reads one table, each ordered pair's reverse steps
-filled by the opposite pair.
+:func:`pair_reference.reference` is the bounded checker as it reads in
+the paper: for every case run ``m1; m2``, run ``m2; m1``, compare, and
+evaluate each condition through the interpreter.  Every result of
+:func:`check_conditions`, whose generated pair loop walks the run's
+transition table, must equal it (case counts, and counterexamples in
+order), and a formula that raises must raise the same error at the same
+case.  The catalog checks run inside one :func:`transition_run`, as the
+engine runs them: every pair of a structure reads one table, each
+ordered pair's reverse steps filled by the opposite pair.
 """
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
+from pair_reference import observed, outcome, reference
 from repro.abduction import DEMO_FAMILY, make_demo_registry
 from repro.api import Session
-from repro.commutativity import CommutativityCondition, Kind
+from repro.commutativity import CommutativityCondition, Kind, bounded
 from repro.commutativity.bounded import check_conditions, enumerate_cases
 from repro.commutativity.transitions import (TransitionTable,
                                              transition_run, transitions)
 from repro.eval import paper_scope
-from repro.eval.interpreter import EvalContext, evaluate
 
 SCOPE = paper_scope(max_seq_len=2)
 REGISTRY = make_demo_registry()
 STRUCTURES = ("Accumulator", "ListSet", "HashSet", "AssociationList",
               "HashTable", "ArrayList", DEMO_FAMILY)
-
-
-def reference(spec, conditions, scope, max_counterexamples=3,
-              use_dynamic=False):
-    """``(cases, counterexamples)`` per condition, every step run."""
-    op1, op2 = conditions[0].op1, conditions[0].op2
-    ctx = EvalContext(observe=spec.observe)
-    pre = spec.precondition_holds
-    counts = [0] * len(conditions)
-    found = [[] for _ in conditions]
-    for state in spec.states(scope):
-        for args1 in spec.arguments(op1, scope):
-            if not pre(op1, state, args1):
-                continue
-            mid, r1 = op1.semantics(state, args1)
-            for args2 in spec.arguments(op2, scope):
-                if not pre(op2, mid, args2):
-                    continue
-                fin, r2 = op2.semantics(mid, args2)
-                truth = False
-                if pre(op2, state, args2):
-                    mid_b, r2_b = op2.semantics(state, args2)
-                    if pre(op1, mid_b, args1):
-                        fin_b, r1_b = op1.semantics(mid_b, args1)
-                        truth = ((op1.result_sort is None or r1 == r1_b)
-                                 and (op2.result_sort is None
-                                      or r2 == r2_b)
-                                 and fin == fin_b)
-                env = {"s1": state, "s2": mid, "s3": fin, "r1": r1,
-                       "r2": r2}
-                env.update((f"{p.name}1", a)
-                           for p, a in zip(op1.params, args1))
-                env.update((f"{p.name}2", a)
-                           for p, a in zip(op2.params, args2))
-                for i, cond in enumerate(conditions):
-                    counts[i] += 1
-                    formula = (cond.dynamic_formula if use_dynamic
-                               else cond.formula)
-                    phi = bool(evaluate(formula, env, ctx))
-                    if phi != truth \
-                            and len(found[i]) < max_counterexamples:
-                        found[i].append((
-                            "soundness" if phi else "completeness",
-                            state, args1, args2, phi, truth))
-    return list(zip(counts, found))
-
-
-def observed(results):
-    return [(r.cases, [(c.direction, c.state, c.args1, c.args2,
-                        c.condition_value, c.commuted)
-                       for c in r.counterexamples])
-            for r in results]
 
 
 def pairs_of(conditions):
@@ -220,3 +171,134 @@ def test_a_run_drops_its_tables(monkeypatch):
     assert reports["HashSet"].all_verified and stable["HashSet"].pairs
     gc.collect()
     assert [ref() for ref in made] == [None, None]
+
+
+def traced(spec, monkeypatch):
+    """Record every observer call ``spec``'s formulas make."""
+    calls = []
+    observe = spec.observe
+
+    def recording(state, method, args):
+        calls.append((state, method, args))
+        return observe(state, method, args)
+
+    monkeypatch.setattr(spec, "observe", recording)
+    return calls
+
+
+def test_a_raising_formula_raises_at_the_reference_case(monkeypatch):
+    """``at(s1, i2 + 1)`` is out of range once ``s1`` holds two
+    elements and ``i2`` is its last index, which the enumeration meets
+    only after many cases.  The generated loop raises the interpreter's
+    ``EvalError``, message included, and the observer call ahead of it
+    in the formula shows it evaluated the same cases in the same order
+    up to that one."""
+    spec = REGISTRY.spec("ArrayList")
+    text = "s1.size() >= 0 & (len(s1) < 2 | at(s1, i2 + 1) = v1)"
+    conditions = [CommutativityCondition(
+        family=spec.name, m1="add_at", m2="get", kind=kind, text="true",
+        dynamic_text=text, spec=spec) for kind in (Kind.BEFORE, Kind.AFTER)]
+    calls = traced(spec, monkeypatch)
+    got = outcome(lambda: check_conditions(spec, conditions, SCOPE,
+                                           use_dynamic=True))
+    loop_calls, calls[:] = calls[:], []
+    expected = outcome(lambda: reference(spec, conditions, SCOPE,
+                                         use_dynamic=True))
+    assert got[:2] == ("raised", "EvalError")
+    assert got == expected
+    assert "out of range" in got[2]
+    # One call per case for the one distinct formula; the reference
+    # evaluates it once per condition.
+    assert loop_calls == calls[::2] and len(loop_calls) > 10
+
+
+def test_observer_conditions_check_like_the_reference(monkeypatch):
+    spec = REGISTRY.spec("HashTable")
+    texts = ["s1.get(k1) = v1", "s2.get(k2) = r1 | k1 ~= k2",
+             "s3.containsKey(k1) <-> s1.containsKey(k2)", "true"]
+    conditions = [CommutativityCondition(
+        family=spec.name, m1="put", m2="get", kind=Kind.AFTER, text="true",
+        dynamic_text=text, spec=spec) for text in texts]
+    calls = traced(spec, monkeypatch)
+    got = observed(check_conditions(spec, conditions, SCOPE,
+                                    use_dynamic=True,
+                                    max_counterexamples=1000))
+    assert calls
+    assert got == reference(spec, conditions, SCOPE, use_dynamic=True,
+                            max_counterexamples=1000)
+
+
+#: Quantified conditions, right and wrong: over every index of a
+#: state, and over the objects the layout's bindings mention.
+QUANTIFIED = [
+    ("ArrayList", "add_at", "indexOf",
+     "EX i. 0 <= i & i < len(s1) & at(s1, i) = v2",
+     "ALL i. (0 <= i & i < len(s3)) --> at(s3, i) ~= v1",
+     "ALL i. (0 <= i & i < len(s2)) --> (at(s2, i) = v1 --> i <= i1)"),
+    ("HashSet", "add", "remove",
+     "ALL o::obj. o : s1 --> o : s3", "EX o::obj. o ~= v1 & o : s2"),
+    ("HashTable", "put", "remove",
+     "EX o::obj. haskey(s3, o) & o ~= k1", "ALL o::obj. o = k1 | o = k2"),
+]
+
+
+@pytest.mark.parametrize("name,m1,m2,texts",
+                         [(n, a, b, texts) for n, a, b, *texts in QUANTIFIED],
+                         ids=[f"{n}-{a};{b}" for n, a, b, *_ in QUANTIFIED])
+def test_quantified_conditions_check_like_the_reference(name, m1, m2,
+                                                        texts):
+    spec = REGISTRY.spec(name)
+    conditions = wrong(name, m1, m2, *texts)
+    assert observed(check_conditions(spec, conditions, SCOPE,
+                                     max_counterexamples=1000)) \
+        == reference(spec, conditions, SCOPE, max_counterexamples=1000)
+
+
+def test_each_pair_compiles_once_per_run_and_dies_with_it(monkeypatch):
+    """``verify_all`` writes one function per ordered pair of each
+    structure, and every one is dead when the call returns, before any
+    collection: only the run's tables hold them.  Within a run, checking
+    a pair again reuses its function."""
+    written = []
+    write = bounded.write_pair_loop
+
+    def counting(op1, op2, *args, **kwargs):
+        written.append((op1.name, op2.name))
+        return write(op1, op2, *args, **kwargs)
+
+    loops = []
+    find = bounded.pair_loop
+
+    def tracked(*args, **kwargs):
+        loop = find(*args, **kwargs)
+        loops.append(weakref.ref(loop))
+        return loop
+
+    monkeypatch.setattr(bounded, "write_pair_loop", counting)
+    monkeypatch.setattr(bounded, "pair_loop", tracked)
+    names = ("HashSet", "ArrayList", DEMO_FAMILY)
+    session = Session(registry=make_demo_registry(), jobs=1, cache=False)
+    gc.collect()
+    gc.disable()
+    try:
+        reports = session.verify_all(names)
+        assert loops and [ref() for ref in loops] == [None] * len(loops)
+    finally:
+        gc.enable()
+    assert all(report.all_verified for report in reports.values())
+    assert Counter(written) == Counter(
+        pair for name in names
+        for pair in dict.fromkeys((c.m1, c.m2)
+                                  for c in REGISTRY.conditions(name)))
+    spec = REGISTRY.spec("HashSet")
+    conditions = pairs_of(REGISTRY.conditions("HashSet"))[0]
+    other = wrong("HashSet", conditions[0].m1, conditions[0].m2, "false")
+    written.clear()
+    with transition_run():
+        first = check_conditions(spec, conditions, SCOPE)
+        assert check_conditions(spec, conditions, SCOPE) == first
+        assert len(written) == 1
+        # Other formulas over the same pair are a function of their own.
+        assert observed(check_conditions(spec, other, SCOPE)) \
+            == reference(spec, other, SCOPE)
+    assert len(written) == 2

@@ -153,3 +153,55 @@ def test_resultcache_resolve():
     explicit = ResultCache.resolve("/tmp/x")
     assert isinstance(explicit, ResultCache)
     assert ResultCache.resolve(explicit) is explicit
+
+
+def test_the_file_is_one_sorted_dump_of_the_entries(tmp_path):
+    """However many calls a session's store served, the file holds the
+    bytes one ``json.dumps`` of every entry writes."""
+    session = Session(scope=SCOPE, cache=tmp_path / "cache")
+    first = session.verify("Accumulator")
+    session.check_inverses("Accumulator")
+    second = session.verify("HashSet")
+    path = tmp_path / "cache" / "verify.json"
+    data = json.loads(path.read_text())
+    assert len(data["entries"]) == len(first.task_timings) + 1 \
+        + len(second.task_timings)
+    assert path.read_text() == json.dumps(
+        {"schema": SCHEMA, "entries": data["entries"]}, sort_keys=True,
+        separators=(",", ":"))
+
+
+def test_another_writers_entries_survive_the_sessions_save(tmp_path):
+    """Entries a second store writes between two calls of a session
+    are read back in before the session writes again."""
+    cache = tmp_path / "cache"
+    session = Session(scope=SCOPE, cache=cache)
+    first = session.verify("Accumulator")
+    other = verify_data_structure("ListSet", SCOPE, cache=ResultCache(cache))
+    assert other.cache_misses == 36
+    second = session.verify("HashTable")
+    entries = json.loads((cache / "verify.json").read_text())["entries"]
+    assert len(entries) == len(first.task_timings) + 36 \
+        + len(second.task_timings)
+    # The session's store serves the other writer's entries too.
+    assert session.verify("ListSet").cache_hits == 36
+
+
+def test_an_unchanged_file_is_not_read_again(tmp_path, monkeypatch):
+    reads = []
+    read = ResultCache._read
+
+    def counting(self):
+        reads.append(self.path)
+        return read(self)
+
+    monkeypatch.setattr(ResultCache, "_read", counting)
+    session = Session(scope=SCOPE, cache=tmp_path / "cache")
+    session.verify("Accumulator")
+    warm = session.verify("Accumulator")
+    session.check_inverses("Accumulator")
+    assert warm.cache_hits == len(warm.task_timings)
+    assert len(reads) == 1
+    # A different directory is a store of its own.
+    session.verify("Accumulator", cache=tmp_path / "other")
+    assert len(reads) == 2

@@ -166,3 +166,57 @@ def test_inverse_keys_cover_every_branch_and_argument_kind():
     by_param = add_inverse((InverseCall("remove", (Arg.param("r"),)),))
     assert by_result.render() == by_param.render()
     assert _inverse_key(by_result) != _inverse_key(by_param)
+
+
+#: ``stable_hash(spec_fingerprint(spec))`` of each builtin and of
+#: RegisterCell.  Every cached obligation is keyed on these, so a change
+#: to the formula compiler that moved one would miss every entry.
+SPEC_HASHES = {
+    "Accumulator":
+        "55bae0317427bff6d5b4d3d97eb806affd09275f8ed727cdf66e5d82da68179e",
+    "ListSet":
+        "3a9bf880e2874fefbcffbd9a86f313948a412d0d62b7cfc20b46b17960085eee",
+    "HashSet":
+        "3a9bf880e2874fefbcffbd9a86f313948a412d0d62b7cfc20b46b17960085eee",
+    "AssociationList":
+        "2dc2df498ce9871c652b3b27bbc000c90b7961e230e605d31d90a2c5410c31a0",
+    "HashTable":
+        "2dc2df498ce9871c652b3b27bbc000c90b7961e230e605d31d90a2c5410c31a0",
+    "ArrayList":
+        "d7e6e9324c2377d5280ffca558f6b60109a017ebeef149463fe782d0e5328afd",
+    "RegisterCell":
+        "40c5f70ab42370aef2976ab8077a30d441cf10c04fa7ca51ae8af08b0169e0a6",
+}
+#: SHA-256 over the generated source of every admission check (each
+#: condition's formula and dynamic formula, lowered over the pair's
+#: admission layout) and every precondition, structure by structure.
+LOWERED_SOURCES = \
+    "078830d1b433050e9ba4cd5fb881fa534ea8e6cd312ee5a140a3315b2f3c94c7"
+
+
+def test_spec_fingerprints_and_lowered_sources_are_pinned():
+    import hashlib
+
+    from repro.abduction import make_demo_registry
+    from repro.compiled import lower_pair_condition
+    from repro.engine.fingerprint import stable_hash
+    from repro.eval import EvalContext
+    from repro.logic.compile import lower_term
+
+    registry = make_demo_registry()
+    digest = hashlib.sha256()
+    for name, expected in SPEC_HASHES.items():
+        spec = registry.spec(name)
+        assert stable_hash(spec_fingerprint(spec)) == expected, name
+        ctx = EvalContext(observe=spec.observe)
+        for cond in registry.conditions(name):
+            for term in (cond.formula, cond.dynamic_formula):
+                lowered = lower_pair_condition(term, cond.op1, cond.op2,
+                                               ctx).lowered
+                digest.update((lowered.source if lowered is not None
+                               else "").encode())
+        for op in spec.operations.values():
+            names = ("s", *(param.name for param in op.params))
+            digest.update(
+                lower_term(op.precondition, names, ctx).source.encode())
+    assert digest.hexdigest() == LOWERED_SOURCES

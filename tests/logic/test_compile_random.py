@@ -1,18 +1,31 @@
 """Property tests of the generated formula functions: on random
 well-sorted terms over every sort, each compiled function returns the
 interpreter's value or raises the interpreter's exception with the same
-message, and its source never splices a term's value into its text."""
+message, and its source never splices a term's value into its text.
+The same terms, as the conditions of an operation pair, check in the
+bounded checker's generated pair loop as in the plain reference loop."""
 
+import sys
 import warnings
 from functools import lru_cache
+from pathlib import Path
+from types import SimpleNamespace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.eval import EvalContext, EvalError, FMap, Record, evaluate
+from repro.commutativity.bounded import check_conditions
+from repro.eval import EvalContext, EvalError, FMap, Record, Scope, evaluate
 from repro.logic import terms as t
 from repro.logic.compile import NOT_CONST, lower_term
 from repro.logic.sorts import Sort
+from repro.logic.substitution import substitute
+from repro.specs.interface import DataStructureSpec, Operation, Param
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                       / "commutativity"))
+
+from pair_reference import observed, outcome, reference  # noqa: E402
 
 #: An object name that would break out of a string literal, start a new
 #: statement and escape a backslash if spliced into source unquoted.
@@ -248,3 +261,103 @@ def test_deep_terms_move_into_helper_functions():
     assert "def _h" in lowered.source
     for value in (0, 3, 9):
         assert fn([value]) == evaluate(term, {"x": value})
+
+
+# -- the terms as the conditions of a pair -----------------------------------
+#
+# A pair whose layout binds a value of every sort of ``LAYOUT``: ``put``
+# takes ``p``, ``x``, ``v`` and ``S`` and returns a boolean; ``take``
+# takes ``y``, ``u``, ``m`` and ``s`` and returns an object; the states
+# carry the fields the terms read.  ``take``'s ``s2`` is bound twice, so
+# it reads the parameter, as the interpreter's dict keeps the last
+# binding.  ``put`` is undefined for ``x = 3``, so some reverse orders
+# are too.
+
+
+def _put(state, args):
+    p, x, v, members = args
+    contents = state["contents"] | members if p \
+        else state["contents"] - {v}
+    return (Record(contents=contents, size=x,
+                   elems=(state["elems"] + (v,))[-3:]),
+            v in state["contents"])
+
+
+def _take(state, args):
+    y, u, m, q = args
+    return (Record(contents=state["contents"], size=state["size"] + y,
+                   elems=q), m.lookup(u))
+
+
+PAIR_ARGUMENTS = {
+    "put": [(p, x, v, members) for p in (False, True) for x in (0, 3)
+            for v in ("a", NASTY)
+            for members in (frozenset(), frozenset("b"))],
+    "take": [(y, u, m, q) for y in (1,) for u in ("a", None)
+             for m in (FMap({"a": "b"}),) for q in ((), ("a", NASTY))],
+}
+PAIR_STATES = (Record(contents=frozenset(), size=0, elems=()),
+               Record(contents=frozenset({"a"}), size=1, elems=("a",)),
+               Record(contents=frozenset({"b", NASTY}), size=-1,
+                      elems=(None, "b")))
+
+
+def _pair_spec(dispatch) -> DataStructureSpec:
+    x = t.Var("x", Sort.INT)
+    operations = {
+        "put": Operation(
+            name="put", params=(Param("p", Sort.BOOL), Param("x", Sort.INT),
+                                Param("v", Sort.OBJ), Param("S", Sort.SET)),
+            result_sort=Sort.BOOL, precondition=t.Lt(x, t.IntConst(3)),
+            mutator=True, semantics=_put),
+        "take": Operation(
+            name="take", params=(Param("y", Sort.INT), Param("u", Sort.OBJ),
+                                 Param("m", Sort.MAP), Param("s", Sort.SEQ)),
+            result_sort=Sort.OBJ, precondition=t.TRUE, mutator=True,
+            semantics=_take),
+    }
+    spec = DataStructureSpec(
+        name="RandomPair", state_fields={"contents": Sort.SET,
+                                         "size": Sort.INT,
+                                         "elems": Sort.SEQ},
+        principal_field="contents", operations=operations,
+        initial_state=PAIR_STATES[0], invariant=lambda state: True,
+        states=lambda scope: iter(PAIR_STATES),
+        arguments=lambda op, scope: iter(PAIR_ARGUMENTS[op.name]))
+    spec.observe = dispatch
+    return spec
+
+
+#: Each name of ``LAYOUT`` as a variable of the pair's layout; ``p``,
+#: ``u`` and ``st`` have several, and ``s`` is the parameter ``s2``.
+PAIR_NAMES = {"p": ("p1", "r1"), "x": ("x1",), "y": ("y2",),
+              "v": ("v1",), "u": ("u2", "r2"), "S": ("S1",),
+              "m": ("m2",), "s": ("s2",), "st": ("s1", "s3")}
+renamings = st.fixed_dictionaries({
+    name: st.sampled_from(choices) for name, choices in PAIR_NAMES.items()})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(formulas=st.lists(terms(Sort.BOOL, 3), min_size=1, max_size=3),
+       renaming=renamings, repeat=st.booleans(),
+       dispatch=st.sampled_from((observe, None)))
+def test_random_conditions_check_like_the_reference_loop(
+        formulas, renaming, repeat, dispatch):
+    """Each random term, its layout names renamed into the pair's, is a
+    condition of ``put; take`` (once more when ``repeat``, so two
+    conditions share one formula); the pair loop's results equal the
+    reference loop's, or both raise the same error."""
+    spec = _pair_spec(dispatch)
+    put, take = spec.operations["put"], spec.operations["take"]
+    mapping = {name: t.Var(renaming[name], SORTS[name]) for name in SORTS}
+    renamed = [substitute(formula, mapping) for formula in formulas]
+    conditions = [SimpleNamespace(m1="put", m2="take", op1=put, op2=take,
+                                  formula=formula, dynamic_formula=formula)
+                  for formula in renamed + renamed[:repeat]]
+    scope = Scope()
+    got = outcome(lambda: observed(check_conditions(
+        spec, conditions, scope, max_counterexamples=1000)))
+    expected = outcome(lambda: reference(spec, conditions, scope,
+                                         max_counterexamples=1000))
+    assert got == expected
